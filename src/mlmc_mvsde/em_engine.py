@@ -9,13 +9,14 @@ fine and coarse discretizations of the same path can share increments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DivergenceError, NumericError, ShapeError
+from .errors import ConfigurationError, DivergenceError, ShapeError
 from .measure import ParticleCloud, sorted_mean
-from .model import ModelSpec, TestFunction, drift_eval, diffusion_eval
+from .model import ModelSpec, TestFunction, _check_finite, drift_eval, diffusion_eval
 from .rng import DOMAIN_PATH, DOMAIN_SMALL_NOISE, DOMAIN_STRONG_ERROR, stream
 
 #: any state beyond this magnitude aborts the run instead of propagating infs
@@ -77,6 +78,17 @@ def em_step(model: ModelSpec, cloud: ParticleCloud, h: float, gaussians: np.ndar
     xi = np.asarray(gaussians, dtype=float)
     if xi.ndim == 1:
         xi = xi[:, None]
+    return advance(model, cloud, h, math.sqrt(h), xi)
+
+
+def advance(model: ModelSpec, cloud: ParticleCloud, h_drift: float, sqrt_dt: float,
+            xi: np.ndarray) -> ParticleCloud:
+    """The checked explicit step ``x + f h_drift + epsilon sqrt_dt g xi``.
+
+    Every fine and coarse update goes through here, so all of them get the
+    same shape checks, the drift-then-diffusion finiteness checks and the
+    divergence check, in that order. ``xi`` is a float (M, d_bar) array.
+    """
     if xi.shape != (cloud.m, model.d_bar):
         raise ShapeError(
             f"gaussians have shape {xi.shape}, expected ({cloud.m}, {model.d_bar})"
@@ -93,20 +105,19 @@ def em_step(model: ModelSpec, cloud: ParticleCloud, h: float, gaussians: np.ndar
             raise ShapeError(
                 f"diffusion returned shape {g.shape}, expected {(cloud.m, model.d, model.d_bar)}"
             )
-        if not np.all(np.isfinite(f)):
-            bad = np.argwhere(~np.isfinite(f))[0]
-            raise NumericError(f"drift produced a non-finite value at component {tuple(bad)}")
-        if not np.all(np.isfinite(g)):
-            bad = np.argwhere(~np.isfinite(g))[0]
-            raise NumericError(f"diffusion produced a non-finite value at component {tuple(bad)}")
     else:
         f = np.stack([drift_eval(model, x[i], cloud) for i in range(cloud.m)])
         g = np.stack([diffusion_eval(model, x[i], cloud) for i in range(cloud.m)])
     noise = np.einsum("mij,mj->mi", g, xi)
-    new = x + f * h + model.epsilon * np.sqrt(h) * noise
-    if not np.all(np.isfinite(new)) or np.max(np.abs(new)) > DIVERGENCE_LIMIT:
+    new = x + f * h_drift + model.epsilon * sqrt_dt * noise
+    # One scan, which NaN fails too. Every coefficient entry enters the new
+    # state, so a non-finite one always fails it: the coefficients need
+    # checking, drift first, only when the scan fails.
+    if not np.abs(new).max() <= DIVERGENCE_LIMIT:
+        _check_finite(f, "drift")
+        _check_finite(g, "diffusion")
         raise DivergenceError("particle state left the finite trust region")
-    return ParticleCloud(new)
+    return ParticleCloud._wrap(new)
 
 
 def _run_path(model: ModelSpec, grid: SimulationGrid, m_particles: int,

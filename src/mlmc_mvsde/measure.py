@@ -47,6 +47,15 @@ class ParticleCloud:
         return self.positions.shape[1]
 
     @classmethod
+    def _wrap(cls, arr: np.ndarray) -> "ParticleCloud":
+        """Cloud over a fresh (M, d) float array its caller has already
+        checked and no one else references: frozen in place, not copied."""
+        arr.setflags(write=False)
+        cloud = object.__new__(cls)
+        object.__setattr__(cloud, "positions", arr)
+        return cloud
+
+    @classmethod
     def at(cls, point: np.ndarray, m: int) -> "ParticleCloud":
         """Cloud with all m particles at one point (empirical Dirac mass)."""
         p = np.atleast_1d(np.asarray(point, dtype=float))
@@ -61,9 +70,12 @@ def sorted_mean(values: np.ndarray, axis: int = 0) -> np.ndarray:
     last axis of a contiguous copy keeps the summation blocking identical
     whether states are evaluated one at a time or as a stacked batch.
     """
-    arr = np.moveaxis(np.asarray(values, dtype=float), axis, -1)
-    arr = np.sort(np.ascontiguousarray(arr), axis=-1)
-    return np.mean(arr, axis=-1)
+    arr = np.asarray(values, dtype=float)
+    order = list(range(arr.ndim))
+    order.append(order.pop(axis))
+    arr = arr.transpose(order).copy()
+    arr.sort(axis=-1)
+    return np.add.reduce(arr, axis=-1) / arr.shape[-1]
 
 
 def empirical_mean(mu: ParticleCloud) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ConfigurationError, ShapeError
 from .measure import ParticleCloud, sorted_mean
 from .model import ModelSpec, TestFunction, builtin_test_function
-from .em_engine import em_step, SimulationGrid, strong_error_curve, _run_path
+from .em_engine import advance, em_step, SimulationGrid, strong_error_curve, _run_path
 from .parallel import ordered_map
 from .rng import (
     DOMAIN_CHAOS,
@@ -132,14 +132,7 @@ def coupled_coarse_interval(model: ModelSpec, state: CoupledLevelState, cfg: Lev
     for k in range(n_ref):
         fine = em_step(model, fine, cfg.h_fine, xi[k])
 
-    coarse = state.coarse
-    x = coarse.positions
-    f = np.asarray(model.drift(x, coarse), dtype=float)
-    g = np.asarray(model.diffusion(x, coarse), dtype=float)
-    summed = xi.sum(axis=0)
-    noise = np.einsum("mij,mj->mi", g, summed)
-    new = x + f * cfg.h_coarse + model.epsilon * math.sqrt(cfg.h_fine) * noise
-    coarse = ParticleCloud(new)
+    coarse = advance(model, state.coarse, cfg.h_coarse, math.sqrt(cfg.h_fine), xi.sum(axis=0))
 
     return CoupledLevelState(fine=fine, coarse=coarse,
                              coarse_time_index=state.coarse_time_index + 1)

@@ -22,7 +22,6 @@ DOMAIN_LEVEL_PAIR = 4
 DOMAIN_LEVEL_ZERO = 5
 DOMAIN_CHAOS = 6
 DOMAIN_PSI_VARIANCE = 7
-DOMAIN_VALIDATION = 8
 
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
@@ -35,10 +34,3 @@ def stream(seed: int, *key: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=entropy, spawn_key=spawn)
     return np.random.Generator(np.random.Philox(ss))
 
-
-def draw_count(shape: tuple[int, ...]) -> int:
-    """Number of scalar variates a draw of ``shape`` consumes."""
-    n = 1
-    for s in shape:
-        n *= int(s)
-    return n

@@ -1,8 +1,20 @@
+import hashlib
 import json
 import math
 from pathlib import Path
 
+import pytest
+
 from mlmc_mvsde.cli_runner import main, validate_config
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+#: SHA-256 of the CSV each shipped config writes at its own seed
+SHIPPED_CSV_SHA256 = {
+    "mlmc": "0e319e2c24b900730a74f592ffad88db2de1b37490a952ca51f7466c4cbf9456",
+    "second_moment": "c85952be3c75ada33544bd983930d3dd7b4723cb104682f3a676ceb02929af41",
+}
 
 
 def write_config(tmp_path: Path, name: str, cfg: dict) -> Path:
@@ -173,3 +185,10 @@ def test_validate_config_catches_model_param_errors():
 def test_validate_config_unknown_experiment():
     diags = validate_config({"experiment": "nope"})
     assert diags and "experiment" in diags[0]
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_CSV_SHA256))
+def test_shipped_config_csv_is_bit_exact(tmp_path, name):
+    assert main(["run", str(CONFIGS / f"{name}.json"), "--out", str(tmp_path)]) == 0
+    (csv,) = tmp_path.glob("*.csv")
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == SHIPPED_CSV_SHA256[name]

@@ -6,6 +6,7 @@ import pytest
 from mlmc_mvsde import (
     ConfigurationError,
     DivergenceError,
+    NumericError,
     ParticleCloud,
     ShapeError,
     SimulationGrid,
@@ -82,6 +83,40 @@ def test_em_step_exchangeability_exact():
     out = em_step(model, ParticleCloud(pos), 0.125, xi)
     out_p = em_step(model, ParticleCloud(pos[perm]), 0.125, xi[perm])
     assert np.array_equal(out_p.positions, out.positions[perm])
+
+
+def _custom(drift, diffusion):
+    return ModelSpec(d=1, d_bar=1, drift=drift, diffusion=diffusion, epsilon=0.5,
+                     x0=np.array([0.0]), horizon=1.0, lipschitz_K=1.0, growth_beta=2.0)
+
+
+def test_em_step_error_precedence():
+    finite_f = lambda x, mu: np.zeros_like(x)
+    nan_f = lambda x, mu: np.full(x.shape, np.nan)
+    finite_g = lambda x, mu: np.ones(x.shape[:-1] + (1, 1))
+    inf_g = lambda x, mu: np.full(x.shape[:-1] + (1, 1), np.inf)
+    cloud = ParticleCloud([0.5, -0.5, 2.0])
+    xi = np.ones((3, 1))
+    with pytest.raises(NumericError, match="^drift "):
+        em_step(_custom(nan_f, finite_g), cloud, 0.1, xi)
+    with pytest.raises(NumericError, match="^diffusion "):
+        em_step(_custom(finite_f, inf_g), cloud, 0.1, xi)
+    with pytest.raises(NumericError, match="^drift "):
+        em_step(_custom(nan_f, inf_g), cloud, 0.1, xi)
+    # finite coefficients, overflowing state
+    with pytest.raises(DivergenceError):
+        em_step(_custom(lambda x, mu: np.full(x.shape, 1e308), finite_g),
+                ParticleCloud([1e308, 1.0, 0.0]), 1.0, xi)
+
+
+def test_em_step_output_is_fresh_and_read_only():
+    for model in (ou(0.4), builtin_model("zero", {"x0": 1.0, "T": 1.0, "epsilon": 0.1})):
+        cloud = ParticleCloud.at([1.0], 5)
+        xi = np.random.default_rng(3).normal(size=(5, 1))
+        out = em_step(model, cloud, 0.125, xi)
+        assert not out.positions.flags.writeable
+        assert not np.shares_memory(out.positions, cloud.positions)
+        assert not np.shares_memory(out.positions, xi)
 
 
 def test_simulate_path_zero_model():

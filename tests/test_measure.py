@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mlmc_mvsde import (
     CapabilityError,
@@ -13,6 +16,7 @@ from mlmc_mvsde import (
     w2_to_dirac,
     wasserstein2,
 )
+from mlmc_mvsde.measure import sorted_mean
 
 
 def brute_force_w2_1d(xs, ys):
@@ -120,3 +124,34 @@ def test_wasserstein2_errors():
     big = ParticleCloud(np.random.default_rng(0).normal(size=(300, 2)))
     with pytest.raises(CapabilityError):
         wasserstein2(big, big)
+
+
+def reference_sorted_mean(values, axis=0):
+    arr = np.moveaxis(np.asarray(values, dtype=float), axis, -1)
+    arr = np.sort(np.ascontiguousarray(arr), axis=-1)
+    return np.mean(arr, axis=-1)
+
+
+@st.composite
+def reduction_cases(draw):
+    arr = draw(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, max_side=9),
+                          elements=st.floats(-1e6, 1e6)))
+    axis = draw(st.integers(-arr.ndim, arr.ndim - 1))
+    if arr.ndim > 1 and draw(st.booleans()):
+        arr = arr.T  # non-contiguous view
+    if draw(st.booleans()):
+        arr = arr[::-1]  # negative stride
+    return arr, axis
+
+
+@settings(max_examples=300, deadline=None)
+@given(reduction_cases())
+def test_sorted_mean_matches_reference_bitwise(case):
+    arr, axis = case
+    before = arr.copy()
+    got = sorted_mean(arr, axis=axis)
+    want = reference_sorted_mean(arr, axis=axis)
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want)
+    assert np.array_equal(arr, before)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,10 @@ import pytest
 from mlmc_mvsde import (
     ConfigurationError,
     CoupledLevelState,
+    DivergenceError,
     LevelConfig,
+    ModelSpec,
+    NumericError,
     ParticleCloud,
     SimulationGrid,
     builtin_model,
@@ -98,6 +102,67 @@ def test_coarse_increment_variance_law():
     draws = rng.standard_normal((4, 20000))
     eff = math.sqrt(cfg.h_fine) * draws.sum(axis=0)
     assert eff.var() == pytest.approx(cfg.h_coarse, rel=0.05)
+
+
+def _pointwise(fn):
+    """A coefficient that refuses stacked states, as a one-state-at-a-time
+    user callable would."""
+    def call(x, mu):
+        if x.shape != (1,):
+            raise TypeError(f"pointwise coefficient called with shape {x.shape}")
+        return fn(x, mu)
+    return call
+
+
+def test_pointwise_model_level_pair_matches_vectorized():
+    model = ou(0.3)
+    pointwise = replace(model, drift=_pointwise(model.drift),
+                        diffusion=_pointwise(model.diffusion), vectorized=False)
+    for level in (1, 3):
+        cfg = LevelConfig(refinement_n=2, level=level, horizon=1.0)
+        assert simulate_level_pair(pointwise, cfg, 8, IDENT, seed=2, sample_index=1) == \
+            simulate_level_pair(model, cfg, 8, IDENT, seed=2, sample_index=1)
+
+
+def test_coarse_step_divergence_is_flagged():
+    # a h_fine = 2 flips the fine state in sign and keeps its size; a h_coarse = 4
+    # triples the coarse state past DIVERGENCE_LIMIT
+    model = builtin_model("meanfield_ou", {"a": 4.0, "b": 0.0, "x0": 5e11, "T": 1.0,
+                                           "epsilon": 0.0})
+    cfg = LevelConfig(refinement_n=2, level=1, horizon=1.0)
+    state = CoupledLevelState.initial(model, 4)
+    with pytest.raises(DivergenceError):
+        coupled_coarse_interval(model, state, cfg, np.zeros((2, 4, 1)))
+
+
+def test_coarse_step_non_finite_drift_is_named():
+    # finite on |x| < 2 only: after one interval the fine state is back at 1,
+    # the coarse state at -3, so only the coarse drift turns NaN
+    model = ModelSpec(
+        d=1, d_bar=1,
+        drift=lambda x, mu: np.where(np.abs(x) < 2.0, -4.0 * x, np.nan),
+        diffusion=lambda x, mu: np.zeros(x.shape[:-1] + (1, 1)),
+        epsilon=0.0, x0=np.array([1.0]), horizon=2.0,
+        lipschitz_K=16.0, growth_beta=32.0,
+    )
+    cfg = LevelConfig(refinement_n=2, level=2, horizon=2.0)
+    state = CoupledLevelState.initial(model, 3)
+    state = coupled_coarse_interval(model, state, cfg, np.zeros((2, 3, 1)))
+    assert np.all(state.fine.positions == 1.0) and np.all(state.coarse.positions == -3.0)
+    with pytest.raises(NumericError, match="drift"):
+        coupled_coarse_interval(model, state, cfg, np.zeros((2, 3, 1)))
+
+
+def test_coupled_interval_outputs_are_fresh_read_only():
+    model = ou(0.5)
+    cfg = LevelConfig(refinement_n=2, level=1, horizon=1.0)
+    state = CoupledLevelState.initial(model, 4)
+    xi = np.random.default_rng(0).normal(size=(2, 4, 1))
+    out = coupled_coarse_interval(model, state, cfg, xi)
+    for cloud in (out.fine, out.coarse):
+        assert not cloud.positions.flags.writeable
+        for source in (state.fine.positions, state.coarse.positions, xi):
+            assert not np.shares_memory(cloud.positions, source)
 
 
 def test_simulate_level_pair_deterministic_oracle():

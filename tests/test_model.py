@@ -44,6 +44,33 @@ def test_drift_eval_examples():
     assert drift_eval(kura, np.array([0.0]), mu) == pytest.approx([0.5], abs=1e-15)
 
 
+def kuramoto_pairwise(kappa, x, pos):
+    """The O(M^2) form kappa mean_j sin(x_j - x) over a stack of states x."""
+    return kappa * np.mean(np.sin(pos[:, None, :] - x[None, :, :]), axis=0)
+
+
+def test_kuramoto_drift_matches_pairwise_sum():
+    rng = np.random.default_rng(8)
+    for d in (1, 2):
+        kura = builtin_model("kuramoto", {**BASE, "x0": [0.0] * d, "kappa": 1.7})
+        for m in (1, 2, 7, 64, 512):
+            mu = ParticleCloud(rng.uniform(-4.0, 4.0, size=(m, d)))
+            x = rng.uniform(-4.0, 4.0, size=(33, d))
+            want = kuramoto_pairwise(1.7, x, mu.positions)
+            assert np.allclose(kura.drift(x, mu), want, rtol=0.0, atol=1e-12)
+            assert np.allclose(drift_eval(kura, x[0], mu), want[0], rtol=0.0, atol=1e-12)
+
+
+def test_kuramoto_drift_is_permutation_invariant():
+    rng = np.random.default_rng(9)
+    kura = builtin_model("kuramoto", {**BASE, "x0": [0.0, 0.0]})
+    pos = rng.normal(size=(50, 2))
+    x = rng.normal(size=(10, 2))
+    shuffled = pos[rng.permutation(50)]
+    assert np.array_equal(kura.drift(x, ParticleCloud(pos)),
+                          kura.drift(x, ParticleCloud(shuffled)))
+
+
 def test_diffusion_eval_examples():
     const = builtin_model("constant_drift", {**BASE, "c": 1.0, "sigma": 0.7})
     mu = ParticleCloud([0.0, 1.0])
