@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, ShapeError
 from .measure import ParticleCloud, sorted_mean
-from .model import ModelSpec, TestFunction, _check_finite, drift_eval, diffusion_eval
+from .model import ModelSpec, TestFunction, _check_finite, coefficients, drift_eval
 from .rng import DOMAIN_PATH, DOMAIN_SMALL_NOISE, DOMAIN_STRONG_ERROR, stream
 
 #: any state beyond this magnitude aborts the run instead of propagating infs
@@ -95,34 +95,34 @@ def advance(model: ModelSpec, cloud: ParticleCloud, h_drift: float, sqrt_dt: flo
         )
     if cloud.d != model.d:
         raise ShapeError(f"cloud dimension {cloud.d} does not match model d={model.d}")
-    x = cloud.positions
-    if model.vectorized:
-        f = np.asarray(model.drift(x, cloud), dtype=float)
-        if f.shape != x.shape:
-            raise ShapeError(f"drift returned shape {f.shape}, expected {x.shape}")
-        g = np.asarray(model.diffusion(x, cloud), dtype=float)
-        if g.shape != (cloud.m, model.d, model.d_bar):
-            raise ShapeError(
-                f"diffusion returned shape {g.shape}, expected {(cloud.m, model.d, model.d_bar)}"
-            )
-    else:
-        f = np.stack([drift_eval(model, x[i], cloud) for i in range(cloud.m)])
-        g = np.stack([diffusion_eval(model, x[i], cloud) for i in range(cloud.m)])
-    noise = np.einsum("mij,mj->mi", g, xi)
-    new = x + f * h_drift + model.epsilon * sqrt_dt * noise
-    # One scan, which NaN fails too. Every coefficient entry enters the new
-    # state, so a non-finite one always fails it: the coefficients need
-    # checking, drift first, only when the scan fails.
-    if not np.abs(new).max() <= DIVERGENCE_LIMIT:
+    f, g = coefficients(model, cloud)
+    scale = model.epsilon * sqrt_dt
+    try:
+        new, ok = _update(cloud.positions, f, g, xi, h_drift, scale)
+    except FloatingPointError:
+        # under np.errstate(all="raise"): the same arithmetic, quietly, so
+        # an overflow fails the scan below and an underflow does not
+        with np.errstate(all="ignore"):
+            new, ok = _update(cloud.positions, f, g, xi, h_drift, scale)
+    # Every coefficient entry enters the new state, so a non-finite one
+    # always fails the scan: the coefficients need checking, drift first,
+    # only when it fails.
+    if not ok:
         _check_finite(f, "drift")
         _check_finite(g, "diffusion")
         raise DivergenceError("particle state left the finite trust region")
     return ParticleCloud._wrap(new)
 
 
+def _update(x, f, g, xi, h_drift, scale):
+    """The new state and whether it passes one scan, which NaN fails too."""
+    new = x + f * h_drift + scale * np.einsum("mij,mj->mi", g, xi)
+    return new, np.abs(new).max() <= DIVERGENCE_LIMIT
+
+
 def _run_path(model: ModelSpec, grid: SimulationGrid, m_particles: int,
               gen: np.random.Generator, store: str) -> PathRecord:
-    cloud = ParticleCloud.at(model.x0, m_particles)
+    cloud = model.start(m_particles)
     clouds = [cloud]
     for n in range(grid.steps):
         xi = gen.standard_normal((m_particles, model.d_bar))
@@ -192,7 +192,7 @@ def _coupled_run(model: ModelSpec, xi_ref: np.ndarray, h: float, h_ref: float,
     r = round(h / h_ref)
     steps = xi_ref.shape[0] // r
     scale = 1.0 / np.sqrt(r)
-    cloud = ParticleCloud.at(model.x0, m_particles)
+    cloud = model.start(m_particles)
     for n in range(steps):
         block = xi_ref[n * r:(n + 1) * r].sum(axis=0) * scale
         cloud = em_step(model, cloud, h, block)
@@ -230,7 +230,7 @@ def strong_error_curve(model: ModelSpec, h_list: list[float], m_particles: int,
     for rep in range(replications):
         gen = stream(seed, DOMAIN_STRONG_ERROR, rep)
         xi_ref = gen.standard_normal((grid_ref.steps, m_particles, model.d_bar))
-        ref_cloud = ParticleCloud.at(model.x0, m_particles)
+        ref_cloud = model.start(m_particles)
         for n in range(grid_ref.steps):
             ref_cloud = em_step(model, ref_cloud, h_ref, xi_ref[n])
         psi_ref = psi(ref_cloud.positions)
@@ -257,7 +257,7 @@ def small_noise_curve(model: ModelSpec, epsilon_list: list[float], grid: Simulat
         total = 0.0
         for rep in range(replications):
             gen = stream(seed, DOMAIN_SMALL_NOISE, rep)
-            cloud = ParticleCloud.at(model.x0, m_particles)
+            cloud = model_eps.start(m_particles)
             sup = np.zeros(m_particles)
             for n in range(grid.steps):
                 xi = gen.standard_normal((m_particles, model.d_bar))

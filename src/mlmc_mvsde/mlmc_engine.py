@@ -80,12 +80,11 @@ class CoupledLevelState:
 
     fine: ParticleCloud
     coarse: ParticleCloud
-    coarse_time_index: int = 0
 
     @classmethod
     def initial(cls, model: ModelSpec, m_particles: int) -> "CoupledLevelState":
-        start = ParticleCloud.at(model.x0, m_particles)
-        return cls(fine=start, coarse=start, coarse_time_index=0)
+        start = model.start(m_particles)
+        return cls(fine=start, coarse=start)
 
 
 @dataclass
@@ -134,8 +133,7 @@ def coupled_coarse_interval(model: ModelSpec, state: CoupledLevelState, cfg: Lev
 
     coarse = advance(model, state.coarse, cfg.h_coarse, math.sqrt(cfg.h_fine), xi.sum(axis=0))
 
-    return CoupledLevelState(fine=fine, coarse=coarse,
-                             coarse_time_index=state.coarse_time_index + 1)
+    return CoupledLevelState(fine=fine, coarse=coarse)
 
 
 def _run_level_pair(model: ModelSpec, cfg: LevelConfig, m_particles: int,
@@ -172,7 +170,7 @@ def level0_sample(model: ModelSpec, cfg: LevelConfig, m_particles: int,
     if cfg.level != 0:
         raise ConfigurationError("level0_sample requires level == 0")
     gen = stream(seed, DOMAIN_LEVEL_ZERO, 0, sample_index)
-    cloud = ParticleCloud.at(model.x0, m_particles)
+    cloud = model.start(m_particles)
     xi = gen.standard_normal((m_particles, model.d_bar))
     cloud = em_step(model, cloud, cfg.horizon, xi)
     return float(sorted_mean(test_fn.psi(cloud.positions))), m_particles * model.d_bar
@@ -468,8 +466,8 @@ def chaos_study(model: ModelSpec, m_list: list[int], reference_m: int, replicati
             else:
                 gen_small = stream(seed, DOMAIN_CHAOS, rep, 1)
                 xi_small = gen_small.standard_normal((grid.steps, _m, model.d_bar))
-            ref = ParticleCloud.at(model.x0, reference_m)
-            small = ParticleCloud.at(model.x0, _m)
+            ref = model.start(reference_m)
+            small = model.start(_m)
             sup = np.zeros(_m)
             for n in range(grid.steps):
                 ref = em_step(model, ref, grid.h, xi_ref[n])

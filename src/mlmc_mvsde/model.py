@@ -8,8 +8,10 @@ together with the noise scale ``epsilon``, the deterministic initial state,
 the horizon, and declared regularity constants. The steppers apply
 ``epsilon`` themselves; ``diffusion`` never includes it.
 
-Coefficient callables must be pure. When ``vectorized`` is set (all
-builtins), they also accept an (M, d) stack of states and return the stacked
+Coefficient callables must be pure: every system starts from the same
+all-x0 cloud, and its coefficients there are evaluated once per (model, M)
+and reused (``ModelSpec.start``). When ``vectorized`` is set (all builtins),
+they also accept an (M, d) stack of states and return the stacked
 coefficients, which is what the particle steppers use. Measure arguments are
 always uniform empirical clouds; builtins reduce over the particle axis in
 canonical sorted order so their output is exactly invariant under particle
@@ -56,6 +58,9 @@ class ModelSpec:
     vectorized: bool = True
     name: str = "custom"
     meta: dict = field(default_factory=dict)
+    # M -> (start cloud, its drift, its diffusion); fresh and empty in every
+    # copy made by ``replace`` or ``with_epsilon``
+    _start: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.d < 1 or self.d_bar < 1:
@@ -78,6 +83,21 @@ class ModelSpec:
     def with_epsilon(self, epsilon: float) -> "ModelSpec":
         """Same dynamics at a different noise scale (for epsilon sweeps)."""
         return replace(self, epsilon=float(epsilon))
+
+    def start(self, m: int) -> ParticleCloud:
+        """The read-only cloud of m particles at x0 that every system starts from.
+
+        Built once per M, together with its drift and diffusion, which
+        ``coefficients`` returns whenever it is given this very cloud.
+        """
+        entry = self._start.get(m)
+        if entry is None:
+            cloud = ParticleCloud.at(self.x0, m)
+            f, g = (a.view() for a in coefficients(self, cloud))
+            f.setflags(write=False)
+            g.setflags(write=False)
+            entry = self._start.setdefault(m, (cloud, f, g))
+        return entry[0]
 
 
 @dataclass(frozen=True)
@@ -115,6 +135,33 @@ def diffusion_eval(model: ModelSpec, x: np.ndarray, mu: ParticleCloud) -> np.nda
         )
     _check_finite(out, "diffusion")
     return out
+
+
+def coefficients(model: ModelSpec, cloud: ParticleCloud) -> tuple[np.ndarray, np.ndarray]:
+    """Drift (M, d) and diffusion (M, d, d_bar) of every particle against the cloud.
+
+    Vectorized models are called once on the stack and their outputs
+    shape-checked; pointwise ones go through ``drift_eval`` and
+    ``diffusion_eval`` once per particle. At ``model.start(M)`` itself the
+    pair evaluated when that cloud was built is returned.
+    """
+    entry = model._start.get(cloud.m)
+    if entry is not None and entry[0] is cloud:
+        return entry[1], entry[2]
+    x = cloud.positions
+    if not model.vectorized:
+        f = np.stack([drift_eval(model, x[i], cloud) for i in range(cloud.m)])
+        g = np.stack([diffusion_eval(model, x[i], cloud) for i in range(cloud.m)])
+        return f, g
+    f = np.asarray(model.drift(x, cloud), dtype=float)
+    if f.shape != x.shape:
+        raise ShapeError(f"drift returned shape {f.shape}, expected {x.shape}")
+    g = np.asarray(model.diffusion(x, cloud), dtype=float)
+    if g.shape != (cloud.m, model.d, model.d_bar):
+        raise ShapeError(
+            f"diffusion returned shape {g.shape}, expected {(cloud.m, model.d, model.d_bar)}"
+        )
+    return f, g
 
 
 def _check_state(model: ModelSpec, x: np.ndarray) -> np.ndarray:

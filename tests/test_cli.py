@@ -14,6 +14,8 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SHIPPED_CSV_SHA256 = {
     "mlmc": "0e319e2c24b900730a74f592ffad88db2de1b37490a952ca51f7466c4cbf9456",
     "second_moment": "c85952be3c75ada33544bd983930d3dd7b4723cb104682f3a676ceb02929af41",
+    "small_noise": "91b1eeb2c03b365d7deacfb6ceeb4570273d5039630a49c6fa730bd8d28ccbda",
+    "strong_error": "7d207b2a75f2a4feb51f42d6a68eff4091b1667d739d4fa3de1d8a914844bbf7",
 }
 
 

@@ -109,6 +109,28 @@ def test_em_step_error_precedence():
                 ParticleCloud([1e308, 1.0, 0.0]), 1.0, xi)
 
 
+def test_em_step_errors_under_raising_errstate():
+    # np.errstate(all="raise") turns the overflow into a FloatingPointError
+    # inside the step; the caller must still get the library's errors
+    nan_f = lambda x, mu: np.full(x.shape, np.nan)
+    finite_g = lambda x, mu: np.ones(x.shape[:-1] + (1, 1))
+    xi = np.ones((3, 1))
+    with np.errstate(all="raise"):
+        with pytest.raises(DivergenceError):
+            em_step(_custom(lambda x, mu: np.full(x.shape, 1e308), finite_g),
+                    ParticleCloud([1e308, 1.0, 0.0]), 1.0, xi)
+        with pytest.raises(NumericError, match="^drift "):
+            em_step(_custom(nan_f, finite_g), ParticleCloud([1e308, 1.0, 0.0]), 1.0, xi)
+    # an underflow is no divergence: same bits as under the default settings
+    tiny = _custom(lambda x, mu: np.full(x.shape, 1e-300),
+                   lambda x, mu: np.zeros(x.shape[:-1] + (1, 1)))
+    cloud = ParticleCloud([0.0, 1.0, -1.0])
+    with np.errstate(all="raise"):
+        out = em_step(tiny, cloud, 1e-10, xi)
+    assert np.array_equal(out.positions, em_step(tiny, cloud, 1e-10, xi).positions)
+    assert out.positions[0, 0] > 0.0
+
+
 def test_em_step_output_is_fresh_and_read_only():
     for model in (ou(0.4), builtin_model("zero", {"x0": 1.0, "T": 1.0, "epsilon": 0.1})):
         cloud = ParticleCloud.at([1.0], 5)

@@ -71,7 +71,6 @@ def test_coupled_state_initialization():
     state = CoupledLevelState.initial(ou(0.1), 6)
     assert np.all(state.fine.positions == 1.0)
     assert np.all(state.coarse.positions == 1.0)
-    assert state.coarse_time_index == 0
 
 
 def test_coupled_interval_constant_drift_zero_noise():
@@ -82,7 +81,6 @@ def test_coupled_interval_constant_drift_zero_noise():
     out = coupled_coarse_interval(model, state, cfg, xi)
     assert np.all(out.fine.positions == 2.0)
     assert np.all(out.coarse.positions == 2.0)
-    assert out.coarse_time_index == 1
 
 
 def test_coupled_interval_ou_deterministic_oracle():
