@@ -71,14 +71,9 @@ def sorted_mean(values: np.ndarray, axis: int = 0) -> np.ndarray:
     whether states are evaluated one at a time or as a stacked batch.
     """
     arr = np.asarray(values, dtype=float)
-    if arr.ndim == 1:
-        arr = arr.copy()
-    elif arr.ndim == 2 and axis == 0:
-        arr = arr.T.copy()
-    else:
-        order = list(range(arr.ndim))
-        order.append(order.pop(axis))
-        arr = arr.transpose(order).copy()
+    order = list(range(arr.ndim))
+    order.append(order.pop(axis))
+    arr = arr.transpose(order).copy()
     arr.sort(axis=-1)
     return np.add.reduce(arr, axis=-1) / arr.shape[-1]
 

@@ -155,3 +155,13 @@ def test_sorted_mean_matches_reference_bitwise(case):
     assert np.shape(got) == np.shape(want)
     assert np.array_equal(got, want)
     assert np.array_equal(arr, before)
+
+
+@pytest.mark.parametrize("shape", [(4,), (4, 2), (3, 4, 2)])
+def test_sorted_mean_rejects_an_out_of_range_axis(shape):
+    arr = np.arange(np.prod(shape), dtype=float).reshape(shape)
+    for axis in (len(shape), -len(shape) - 1, 5):
+        with pytest.raises(IndexError):
+            reference_sorted_mean(arr, axis=axis)
+        with pytest.raises(IndexError):
+            sorted_mean(arr, axis=axis)
