@@ -26,7 +26,6 @@ from .model import (
     builtin_test_function,
     diffusion_eval,
     drift_eval,
-    origin_growth_constant,
 )
 from .em_engine import (
     PathRecord,
@@ -51,7 +50,7 @@ from .mlmc_engine import (
     second_moment_study,
     simulate_level_pair,
 )
-from .stats import RateFit, RunningMoments, from_samples, loglog_fit, merge, normal_ci, push
+from .stats import RateFit, loglog_fit
 
 __all__ = [
     "CapabilityError",
@@ -71,7 +70,6 @@ __all__ = [
     "builtin_test_function",
     "drift_eval",
     "diffusion_eval",
-    "origin_growth_constant",
     "SimulationGrid",
     "PathRecord",
     "em_step",
@@ -91,11 +89,6 @@ __all__ = [
     "mlmc_estimate",
     "cost_compare",
     "chaos_study",
-    "RunningMoments",
     "RateFit",
-    "push",
-    "merge",
-    "from_samples",
-    "normal_ci",
     "loglog_fit",
 ]

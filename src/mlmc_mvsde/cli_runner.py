@@ -39,7 +39,6 @@ from .mlmc_engine import (
     mlmc_estimate,
     second_moment_study,
 )
-from .parallel import resolve_threads
 from .stats import RateFit, loglog_fit
 
 EXPERIMENTS = (
@@ -221,7 +220,7 @@ def _safe_fit(name: str, points: list[tuple[float, float]]) -> list[dict]:
         return []
 
 
-def run_experiment(cfg: dict, threads: int = 1) -> ReportBundle:
+def run_experiment(cfg: dict) -> ReportBundle:
     exp = cfg["experiment"]
     model = _build_model(cfg)
     test_fn = builtin_test_function(cfg.get("psi", "identity"))
@@ -238,7 +237,7 @@ def run_experiment(cfg: dict, threads: int = 1) -> ReportBundle:
         lo, hi = grid["levels"]
         rows_data = coupled_variance_study(model, list(range(lo, hi + 1)),
                                            grid["refinement_n"], grid["m_particles"],
-                                           grid["replications"], test_fn, seed, threads)
+                                           grid["replications"], test_fn, seed)
         columns = ["level", "h_coarse", "var_diff", "ci_lo", "ci_hi", "rng_cost", "samples"]
         rows = [[r.level, r.h_coarse, r.var_diff, r.var_diff - r.ci_halfwidth,
                  r.var_diff + r.ci_halfwidth, r.rng_cost, r.samples] for r in rows_data]
@@ -251,7 +250,7 @@ def run_experiment(cfg: dict, threads: int = 1) -> ReportBundle:
         lo, hi = grid["levels"]
         rows_data = second_moment_study(model, list(range(lo, hi + 1)),
                                         grid["refinement_n"], grid["m_particles"],
-                                        grid["replications"], seed, threads)
+                                        grid["replications"], seed)
         columns = ["level", "h_coarse", "second_moment", "rng_cost", "samples"]
         rows = [[r.level, r.h_coarse, r.second_moment, r.rng_cost, r.samples]
                 for r in rows_data]
@@ -278,7 +277,7 @@ def run_experiment(cfg: dict, threads: int = 1) -> ReportBundle:
         report = mlmc_estimate(model, test_fn, targets["delta"], grid["refinement_n"],
                                grid["m_particles"],
                                grid.get("pilot_samples", DEFAULT_PILOT_SAMPLES),
-                               grid.get("max_level", DEFAULT_MAX_LEVEL), seed, threads)
+                               grid.get("max_level", DEFAULT_MAX_LEVEL), seed)
         columns = ["level", "samples", "mean_diff", "var_diff", "rng_cost"]
         rows = [[r.level, r.samples, r.mean_diff, r.var_diff, r.rng_cost]
                 for r in report.per_level]
@@ -295,7 +294,7 @@ def run_experiment(cfg: dict, threads: int = 1) -> ReportBundle:
                                  targets["epsilon_list"], grid["refinement_n"],
                                  grid["m_particles"],
                                  grid.get("pilot_samples", DEFAULT_PILOT_SAMPLES),
-                                 grid.get("max_level", DEFAULT_MAX_LEVEL), seed, threads)
+                                 grid.get("max_level", DEFAULT_MAX_LEVEL), seed)
         columns = ["delta", "epsilon", "mc_cost", "mlmc_cost", "mc_steps", "mlmc_levels"]
         rows = [[r.delta, r.epsilon, r.mc_cost, r.mlmc_cost, r.mc_steps, r.mlmc_levels]
                 for r in rows_data]
@@ -307,7 +306,7 @@ def run_experiment(cfg: dict, threads: int = 1) -> ReportBundle:
     elif exp == "chaos":
         rows_data = chaos_study(model, grid["m_list"], grid["reference_m"],
                                 grid["replications"], seed, test_fn,
-                                grid.get("steps", 64), grid.get("pathwise", False), threads)
+                                grid.get("steps", 64), grid.get("pathwise", False))
         columns = ["m_particles", "mse_vs_reference", "replications"]
         rows = [[r.m_particles, r.mse_vs_reference, r.replications] for r in rows_data]
         pts = [(float(r.m_particles), r.mse_vs_reference)
@@ -455,9 +454,8 @@ def cmd_run(args) -> int:
             print(f"invalid config: {d}", file=sys.stderr)
         return EXIT_CONFIG
 
-    threads = resolve_threads(None)
     try:
-        bundle = run_experiment(cfg, threads)
+        bundle = run_experiment(cfg)
     except ConfigurationError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG

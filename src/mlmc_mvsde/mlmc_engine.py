@@ -33,7 +33,6 @@ from .rng import (
     DOMAIN_PSI_VARIANCE,
     stream,
 )
-from . import stats
 
 #: default depth cap for the adaptive estimator
 DEFAULT_MAX_LEVEL = 8
@@ -177,8 +176,7 @@ def level0_sample(model: ModelSpec, cfg: LevelConfig, m_particles: int,
 
 
 def _level_samples(model: ModelSpec, level: int, refinement_n: int, m_particles: int,
-                   test_fn: TestFunction, seed: int, first: int, count: int,
-                   threads: int = 1) -> np.ndarray:
+                   test_fn: TestFunction, seed: int, first: int, count: int) -> np.ndarray:
     """Per-system observable samples ``first .. first+count-1`` at one level.
 
     Level 0 yields plain system averages, levels >= 1 fine-coarse
@@ -194,7 +192,7 @@ def _level_samples(model: ModelSpec, level: int, refinement_n: int, m_particles:
         def one(idx: int) -> float:
             return simulate_level_pair(model, cfg, m_particles, test_fn, seed, idx)[0]
 
-    return np.array(ordered_map(one, range(first, first + count), threads=threads))
+    return np.array(ordered_map(one, range(first, first + count)))
 
 
 @dataclass
@@ -210,7 +208,7 @@ class LevelVarianceRow:
 
 def coupled_variance_study(model: ModelSpec, levels: list[int], refinement_n: int,
                            m_particles: int, replications: int, test_fn: TestFunction,
-                           seed: int, threads: int = 1) -> list[LevelVarianceRow]:
+                           seed: int) -> list[LevelVarianceRow]:
     """Sample variance of the coupled observable difference per level.
 
     The half-width is the normal approximation for a sample variance,
@@ -222,7 +220,7 @@ def coupled_variance_study(model: ModelSpec, levels: list[int], refinement_n: in
     for level in levels:
         cfg = LevelConfig(refinement_n=refinement_n, level=level, horizon=model.horizon)
         xs = _level_samples(model, level, refinement_n, m_particles, test_fn, seed,
-                            0, replications, threads)
+                            0, replications)
         var = float(xs.var(ddof=1)) if replications > 1 else 0.0
         centered = xs - xs.mean()
         m4 = float(np.mean(centered**4))
@@ -249,8 +247,7 @@ class SecondMomentRow:
 
 
 def second_moment_study(model: ModelSpec, levels: list[int], refinement_n: int,
-                        m_particles: int, replications: int, seed: int,
-                        threads: int = 1) -> list[SecondMomentRow]:
+                        m_particles: int, replications: int, seed: int) -> list[SecondMomentRow]:
     """Mean squared fine-coarse state gap |Y_fine(T) - Y_coarse(T)|^2 per level."""
     if any(l < 1 for l in levels):
         raise ConfigurationError("second_moment_study requires levels >= 1")
@@ -264,7 +261,7 @@ def second_moment_study(model: ModelSpec, levels: list[int], refinement_n: int,
             gap = np.sum((state.fine.positions - state.coarse.positions) ** 2, axis=1)
             return float(sorted_mean(gap))
 
-        vals = np.array(ordered_map(one, range(replications), threads=threads))
+        vals = np.array(ordered_map(one, range(replications)))
         rows.append(SecondMomentRow(
             level=level,
             h_coarse=cfg.h_coarse,
@@ -278,8 +275,7 @@ def second_moment_study(model: ModelSpec, levels: list[int], refinement_n: int,
 def mlmc_estimate(model: ModelSpec, test_fn: TestFunction, target_delta: float,
                   refinement_n: int, m_particles: int,
                   pilot_samples: int = DEFAULT_PILOT_SAMPLES,
-                  max_level: int = DEFAULT_MAX_LEVEL, seed: int = 0,
-                  threads: int = 1) -> MlmcReport:
+                  max_level: int = DEFAULT_MAX_LEVEL, seed: int = 0) -> MlmcReport:
     """Adaptive multilevel estimate of E[Psi at the horizon].
 
     Pilot systems estimate the per-level variance V_l; the hierarchy deepens
@@ -305,7 +301,7 @@ def mlmc_estimate(model: ModelSpec, test_fn: TestFunction, target_delta: float,
 
     def pilot(level: int):
         samples[level] = _level_samples(model, level, refinement_n, m_particles,
-                                        test_fn, seed, 0, pilot_samples, threads)
+                                        test_fn, seed, 0, pilot_samples)
 
     pilot(0)
     pilot(1)
@@ -339,7 +335,7 @@ def mlmc_estimate(model: ModelSpec, test_fn: TestFunction, target_delta: float,
         extra = allocation[l] - len(samples[l])
         if extra > 0:
             more = _level_samples(model, l, refinement_n, m_particles, test_fn, seed,
-                                  len(samples[l]), extra, threads)
+                                  len(samples[l]), extra)
             samples[l] = np.concatenate([samples[l], more])
 
     per_level = []
@@ -389,8 +385,7 @@ def _psi_system_variance(model: ModelSpec, steps: int, m_particles: int,
 def cost_compare(model: ModelSpec, test_fn: TestFunction, delta_list: list[float],
                  epsilon_list: list[float], refinement_n: int, m_particles: int,
                  pilot_samples: int = DEFAULT_PILOT_SAMPLES,
-                 max_level: int = DEFAULT_MAX_LEVEL, seed: int = 0,
-                 threads: int = 1) -> list[CostCompareRow]:
+                 max_level: int = DEFAULT_MAX_LEVEL, seed: int = 0) -> list[CostCompareRow]:
     """Draw-count comparison of single-level MC against the multilevel estimator.
 
     The multilevel cost is the total recorded by ``mlmc_estimate``. The MC
@@ -421,7 +416,7 @@ def cost_compare(model: ModelSpec, test_fn: TestFunction, delta_list: list[float
             mc_samples = max(1, math.ceil(var_psi / delta**2)) if var_psi > 0 else 1
             mc_cost = mc_samples * m_particles * model.d_bar * mc_steps
             report = mlmc_estimate(m_eps, test_fn, delta, refinement_n, m_particles,
-                                   pilot_samples, max_level, seed, threads)
+                                   pilot_samples, max_level, seed)
             rows.append(CostCompareRow(
                 delta=delta,
                 epsilon=eps,
@@ -442,7 +437,7 @@ class ChaosRow:
 
 def chaos_study(model: ModelSpec, m_list: list[int], reference_m: int, replications: int,
                 seed: int, test_fn: TestFunction | None = None, steps: int = 64,
-                pathwise: bool = False, threads: int = 1) -> list[ChaosRow]:
+                pathwise: bool = False) -> list[ChaosRow]:
     """Convergence of the M-particle system toward a large reference system.
 
     Default mode compares system-averaged observables of an M-particle
@@ -464,6 +459,7 @@ def chaos_study(model: ModelSpec, m_list: list[int], reference_m: int, replicati
                 # shared leading streams couple particle i across both systems
                 xi_small = xi_ref[:, :_m, :]
             else:
+                # resets the generator behind gen_ref, whose draws are taken
                 gen_small = stream(seed, DOMAIN_CHAOS, rep, 1)
                 xi_small = gen_small.standard_normal((grid.steps, _m, model.d_bar))
             ref = model.start(reference_m)
@@ -481,7 +477,7 @@ def chaos_study(model: ModelSpec, m_list: list[int], reference_m: int, replicati
             b = float(sorted_mean(test_fn.psi(ref.positions)))
             return (a - b) ** 2
 
-        vals = ordered_map(one, range(replications), threads=threads)
+        vals = ordered_map(one, range(replications))
         rows.append(ChaosRow(m_particles=m,
                              mse_vs_reference=float(np.mean(vals)),
                              replications=replications))

@@ -182,21 +182,6 @@ def _check_finite(arr: np.ndarray, label: str):
         raise NumericError(f"{label} produced a non-finite value at component {tuple(bad)}")
 
 
-def origin_growth_constant(model: ModelSpec) -> float:
-    """Growth constant 2 max(1, |f(0, delta_0)|, |g(0, delta_0)|).
-
-    This is the reference normalization of the growth bound; it is only
-    adequate when the coefficient values at the origin dominate the
-    Lipschitz constant, so the builtins declare ``growth_beta`` from the
-    provable variant 2 max(1, K, |f0|^2, |g0|^2) instead.
-    """
-    origin = np.zeros(model.d)
-    dirac = ParticleCloud.at(origin, 1)
-    f0 = float(np.linalg.norm(drift_eval(model, origin, dirac)))
-    g0 = float(np.linalg.norm(diffusion_eval(model, origin, dirac)))
-    return 2.0 * max(1.0, f0, g0)
-
-
 def _provable_growth_beta(lipschitz_K: float, f0: float, g0: float) -> float:
     return 2.0 * max(1.0, lipschitz_K, f0 * f0, g0 * g0)
 

@@ -1,36 +1,17 @@
-"""Deterministic sample-level parallelism.
+"""The per-sample loop, in index order.
 
-Workers receive disjoint RNG streams keyed by sample index, and results are
-collected in index order, so the output is identical for any thread count.
+Sampling is single-threaded by design: ``rng.stream`` resets and returns
+one shared generator, and a thread pool over samples was slower than one
+thread. The loop keeps its own name because ``perfbench`` traces it as the
+``parallel.ordered_map`` layer.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 T = TypeVar("T")
 
-THREADS_ENV_VAR = "MLMC_MVSDE_THREADS"
 
-
-def resolve_threads(threads: int | None = None) -> int:
-    """Explicit argument wins; otherwise the environment cap, default 1."""
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            return 1
-    return 1
-
-
-def ordered_map(fn: Callable[[int], T], indices: Iterable[int], threads: int = 1) -> list[T]:
-    idx = list(indices)
-    if threads <= 1 or len(idx) <= 1:
-        return [fn(i) for i in idx]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, idx))
+def ordered_map(fn: Callable[[int], T], indices: Iterable[int]) -> list[T]:
+    return [fn(i) for i in indices]

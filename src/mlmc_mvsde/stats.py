@@ -1,79 +1,13 @@
-"""Streaming moments, normal confidence intervals, log-log rate fits."""
+"""Log-log rate fits."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, DegeneracyError, DomainError, NumericError
-
-# two-sided standard normal quantiles for the supported confidence levels
-_Z_TABLE = {
-    0.9: 1.6448536269514722,
-    0.95: 1.959963984540054,
-    0.99: 2.5758293035489004,
-}
-
-
-@dataclass(frozen=True)
-class RunningMoments:
-    """Welford sufficient statistics (count, mean, sum of squared deviations)."""
-
-    count: int = 0
-    mean: float = 0.0
-    m2: float = 0.0
-
-    @property
-    def variance(self) -> float:
-        """Unbiased sample variance; 0.0 until two samples exist."""
-        if self.count < 2:
-            return 0.0
-        return self.m2 / (self.count - 1)
-
-
-def push(moments: RunningMoments, x: float) -> RunningMoments:
-    if not math.isfinite(x):
-        raise NumericError(f"cannot accumulate non-finite value {x!r}")
-    n = moments.count + 1
-    delta = x - moments.mean
-    mean = moments.mean + delta / n
-    m2 = moments.m2 + delta * (x - mean)
-    return RunningMoments(n, mean, m2)
-
-
-def merge(a: RunningMoments, b: RunningMoments) -> RunningMoments:
-    if a.count == 0:
-        return b
-    if b.count == 0:
-        return a
-    n = a.count + b.count
-    delta = b.mean - a.mean
-    mean = a.mean + delta * (b.count / n)
-    m2 = a.m2 + b.m2 + delta * delta * (a.count * b.count / n)
-    return RunningMoments(n, mean, m2)
-
-
-def from_samples(xs: Iterable[float]) -> RunningMoments:
-    mom = RunningMoments()
-    for x in xs:
-        mom = push(mom, float(x))
-    return mom
-
-
-def normal_ci(moments: RunningMoments, confidence: float) -> tuple[float, float]:
-    """Normal-approximation interval mean +- z * sqrt(var / count)."""
-    if moments.count < 2:
-        raise ConfigurationError("normal_ci needs at least two samples")
-    z = _Z_TABLE.get(confidence)
-    if z is None:
-        raise ConfigurationError(
-            f"unsupported confidence {confidence}; supported: {sorted(_Z_TABLE)}"
-        )
-    half = z * math.sqrt(moments.variance / moments.count)
-    return (moments.mean - half, moments.mean + half)
+from .errors import DegeneracyError, DomainError
 
 
 @dataclass(frozen=True)

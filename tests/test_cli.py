@@ -12,6 +12,8 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 #: SHA-256 of the CSV each shipped config writes at its own seed
 SHIPPED_CSV_SHA256 = {
+    "chaos": "edeb9879054612816ec3425f4b57fcfae26bbb39016173e58e30d6e037b1c02e",
+    "coupled_variance": "498f4b539d3767711f38cd2022a7234b6f5beaed5fdbaf146fd14ddcf0b16df4",
     "mlmc": "0e319e2c24b900730a74f592ffad88db2de1b37490a952ca51f7466c4cbf9456",
     "second_moment": "c85952be3c75ada33544bd983930d3dd7b4723cb104682f3a676ceb02929af41",
     "small_noise": "91b1eeb2c03b365d7deacfb6ceeb4570273d5039630a49c6fa730bd8d28ccbda",

@@ -400,10 +400,3 @@ def test_cost_per_sample_formula():
         cfg = LevelConfig(refinement_n=3, level=level, horizon=2.0)
         assert cost_per_sample(cfg, 7, 2) == 7 * 2 * 3**level
 
-
-def test_results_independent_of_thread_count():
-    model = ou(0.2)
-    serial = coupled_variance_study(model, [1, 2, 3], 2, 16, 24, IDENT, seed=0, threads=1)
-    pooled = coupled_variance_study(model, [1, 2, 3], 2, 16, 24, IDENT, seed=0, threads=4)
-    for a, b in zip(serial, pooled):
-        assert a == b

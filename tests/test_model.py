@@ -13,7 +13,6 @@ from mlmc_mvsde import (
     diffusion_eval,
     drift_eval,
     moment_w2,
-    origin_growth_constant,
     wasserstein2,
 )
 
@@ -205,27 +204,6 @@ def test_declared_growth_constant_holds_on_samples():
             envelope = model.growth_beta * (1 + float(np.sum(x**2)) + moment_w2(mu) ** 2)
             assert float(np.sum(f**2)) <= slack * envelope
             assert float(np.sum(g**2)) <= slack * envelope
-
-
-def test_origin_growth_constant_formula():
-    const = builtin_model("constant_drift", {**BASE, "c": 2.0, "sigma": 1.0})
-    assert origin_growth_constant(const) == pytest.approx(2.0 * max(1.0, 2.0, 1.0))
-    kura = builtin_model("kuramoto", BASE)
-    assert origin_growth_constant(kura) == pytest.approx(2.0)
-
-
-def test_origin_growth_constant_is_valid_for_bounded_models():
-    # for the bounded-coefficient builtins the origin-normalized constant
-    # already dominates on samples; linear drifts need the declared one
-    rng = np.random.default_rng(47)
-    for name in ("zero", "kuramoto"):
-        model = builtin_model(name, BASE)
-        beta0 = origin_growth_constant(model)
-        for _ in range(300):
-            x, _, mu, _ = _sample_pair(rng, model.d)
-            f = drift_eval(model, x, mu)
-            envelope = beta0 * (1 + float(np.sum(x**2)) + moment_w2(mu) ** 2)
-            assert float(np.sum(f**2)) <= 1.01 * envelope
 
 
 def test_test_function_gradient_bound():

@@ -3,77 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from mlmc_mvsde import (
-    ConfigurationError,
-    DegeneracyError,
-    DomainError,
-    RunningMoments,
-    from_samples,
-    level0_sample,
-    loglog_fit,
-    merge,
-    normal_ci,
-    push,
-)
-from mlmc_mvsde.errors import NumericError
+from mlmc_mvsde import DegeneracyError, DomainError, level0_sample, loglog_fit
 from mlmc_mvsde.mlmc_engine import LevelConfig
 from mlmc_mvsde.model import builtin_model, builtin_test_function
-
-
-def test_push_examples():
-    assert from_samples([1.0, 1.0, 1.0]).variance == 0.0
-    mom = from_samples([0.0, 2.0])
-    assert mom.mean == 1.0
-    assert mom.variance == 2.0
-    with pytest.raises(NumericError):
-        push(mom, float("nan"))
-
-
-def test_large_normal_sample_variance():
-    xs = np.random.default_rng(3).standard_normal(100_000)
-    mom = from_samples(xs)
-    assert 0.97 <= mom.variance <= 1.03
-
-
-def test_merge_matches_concatenation():
-    rng = np.random.default_rng(11)
-    for _ in range(30):
-        xs = rng.normal(size=rng.integers(2, 60)) * rng.uniform(0.1, 10)
-        ys = rng.normal(size=rng.integers(2, 60)) * rng.uniform(0.1, 10)
-        merged = merge(from_samples(xs), from_samples(ys))
-        whole = from_samples(np.concatenate([xs, ys]))
-        assert merged.count == whole.count
-        assert merged.mean == pytest.approx(whole.mean, rel=1e-12)
-        assert merged.variance == pytest.approx(whole.variance, rel=1e-12)
-
-
-def test_merge_associativity_and_identity():
-    rng = np.random.default_rng(13)
-    a = from_samples(rng.normal(size=20))
-    b = from_samples(rng.normal(size=31))
-    c = from_samples(rng.normal(size=7))
-    left = merge(merge(a, b), c)
-    right = merge(a, merge(b, c))
-    assert left.mean == pytest.approx(right.mean, rel=1e-12)
-    assert left.m2 == pytest.approx(right.m2, rel=1e-12)
-    assert merge(RunningMoments(), a) == a
-
-
-def test_push_order_invariance():
-    rng = np.random.default_rng(19)
-    xs = rng.normal(size=200)
-    shuffled = xs.copy()
-    rng.shuffle(shuffled)
-    a, b = from_samples(xs), from_samples(shuffled)
-    assert a.variance == pytest.approx(b.variance, rel=1e-12)
-
-
-def test_scale_equivariance():
-    rng = np.random.default_rng(29)
-    xs = rng.normal(size=100)
-    base = from_samples(xs).variance
-    scaled = from_samples(2.5 * xs).variance
-    assert scaled == pytest.approx(2.5**2 * base, rel=1e-12)
 
 
 def test_loglog_fit_examples():
@@ -120,21 +52,6 @@ def test_loglog_fit_errors():
         loglog_fit([(2.0, 1.0), (2.0, 3.0)])
 
 
-def test_normal_ci_examples():
-    mom = from_samples([3.0, 3.0, 3.0])
-    assert normal_ci(mom, 0.95) == (3.0, 3.0)
-
-    mom = from_samples([0.0, 2.0])
-    lo, hi = normal_ci(mom, 0.95)
-    assert lo == pytest.approx(1.0 - 1.959963984540054, abs=1e-12)
-    assert hi == pytest.approx(1.0 + 1.959963984540054, abs=1e-12)
-
-    with pytest.raises(ConfigurationError):
-        normal_ci(mom, 0.5)
-    with pytest.raises(ConfigurationError):
-        normal_ci(from_samples([1.0]), 0.95)
-
-
 def test_normal_ci_coverage():
     # base-level runs of the constant-drift model have known mean x0 + c T
     model = builtin_model("constant_drift", {"c": 2.0, "x0": 0.0, "T": 1.0, "epsilon": 0.5})
@@ -144,10 +61,8 @@ def test_normal_ci_coverage():
     covered = 0
     n_sims, n_samples = 1000, 30
     for sim in range(n_sims):
-        mom = from_samples(
-            level0_sample(model, cfg, 16, psi, seed=sim, sample_index=k)[0]
-            for k in range(n_samples)
-        )
-        lo, hi = normal_ci(mom, 0.95)
-        covered += lo <= truth <= hi
+        xs = np.array([level0_sample(model, cfg, 16, psi, seed=sim, sample_index=k)[0]
+                       for k in range(n_samples)])
+        half = 1.959963984540054 * math.sqrt(xs.var(ddof=1) / n_samples)
+        covered += abs(xs.mean() - truth) <= half
     assert 0.92 <= covered / n_sims <= 0.98
