@@ -87,12 +87,14 @@ def advance(model: ModelSpec, cloud: ParticleCloud, h_drift: float, sqrt_dt: flo
 
     Every fine and coarse update goes through here, so all of them get the
     same shape checks, the drift-then-diffusion finiteness checks and the
-    divergence check, in that order. ``xi`` is a float (M, d_bar) array.
+    divergence check, in that order. ``cloud`` holds one (M, d) system or a
+    (..., M, d) stack of independent ones, each moved against its own
+    measure; ``xi`` is a float (..., M, d_bar) array of the same stacking,
+    and the result keeps the cloud's shape.
     """
-    if xi.shape != (cloud.m, model.d_bar):
-        raise ShapeError(
-            f"gaussians have shape {xi.shape}, expected ({cloud.m}, {model.d_bar})"
-        )
+    expected = cloud.positions.shape[:-1] + (model.d_bar,)
+    if xi.shape != expected:
+        raise ShapeError(f"gaussians have shape {xi.shape}, expected {expected}")
     if cloud.d != model.d:
         raise ShapeError(f"cloud dimension {cloud.d} does not match model d={model.d}")
     f, g = coefficients(model, cloud)
@@ -116,7 +118,7 @@ def advance(model: ModelSpec, cloud: ParticleCloud, h_drift: float, sqrt_dt: flo
 
 def _update(x, f, g, xi, h_drift, scale):
     """The new state and whether it passes one scan, which NaN fails too."""
-    new = x + f * h_drift + scale * np.einsum("mij,mj->mi", g, xi)
+    new = x + f * h_drift + scale * np.einsum("...ij,...j->...i", g, xi)
     return new, np.abs(new).max() <= DIVERGENCE_LIMIT
 
 
@@ -212,20 +214,16 @@ def strong_error_curve(model: ModelSpec, h_list: list[float], m_particles: int,
     """
     if replications < 2:
         raise ConfigurationError("strong_error_curve needs replications >= 2")
-    if ref_factor < 2:
-        raise ConfigurationError("ref_factor must be >= 2")
+    if ref_factor != int(ref_factor) or ref_factor < 2:
+        raise ConfigurationError(f"ref_factor must be an integer >= 2, got {ref_factor}")
     psi = (test_fn.psi if test_fn is not None
            else lambda x: np.asarray(x, dtype=float)[..., 0])
+    # nested steps and an integer ref_factor make every h a multiple of h_ref
     check_nested_steps(h_list)
     h_ref = min(h_list) / ref_factor
     grid_ref = SimulationGrid.from_step_size(model.horizon, h_ref)
     for h in h_list:
         SimulationGrid.from_step_size(model.horizon, h)
-        ratio = h / h_ref
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise ConfigurationError(
-                f"step {h} is not nested in the reference step {h_ref}"
-            )
     acc = {h: 0.0 for h in h_list}
     for rep in range(replications):
         gen = stream(seed, DOMAIN_STRONG_ERROR, rep)

@@ -38,6 +38,8 @@ from .rng import (
 DEFAULT_MAX_LEVEL = 8
 #: default number of pilot systems per level
 DEFAULT_PILOT_SAMPLES = 32
+#: noise bytes of the level-pair samples stepped together as one chunk
+CHUNK_NOISE_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -135,13 +137,49 @@ def coupled_coarse_interval(model: ModelSpec, state: CoupledLevelState, cfg: Lev
     return CoupledLevelState(fine=fine, coarse=coarse)
 
 
-def _run_level_pair(model: ModelSpec, cfg: LevelConfig, m_particles: int,
-                    gen: np.random.Generator) -> CoupledLevelState:
-    state = CoupledLevelState.initial(model, m_particles)
-    for _ in range(cfg.coarse_steps):
-        xi = gen.standard_normal((cfg.refinement_n, m_particles, model.d_bar))
-        state = coupled_coarse_interval(model, state, cfg, xi)
-    return state
+def _coupled_pairs(model: ModelSpec, cfg: LevelConfig,
+                   xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Terminal fine and coarse states, each (K, M, d), of K level-l pairs.
+
+    ``xi`` holds each sample's step-major noise block, shape (K,
+    coarse_steps, N, M, d_bar). Every fine path takes one ``em_step`` per
+    fine step; the K coarse paths advance together, one stacked step per
+    coarse interval, with the same arithmetic per system as
+    ``coupled_coarse_interval``.
+    """
+    k, m = xi.shape[0], xi.shape[3]
+    start = model.start(m)
+    fine = np.empty((k, m, model.d))
+    for j in range(k):
+        cloud = start
+        for block in xi[j].reshape(-1, m, model.d_bar):
+            cloud = em_step(model, cloud, cfg.h_fine, block)
+        fine[j] = cloud.positions
+    coarse = ParticleCloud._wrap(np.broadcast_to(start.positions, (k, m, model.d)))
+    increments = xi.sum(axis=2)
+    sqrt_h = math.sqrt(cfg.h_fine)
+    for n in range(cfg.coarse_steps):
+        coarse = advance(model, coarse, cfg.h_coarse, sqrt_h, increments[:, n])
+    return fine, coarse.positions
+
+
+def _level_pairs(model: ModelSpec, cfg: LevelConfig, m_particles: int, seed: int,
+                 first: int, count: int):
+    """Yield the terminal (fine, coarse) stacks of samples ``first ..
+    first+count-1``, chunk by chunk, in index order.
+
+    A chunk holds as many samples as fit ``CHUNK_NOISE_BYTES`` of noise
+    (at least one). Each sample draws its whole block from its own stream in
+    one call, so the bits do not depend on the chunk size.
+    """
+    shape = (cfg.coarse_steps, cfg.refinement_n, m_particles, model.d_bar)
+    size = max(1, CHUNK_NOISE_BYTES // (8 * math.prod(shape)))
+    for lo in range(first, first + count, size):
+        hi = min(lo + size, first + count)
+        xi = np.empty((hi - lo,) + shape)
+        for j in range(hi - lo):
+            stream(seed, DOMAIN_LEVEL_PAIR, cfg.level, lo + j).standard_normal(out=xi[j])
+        yield _coupled_pairs(model, cfg, xi)
 
 
 def simulate_level_pair(model: ModelSpec, cfg: LevelConfig, m_particles: int,
@@ -154,13 +192,12 @@ def simulate_level_pair(model: ModelSpec, cfg: LevelConfig, m_particles: int,
     """
     if cfg.level < 1:
         raise ConfigurationError("simulate_level_pair requires level >= 1; use level0_sample")
-    gen = stream(seed, DOMAIN_LEVEL_PAIR, cfg.level, sample_index)
-    state = _run_level_pair(model, cfg, m_particles, gen)
-    psi_f = test_fn.psi(state.fine.positions)
-    psi_c = test_fn.psi(state.coarse.positions)
+    fine, coarse = next(_level_pairs(model, cfg, m_particles, seed, sample_index, 1))
+    psi_f = test_fn.psi(fine[0])
+    psi_c = test_fn.psi(coarse[0])
     diff = float(sorted_mean(psi_f - psi_c))
-    fine = float(sorted_mean(psi_f))
-    return diff, fine, cost_per_sample(cfg, m_particles, model.d_bar)
+    mean_fine = float(sorted_mean(psi_f))
+    return diff, mean_fine, cost_per_sample(cfg, m_particles, model.d_bar)
 
 
 def level0_sample(model: ModelSpec, cfg: LevelConfig, m_particles: int,
@@ -184,15 +221,12 @@ def _level_samples(model: ModelSpec, level: int, refinement_n: int, m_particles:
     extending a sample set never reshuffles earlier samples.
     """
     cfg = LevelConfig(refinement_n=refinement_n, level=level, horizon=model.horizon)
-
     if level == 0:
-        def one(idx: int) -> float:
-            return level0_sample(model, cfg, m_particles, test_fn, seed, idx)[0]
-    else:
-        def one(idx: int) -> float:
-            return simulate_level_pair(model, cfg, m_particles, test_fn, seed, idx)[0]
-
-    return np.array(ordered_map(one, range(first, first + count)))
+        return np.array([level0_sample(model, cfg, m_particles, test_fn, seed, idx)[0]
+                         for idx in range(first, first + count)])
+    chunks = [sorted_mean(test_fn.psi(fine) - test_fn.psi(coarse), axis=-1)
+              for fine, coarse in _level_pairs(model, cfg, m_particles, seed, first, count)]
+    return np.concatenate(chunks) if chunks else np.empty(0)
 
 
 @dataclass
@@ -255,13 +289,9 @@ def second_moment_study(model: ModelSpec, levels: list[int], refinement_n: int,
     for level in levels:
         cfg = LevelConfig(refinement_n=refinement_n, level=level, horizon=model.horizon)
 
-        def one(idx: int) -> float:
-            gen = stream(seed, DOMAIN_LEVEL_PAIR, level, idx)
-            state = _run_level_pair(model, cfg, m_particles, gen)
-            gap = np.sum((state.fine.positions - state.coarse.positions) ** 2, axis=1)
-            return float(sorted_mean(gap))
-
-        vals = np.array(ordered_map(one, range(replications)))
+        vals = np.concatenate([
+            sorted_mean(np.sum((fine - coarse) ** 2, axis=-1), axis=-1)
+            for fine, coarse in _level_pairs(model, cfg, m_particles, seed, 0, replications)])
         rows.append(SecondMomentRow(
             level=level,
             h_coarse=cfg.h_coarse,

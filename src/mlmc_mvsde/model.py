@@ -11,11 +11,12 @@ the horizon, and declared regularity constants. The steppers apply
 Coefficient callables must be pure: every system starts from the same
 all-x0 cloud, and its coefficients there are evaluated once per (model, M)
 and reused (``ModelSpec.start``). When ``vectorized`` is set (all builtins),
-they also accept an (M, d) stack of states and return the stacked
-coefficients, which is what the particle steppers use. Measure arguments are
-always uniform empirical clouds; builtins reduce over the particle axis in
-canonical sorted order so their output is exactly invariant under particle
-relabeling.
+they also accept the (M, d) states of a whole cloud, or a (..., M, d) stack
+of independent systems together with the stacked cloud, and return the
+stacked coefficients, which is what the particle steppers use; they reduce
+over the particle axis -2. Measure arguments are always uniform empirical
+clouds; builtins reduce over the particle axis in canonical sorted order so
+their output is exactly invariant under particle relabeling.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import ConfigurationError, NumericError, ShapeError
-from .measure import ParticleCloud, empirical_mean, sorted_mean
+from .measure import ParticleCloud, empirical_mean, particle_mean
 
 DriftFn = Callable[[np.ndarray, ParticleCloud], np.ndarray]
 DiffusionFn = Callable[[np.ndarray, ParticleCloud], np.ndarray]
@@ -138,29 +139,31 @@ def diffusion_eval(model: ModelSpec, x: np.ndarray, mu: ParticleCloud) -> np.nda
 
 
 def coefficients(model: ModelSpec, cloud: ParticleCloud) -> tuple[np.ndarray, np.ndarray]:
-    """Drift (M, d) and diffusion (M, d, d_bar) of every particle against the cloud.
+    """Drift (..., M, d) and diffusion (..., M, d, d_bar) of every particle
+    against its own system's cloud, for one cloud or a stack of systems.
 
-    Vectorized models are called once on the stack and their outputs
+    Vectorized models are called once on the whole stack and their outputs
     shape-checked; pointwise ones go through ``drift_eval`` and
-    ``diffusion_eval`` once per particle. At ``model.start(M)`` itself the
-    pair evaluated when that cloud was built is returned.
+    ``diffusion_eval`` once per particle of each system. At
+    ``model.start(M)`` itself the pair evaluated when that cloud was built
+    is returned.
     """
     entry = model._start.get(cloud.m)
     if entry is not None and entry[0] is cloud:
         return entry[1], entry[2]
     x = cloud.positions
+    g_shape = x.shape[:-1] + (model.d, model.d_bar)
     if not model.vectorized:
-        f = np.stack([drift_eval(model, x[i], cloud) for i in range(cloud.m)])
-        g = np.stack([diffusion_eval(model, x[i], cloud) for i in range(cloud.m)])
-        return f, g
+        systems = [ParticleCloud._wrap(s) for s in x.reshape(-1, cloud.m, cloud.d)]
+        f = np.stack([drift_eval(model, p, mu) for mu in systems for p in mu.positions])
+        g = np.stack([diffusion_eval(model, p, mu) for mu in systems for p in mu.positions])
+        return f.reshape(x.shape), g.reshape(g_shape)
     f = np.asarray(model.drift(x, cloud), dtype=float)
     if f.shape != x.shape:
         raise ShapeError(f"drift returned shape {f.shape}, expected {x.shape}")
     g = np.asarray(model.diffusion(x, cloud), dtype=float)
-    if g.shape != (cloud.m, model.d, model.d_bar):
-        raise ShapeError(
-            f"diffusion returned shape {g.shape}, expected {(cloud.m, model.d, model.d_bar)}"
-        )
+    if g.shape != g_shape:
+        raise ShapeError(f"diffusion returned shape {g.shape}, expected {g_shape}")
     return f, g
 
 
@@ -284,8 +287,8 @@ def builtin_model(name: str, params: Mapping) -> ModelSpec:
         def drift(x, mu, _k=kappa):
             # sin(x_j - x) = sin x_j cos x - cos x_j sin x
             pos = mu.positions
-            s = sorted_mean(np.sin(pos), axis=0)
-            c = sorted_mean(np.cos(pos), axis=0)
+            s = particle_mean(np.sin(pos))
+            c = particle_mean(np.cos(pos))
             return _k * (s * np.cos(x) - c * np.sin(x))
 
         diffusion = _constant_diffusion(sigma * np.eye(d, d_bar))
@@ -301,8 +304,8 @@ def builtin_model(name: str, params: Mapping) -> ModelSpec:
 
         def diffusion(x, mu, _s=sigma):
             m = empirical_mean(mu)
-            mat = _s * np.eye(d, d_bar) * (1.0 + m)[:, None]
-            return np.broadcast_to(mat, x.shape[:-1] + mat.shape)
+            mat = _s * np.eye(d, d_bar) * (1.0 + m)[..., None]
+            return np.broadcast_to(mat, x.shape[:-1] + mat.shape[-2:])
 
         K = max(a**2, 2.0 * sigma**2)
         beta = _provable_growth_beta(K, 0.0, abs(sigma) * math.sqrt(d))

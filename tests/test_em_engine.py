@@ -18,6 +18,7 @@ from mlmc_mvsde import (
     small_noise_curve,
     strong_error_curve,
 )
+from mlmc_mvsde.em_engine import advance, check_nested_steps
 from mlmc_mvsde.model import ModelSpec
 
 OU = {"a": 1.0, "b": 0.5, "sigma": 1.0, "x0": 1.0, "T": 1.0}
@@ -71,6 +72,21 @@ def test_em_step_shape_errors():
     cloud = ParticleCloud.at([1.0], 4)
     with pytest.raises(ShapeError):
         em_step(model, cloud, 0.1, np.zeros((3, 1)))
+
+
+@pytest.mark.parametrize("name", ["meanfield_ou", "kuramoto", "measure_diffusion"])
+def test_advance_moves_a_stack_as_its_systems(name):
+    model = builtin_model(name, {**OU, "sigma": 0.7, "x0": [1.0, -0.5], "epsilon": 0.5})
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(3, 5, 2))
+    xi = rng.normal(size=(3, 5, 2))
+    out = advance(model, ParticleCloud._wrap(x.copy()), 0.1, 0.3, xi).positions
+    assert out.shape == (3, 5, 2) and not out.flags.writeable
+    for k in range(3):
+        one = advance(model, ParticleCloud(x[k]), 0.1, 0.3, xi[k]).positions
+        assert one.tobytes() == out[k].tobytes()
+    with pytest.raises(ShapeError):
+        advance(model, ParticleCloud._wrap(x.copy()), 0.1, 0.3, xi[0])
 
 
 def test_em_step_exchangeability_exact():
@@ -244,6 +260,23 @@ def test_strong_error_rejects_non_nested_steps():
     model = ou(0.1)
     with pytest.raises(ConfigurationError):
         strong_error_curve(model, [0.25, 0.2], 8, 4, seed=1)
+
+
+@pytest.mark.parametrize("h_list", [[0.5, 0.2], [0.5, 0.25, 0.1], [0.25, 0.125, 0.1]])
+def test_strong_error_raises_on_every_list_the_nesting_check_rejects(h_list):
+    with pytest.raises(ConfigurationError):
+        check_nested_steps(h_list)
+    with pytest.raises(ConfigurationError):
+        strong_error_curve(ou(0.1), h_list, 8, 4, seed=1)
+
+
+def test_strong_error_needs_an_integer_ref_factor():
+    for ref_factor in (2.5, 1):
+        with pytest.raises(ConfigurationError):
+            strong_error_curve(ou(0.1), [0.25, 0.125], 8, 4, seed=1, ref_factor=ref_factor)
+    # an h that does not divide the horizon is still rejected
+    with pytest.raises(ConfigurationError):
+        strong_error_curve(ou(0.1), [0.4, 0.2], 8, 4, seed=1)
 
 
 def test_one_step_interpolation_gap_rates():

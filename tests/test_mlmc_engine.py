@@ -27,7 +27,7 @@ from mlmc_mvsde import (
     simulate_level_pair,
     simulate_path,
 )
-from mlmc_mvsde.mlmc_engine import _run_level_pair, cost_per_sample
+from mlmc_mvsde.mlmc_engine import _coupled_pairs, cost_per_sample
 from mlmc_mvsde.measure import sorted_mean
 
 IDENT = builtin_test_function("identity")
@@ -43,18 +43,6 @@ def euler_mean(a, x0, h, steps):
     for _ in range(steps):
         m *= 1.0 - a * h
     return m
-
-
-class FakeGen:
-    """Duck-typed generator replaying recorded standard-normal blocks."""
-
-    def __init__(self, blocks):
-        self.blocks = list(blocks)
-
-    def standard_normal(self, shape):
-        block = self.blocks.pop(0)
-        assert block.shape == shape
-        return block
 
 
 def test_level_config_geometry():
@@ -222,10 +210,11 @@ def test_diff_sample_exchangeability_under_relabeling():
     blocks = [rng.standard_normal((2, 16, 1)) for _ in range(cfg.coarse_steps)]
     perm = rng.permutation(16)
 
-    state = _run_level_pair(model, cfg, 16, FakeGen(list(blocks)))
-    state_p = _run_level_pair(model, cfg, 16, FakeGen([b[:, perm, :] for b in blocks]))
-    diff = sorted_mean(IDENT.psi(state.fine.positions) - IDENT.psi(state.coarse.positions))
-    diff_p = sorted_mean(IDENT.psi(state_p.fine.positions) - IDENT.psi(state_p.coarse.positions))
+    fine, coarse = _coupled_pairs(model, cfg, np.stack(blocks)[None])
+    fine_p, coarse_p = _coupled_pairs(model, cfg,
+                                      np.stack([b[:, perm, :] for b in blocks])[None])
+    diff = sorted_mean(IDENT.psi(fine[0]) - IDENT.psi(coarse[0]))
+    diff_p = sorted_mean(IDENT.psi(fine_p[0]) - IDENT.psi(coarse_p[0]))
     assert diff == diff_p
 
 
