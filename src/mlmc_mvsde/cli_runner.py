@@ -214,6 +214,11 @@ def _fit_dict(name: str, fit: RateFit, points: list[tuple[float, float]]) -> dic
 
 
 def _safe_fit(name: str, points: list[tuple[float, float]]) -> list[dict]:
+    """The log-log fit of the points with both coordinates positive, or no
+    fit when fewer than two remain or the fit is degenerate."""
+    points = [(x, y) for x, y in points if x > 0 and y > 0]
+    if len(points) < 2:
+        return []
     try:
         return [_fit_dict(name, loglog_fit(points), points)]
     except (ValueError, ArithmeticError):
@@ -241,9 +246,7 @@ def run_experiment(cfg: dict) -> ReportBundle:
         columns = ["level", "h_coarse", "var_diff", "ci_lo", "ci_hi", "rng_cost", "samples"]
         rows = [[r.level, r.h_coarse, r.var_diff, r.var_diff - r.ci_halfwidth,
                  r.var_diff + r.ci_halfwidth, r.rng_cost, r.samples] for r in rows_data]
-        pts = [(r.h_coarse, r.var_diff) for r in rows_data if r.var_diff > 0]
-        if len(pts) >= 2:
-            fits += _safe_fit("var_diff_vs_h_coarse", pts)
+        fits += _safe_fit("var_diff_vs_h_coarse", [(r.h_coarse, r.var_diff) for r in rows_data])
         summary["max_var_diff"] = max(r.var_diff for r in rows_data)
 
     elif exp == "second-moment":
@@ -259,9 +262,8 @@ def run_experiment(cfg: dict) -> ReportBundle:
             if a.second_moment > 0 and b.second_moment > 0:
                 ratios.append(float(np.log2(a.second_moment / b.second_moment)))
         summary["log2_ratios"] = ratios
-        pts = [(r.h_coarse, r.second_moment) for r in rows_data if r.second_moment > 0]
-        if len(pts) >= 2:
-            fits += _safe_fit("second_moment_vs_h_coarse", pts)
+        fits += _safe_fit("second_moment_vs_h_coarse",
+                          [(r.h_coarse, r.second_moment) for r in rows_data])
 
     elif exp == "strong-error":
         curve = strong_error_curve(model, grid["h_list"], grid["m_particles"],
@@ -269,9 +271,7 @@ def run_experiment(cfg: dict) -> ReportBundle:
                                    grid.get("ref_factor", DEFAULT_REF_FACTOR), test_fn)
         columns = ["h", "mse", "replications"]
         rows = [[h, mse, grid["replications"]] for h, mse in curve]
-        pts = [(h, mse) for h, mse in curve if mse > 0]
-        if len(pts) >= 2:
-            fits += _safe_fit("mse_vs_h", pts)
+        fits += _safe_fit("mse_vs_h", curve)
 
     elif exp == "mlmc":
         report = mlmc_estimate(model, test_fn, targets["delta"], grid["refinement_n"],
@@ -300,8 +300,7 @@ def run_experiment(cfg: dict) -> ReportBundle:
                 for r in rows_data]
         for eps in targets["epsilon_list"]:
             pts = [(r.delta, float(r.mlmc_cost)) for r in rows_data if r.epsilon == eps]
-            if len(pts) >= 2:
-                fits += _safe_fit(f"mlmc_cost_vs_delta_eps_{eps}", pts)
+            fits += _safe_fit(f"mlmc_cost_vs_delta_eps_{eps}", pts)
 
     elif exp == "chaos":
         rows_data = chaos_study(model, grid["m_list"], grid["reference_m"],
@@ -309,10 +308,8 @@ def run_experiment(cfg: dict) -> ReportBundle:
                                 grid.get("steps", 64), grid.get("pathwise", False))
         columns = ["m_particles", "mse_vs_reference", "replications"]
         rows = [[r.m_particles, r.mse_vs_reference, r.replications] for r in rows_data]
-        pts = [(float(r.m_particles), r.mse_vs_reference)
-               for r in rows_data if r.mse_vs_reference > 0]
-        if len(pts) >= 2:
-            fits += _safe_fit("mse_vs_m", pts)
+        fits += _safe_fit("mse_vs_m", [(float(r.m_particles), r.mse_vs_reference)
+                                       for r in rows_data])
 
     elif exp == "small-noise-deviation":
         sim_grid = SimulationGrid.from_step_size(model.horizon, grid["h"])
@@ -320,9 +317,7 @@ def run_experiment(cfg: dict) -> ReportBundle:
                                   grid["m_particles"], grid["replications"], seed)
         columns = ["epsilon", "mean_sup_sq", "replications"]
         rows = [[eps, dev, grid["replications"]] for eps, dev in curve]
-        pts = [(eps, dev) for eps, dev in curve if dev > 0 and eps > 0]
-        if len(pts) >= 2:
-            fits += _safe_fit("deviation_vs_epsilon", pts)
+        fits += _safe_fit("deviation_vs_epsilon", curve)
 
     else:
         raise ConfigurationError(f"unknown experiment '{exp}'")
@@ -338,13 +333,13 @@ def run_experiment(cfg: dict) -> ReportBundle:
                         fits=fits, flags=flags, summary=summary)
 
 
-def _fmt_cell(value) -> str:
+def _fmt_cell(value, digits: int = 17) -> str:
     if isinstance(value, bool):
         return str(value)
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
+        return f"{float(value):.{digits}g}"
     return str(value)
 
 
@@ -429,7 +424,8 @@ def _print_summary(bundle: ReportBundle):
     widths = [max(len(c), 12) for c in bundle.columns]
     print("  ".join(c.ljust(w) for c, w in zip(bundle.columns, widths)))
     for row in bundle.rows:
-        print("  ".join(_fmt_cell(v)[:w].ljust(w) for v, w in zip(row, widths)))
+        # 6 digits fit a float and its exponent in the 12-character column
+        print("  ".join(_fmt_cell(v, 6).ljust(w) for v, w in zip(row, widths)))
     for fit in bundle.fits:
         print(f"fit {fit['name']}: slope={fit['slope']:.4f} r^2={fit['r_squared']:.4f}")
     for key, val in bundle.summary.items():

@@ -122,23 +122,26 @@ def _update(x, f, g, xi, h_drift, scale):
     return new, np.abs(new).max() <= DIVERGENCE_LIMIT
 
 
-def _run_path(model: ModelSpec, grid: SimulationGrid, m_particles: int,
-              gen: np.random.Generator, store: str) -> PathRecord:
-    cloud = model.start(m_particles)
-    clouds = [cloud]
-    for n in range(grid.steps):
-        xi = gen.standard_normal((m_particles, model.d_bar))
+def _walk(model: ModelSpec, cloud: ParticleCloud, h: float, blocks):
+    """Yield the cloud after each ``em_step`` of size h, one per noise block.
+
+    Every per-system Euler path is this loop. ``blocks`` may be lazy, so a
+    path can draw its noise one step at a time. A ``DivergenceError`` is
+    re-raised with the index of the step that raised it.
+    """
+    for n, xi in enumerate(blocks):
         try:
-            cloud = em_step(model, cloud, grid.h, xi)
+            cloud = em_step(model, cloud, h, xi)
         except DivergenceError as err:
             raise DivergenceError(str(err), step_index=n) from None
-        if store == "all":
-            clouds.append(cloud)
-    if store != "all":
-        clouds = [clouds[0], cloud]
-    draws = m_particles * model.d_bar * grid.steps
-    times = grid.times() if store == "all" else np.array([0.0, grid.horizon])
-    return PathRecord(times=times, clouds=clouds, rng_draws=draws)
+        yield cloud
+
+
+def _last(clouds):
+    """The final cloud of a ``_walk``, holding only one at a time."""
+    for cloud in clouds:
+        pass
+    return cloud
 
 
 def simulate_path(model: ModelSpec, grid: SimulationGrid, m_particles: int, seed: int,
@@ -153,7 +156,15 @@ def simulate_path(model: ModelSpec, grid: SimulationGrid, m_particles: int, seed
     if store not in ("all", "terminal"):
         raise ConfigurationError(f"store must be 'all' or 'terminal', got {store!r}")
     gen = stream(seed, DOMAIN_PATH, 0)
-    return _run_path(model, grid, m_particles, gen, store)
+    start = model.start(m_particles)
+    blocks = (gen.standard_normal((m_particles, model.d_bar)) for _ in range(grid.steps))
+    path = _walk(model, start, grid.h, blocks)
+    if store == "all":
+        clouds, times = [start, *path], grid.times()
+    else:
+        clouds, times = [start, _last(path)], np.array([0.0, grid.horizon])
+    return PathRecord(times=times, clouds=clouds,
+                      rng_draws=m_particles * model.d_bar * grid.steps)
 
 
 def ode_limit(model: ModelSpec, grid: SimulationGrid) -> np.ndarray:
@@ -188,19 +199,6 @@ def check_nested_steps(h_list: list[float]):
             )
 
 
-def _coupled_run(model: ModelSpec, xi_ref: np.ndarray, h: float, h_ref: float,
-                 m_particles: int) -> ParticleCloud:
-    """Advance a path at step h by aggregating reference-grid increments."""
-    r = round(h / h_ref)
-    steps = xi_ref.shape[0] // r
-    scale = 1.0 / np.sqrt(r)
-    cloud = model.start(m_particles)
-    for n in range(steps):
-        block = xi_ref[n * r:(n + 1) * r].sum(axis=0) * scale
-        cloud = em_step(model, cloud, h, block)
-    return cloud
-
-
 def strong_error_curve(model: ModelSpec, h_list: list[float], m_particles: int,
                        replications: int, seed: int, ref_factor: int = DEFAULT_REF_FACTOR,
                        test_fn: TestFunction | None = None) -> list[tuple[float, float]]:
@@ -224,17 +222,18 @@ def strong_error_curve(model: ModelSpec, h_list: list[float], m_particles: int,
     grid_ref = SimulationGrid.from_step_size(model.horizon, h_ref)
     for h in h_list:
         SimulationGrid.from_step_size(model.horizon, h)
+    start = model.start(m_particles)
     acc = {h: 0.0 for h in h_list}
     for rep in range(replications):
         gen = stream(seed, DOMAIN_STRONG_ERROR, rep)
         xi_ref = gen.standard_normal((grid_ref.steps, m_particles, model.d_bar))
-        ref_cloud = model.start(m_particles)
-        for n in range(grid_ref.steps):
-            ref_cloud = em_step(model, ref_cloud, h_ref, xi_ref[n])
-        psi_ref = psi(ref_cloud.positions)
+        psi_ref = psi(_last(_walk(model, start, h_ref, xi_ref)).positions)
         for h in h_list:
-            cloud = _coupled_run(model, xi_ref, h, h_ref, m_particles)
-            gap = psi(cloud.positions) - psi_ref
+            # the step-h path takes the scaled sums of r reference increments
+            r = round(h / h_ref)
+            blocks = (xi_ref.reshape(-1, r, m_particles, model.d_bar).sum(axis=1)
+                      * (1.0 / np.sqrt(r)))
+            gap = psi(_last(_walk(model, start, h, blocks)).positions) - psi_ref
             acc[h] += float(sorted_mean(gap**2))
     return [(h, acc[h] / replications) for h in h_list]
 
@@ -255,12 +254,11 @@ def small_noise_curve(model: ModelSpec, epsilon_list: list[float], grid: Simulat
         total = 0.0
         for rep in range(replications):
             gen = stream(seed, DOMAIN_SMALL_NOISE, rep)
-            cloud = model_eps.start(m_particles)
+            blocks = (gen.standard_normal((m_particles, model.d_bar)) for _ in range(grid.steps))
+            path = _walk(model_eps, model_eps.start(m_particles), grid.h, blocks)
             sup = np.zeros(m_particles)
-            for n in range(grid.steps):
-                xi = gen.standard_normal((m_particles, model.d_bar))
-                cloud = em_step(model_eps, cloud, grid.h, xi)
-                dev = np.sum((cloud.positions - z_path[n + 1]) ** 2, axis=1)
+            for cloud, z in zip(path, z_path[1:]):
+                dev = np.sum((cloud.positions - z) ** 2, axis=1)
                 np.maximum(sup, dev, out=sup)
             total += float(sorted_mean(sup))
         out.append((eps, total / replications))

