@@ -37,7 +37,6 @@ from .em_engine import (
     strong_error_curve,
 )
 from .mlmc_engine import (
-    CoupledLevelState,
     LevelConfig,
     LevelStatistics,
     MlmcReport,
@@ -45,7 +44,6 @@ from .mlmc_engine import (
     cost_compare,
     coupled_coarse_interval,
     coupled_variance_study,
-    level0_sample,
     mlmc_estimate,
     second_moment_study,
     simulate_level_pair,
@@ -78,12 +76,10 @@ __all__ = [
     "strong_error_curve",
     "small_noise_curve",
     "LevelConfig",
-    "CoupledLevelState",
     "LevelStatistics",
     "MlmcReport",
     "coupled_coarse_interval",
     "simulate_level_pair",
-    "level0_sample",
     "coupled_variance_study",
     "second_moment_study",
     "mlmc_estimate",

@@ -106,7 +106,7 @@ def validate_config(cfg: dict) -> list[str]:
 
     if "seed" not in cfg:
         diags.append("missing required field 'seed'")
-    elif not isinstance(cfg["seed"], int):
+    elif not _is_int(cfg["seed"]):
         diags.append("seed must be an integer")
 
     grid = cfg.get("grid", {})
@@ -118,40 +118,49 @@ def validate_config(cfg: dict) -> list[str]:
         diags.append("targets must be an object")
         targets = {}
 
-    def need(section: dict, section_name: str, key: str, kind=(int, float), positive=True):
+    def need(section: dict, section_name: str, key: str, integer=False, required=True):
+        """Check a positive number (an integer when ``integer``; never a bool)."""
         if key not in section:
-            diags.append(f"missing required field '{section_name}.{key}' for {exp}")
+            if required:
+                diags.append(f"missing required field '{section_name}.{key}' for {exp}")
             return None
         val = section[key]
-        if isinstance(kind, tuple) and not isinstance(val, kind):
+        if integer and not _is_int(val):
+            diags.append(f"{section_name}.{key} must be an integer")
+        elif not (integer or _is_number(val)):
             diags.append(f"{section_name}.{key} must be numeric")
-            return None
-        if positive and isinstance(val, (int, float)) and val <= 0:
+        elif val <= 0:
             diags.append(f"{section_name}.{key} must be positive")
-            return None
-        return val
+        else:
+            return val
+        return None
 
     if exp != "chaos":
-        need(grid, "grid", "m_particles", int)
+        need(grid, "grid", "m_particles", integer=True)
 
     if exp in ("coupled-variance", "second-moment", "mlmc", "cost-compare"):
         n_ref = grid.get("refinement_n")
         if n_ref is None:
             diags.append(f"missing required field 'grid.refinement_n' for {exp}")
-        elif not isinstance(n_ref, int) or n_ref < 2:
+        elif not _is_int(n_ref) or n_ref < 2:
             diags.append("refinement_n must be >= 2")
+
+    if exp in ("mlmc", "cost-compare"):
+        need(grid, "grid", "pilot_samples", integer=True, required=False)
+        need(grid, "grid", "max_level", integer=True, required=False)
 
     if exp in ("coupled-variance", "second-moment"):
         levels = grid.get("levels")
         if (not isinstance(levels, list) or len(levels) != 2
-                or not all(isinstance(v, int) for v in levels) or levels[0] > levels[1]):
+                or not all(_is_int(v) for v in levels) or levels[0] > levels[1]):
             diags.append("grid.levels must be [lo, hi] with integer lo <= hi")
         elif levels[0] < 1:
             diags.append("grid.levels must start at level >= 1")
-        need(grid, "grid", "replications", int)
+        need(grid, "grid", "replications", integer=True)
 
     if exp == "strong-error":
-        need(grid, "grid", "replications", int)
+        need(grid, "grid", "replications", integer=True)
+        need(grid, "grid", "ref_factor", integer=True, required=False)
         h_list = grid.get("h_list")
         if not isinstance(h_list, list) or not h_list:
             diags.append("grid.h_list must be a non-empty list for strong-error")
@@ -174,18 +183,21 @@ def validate_config(cfg: dict) -> list[str]:
 
     if exp == "chaos":
         m_list = grid.get("m_list")
-        if not isinstance(m_list, list) or not m_list:
-            diags.append("grid.m_list must be a non-empty list for chaos")
-        ref_m = grid.get("reference_m")
-        if not isinstance(ref_m, int):
-            diags.append("missing required field 'grid.reference_m' for chaos")
-        elif isinstance(m_list, list) and m_list and ref_m <= max(m_list):
+        if (not isinstance(m_list, list) or not m_list
+                or not all(_is_int(m) and m > 0 for m in m_list)):
+            diags.append("grid.m_list must be a non-empty list of positive integers for chaos")
+            m_list = None
+        ref_m = need(grid, "grid", "reference_m", integer=True)
+        if ref_m is not None and m_list and ref_m <= max(m_list):
             diags.append("grid.reference_m must exceed every entry of grid.m_list")
-        need(grid, "grid", "replications", int)
+        need(grid, "grid", "replications", integer=True)
+        need(grid, "grid", "steps", integer=True, required=False)
+        if not isinstance(grid.get("pathwise", False), bool):
+            diags.append("grid.pathwise must be true or false")
 
     if exp == "small-noise-deviation":
         need(grid, "grid", "h")
-        need(grid, "grid", "replications", int)
+        need(grid, "grid", "replications", integer=True)
         eps_list = targets.get("epsilon_list")
         if not isinstance(eps_list, list) or not eps_list:
             diags.append("targets.epsilon_list must be a non-empty list for small-noise-deviation")
@@ -196,6 +208,14 @@ def validate_config(cfg: dict) -> list[str]:
         diags.append("formats must be a non-empty subset of ['csv', 'json']")
 
     return diags
+
+
+def _is_int(val) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
+def _is_number(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
 
 
 def _build_model(cfg: dict) -> ModelSpec:

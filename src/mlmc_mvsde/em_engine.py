@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, ShapeError
 from .measure import ParticleCloud, sorted_mean
-from .model import ModelSpec, TestFunction, _check_finite, coefficients, drift_eval
+from .model import ModelSpec, TestFunction, _check_finite, builtin_test_function, coefficients
 from .rng import DOMAIN_PATH, DOMAIN_SMALL_NOISE, DOMAIN_STRONG_ERROR, stream
 
 #: any state beyond this magnitude aborts the run instead of propagating infs
@@ -144,47 +144,33 @@ def _last(clouds):
     return cloud
 
 
-def simulate_path(model: ModelSpec, grid: SimulationGrid, m_particles: int, seed: int,
-                  store: str = "all") -> PathRecord:
-    """Simulate one particle system from the all-x0 cloud.
+def simulate_path(model: ModelSpec, grid: SimulationGrid, m_particles: int,
+                  seed: int) -> PathRecord:
+    """Simulate one particle system from the all-x0 cloud over the full grid.
 
-    Deterministic in (model, grid, m_particles, seed). ``store`` is "all"
-    for the full grid or "terminal" to keep only the endpoints.
+    Deterministic in (model, grid, m_particles, seed).
     """
     if m_particles < 1:
         raise ConfigurationError("m_particles must be >= 1")
-    if store not in ("all", "terminal"):
-        raise ConfigurationError(f"store must be 'all' or 'terminal', got {store!r}")
     gen = stream(seed, DOMAIN_PATH, 0)
     start = model.start(m_particles)
     blocks = (gen.standard_normal((m_particles, model.d_bar)) for _ in range(grid.steps))
-    path = _walk(model, start, grid.h, blocks)
-    if store == "all":
-        clouds, times = [start, *path], grid.times()
-    else:
-        clouds, times = [start, _last(path)], np.array([0.0, grid.horizon])
-    return PathRecord(times=times, clouds=clouds,
+    return PathRecord(times=grid.times(), clouds=[start, *_walk(model, start, grid.h, blocks)],
                       rng_draws=m_particles * model.d_bar * grid.steps)
 
 
 def ode_limit(model: ModelSpec, grid: SimulationGrid) -> np.ndarray:
     """Explicit Euler iterates of the zero-noise flow, on the same grid.
 
-    Each step evaluates the drift at the current iterate against the point
-    mass sitting there; no randomness is consumed. Returns an array of
-    shape (steps + 1, d).
+    This is the one-particle path of the model at epsilon = 0: each step
+    evaluates the drift at the current iterate against the point mass
+    sitting there, and no randomness is consumed. Returns an array of shape
+    (steps + 1, d).
     """
-    z = np.array(model.x0, dtype=float)
-    out = np.empty((grid.steps + 1, model.d))
-    out[0] = z
-    for n in range(grid.steps):
-        f = drift_eval(model, z, ParticleCloud.at(z, 1))
-        z = z + grid.h * f
-        if not np.all(np.isfinite(z)) or np.max(np.abs(z)) > DIVERGENCE_LIMIT:
-            raise DivergenceError("deterministic iterate left the finite trust region",
-                                  step_index=n)
-        out[n + 1] = z
-    return out
+    flow = model.with_epsilon(0.0)
+    noise = np.zeros((grid.steps, 1, model.d_bar))
+    path = _walk(flow, flow.start(1), grid.h, noise)
+    return np.stack([model.x0, *(cloud.positions[0] for cloud in path)])
 
 
 def check_nested_steps(h_list: list[float]):
@@ -214,8 +200,7 @@ def strong_error_curve(model: ModelSpec, h_list: list[float], m_particles: int,
         raise ConfigurationError("strong_error_curve needs replications >= 2")
     if ref_factor != int(ref_factor) or ref_factor < 2:
         raise ConfigurationError(f"ref_factor must be an integer >= 2, got {ref_factor}")
-    psi = (test_fn.psi if test_fn is not None
-           else lambda x: np.asarray(x, dtype=float)[..., 0])
+    psi = (test_fn or builtin_test_function("identity")).psi
     # nested steps and an integer ref_factor make every h a multiple of h_ref
     check_nested_steps(h_list)
     h_ref = min(h_list) / ref_factor

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, ShapeError
+from .errors import ConfigurationError, DivergenceError, ShapeError
 from .measure import ParticleCloud, sorted_mean
 from .model import ModelSpec, TestFunction, builtin_test_function
 # em_step stays bound here: the benchmark's absent-layer check deletes it from this module
@@ -78,19 +78,6 @@ class LevelConfig:
 
 
 @dataclass
-class CoupledLevelState:
-    """Fine and coarse clouds advancing in lockstep over the coarse grid."""
-
-    fine: ParticleCloud
-    coarse: ParticleCloud
-
-    @classmethod
-    def initial(cls, model: ModelSpec, m_particles: int) -> "CoupledLevelState":
-        start = model.start(m_particles)
-        return cls(fine=start, coarse=start)
-
-
-@dataclass
 class LevelStatistics:
     level: int
     samples: int
@@ -114,26 +101,26 @@ def cost_per_sample(cfg: LevelConfig, m_particles: int, d_bar: int) -> int:
     return m_particles * d_bar * cfg.refinement_n**cfg.level
 
 
-def coupled_coarse_interval(model: ModelSpec, state: CoupledLevelState, cfg: LevelConfig,
-                            gaussians: np.ndarray) -> CoupledLevelState:
-    """Advance both systems across one coarse interval.
+def coupled_coarse_interval(model: ModelSpec, fine: ParticleCloud, coarse: ParticleCloud,
+                            cfg: LevelConfig,
+                            gaussians: np.ndarray) -> tuple[ParticleCloud, ParticleCloud]:
+    """Advance a fine and a coarse system across one coarse interval.
 
     ``gaussians`` holds the N standard-normal sub-step blocks, shape
     (N, M, d_bar). The fine system consumes them one by one; the coarse
     system consumes their sum, scaled by sqrt(h_fine), in a single step
-    with drift and diffusion frozen at the interval start.
+    with drift and diffusion frozen at the interval start. Both start from
+    ``model.start(M)`` on the first interval; returns the new (fine, coarse).
     """
     n_ref = cfg.refinement_n
     xi = np.asarray(gaussians, dtype=float)
-    m = state.fine.m
+    m = fine.m
     if xi.shape != (n_ref, m, model.d_bar):
         raise ShapeError(
             f"gaussians have shape {xi.shape}, expected {(n_ref, m, model.d_bar)}"
         )
-    fine = _last(_walk(model, state.fine, cfg.h_fine, xi))
-    coarse = advance(model, state.coarse, cfg.h_coarse, math.sqrt(cfg.h_fine), xi.sum(axis=0))
-
-    return CoupledLevelState(fine=fine, coarse=coarse)
+    return (_last(_walk(model, fine, cfg.h_fine, xi)),
+            advance(model, coarse, cfg.h_coarse, math.sqrt(cfg.h_fine), xi.sum(axis=0)))
 
 
 def _coupled_pairs(model: ModelSpec, cfg: LevelConfig,
@@ -145,6 +132,8 @@ def _coupled_pairs(model: ModelSpec, cfg: LevelConfig,
     ``em_step`` per fine step. Level 0 has no coarse path (None); otherwise
     the K coarse paths advance together, one stacked step per coarse
     interval, with the same arithmetic per system as ``coupled_coarse_interval``.
+    A ``DivergenceError`` carries the index of the fine or coarse step that
+    raised it.
     """
     k, m = xi.shape[0], xi.shape[-2]
     start = model.start(m)
@@ -158,7 +147,10 @@ def _coupled_pairs(model: ModelSpec, cfg: LevelConfig,
     increments = xi.reshape(k, cfg.coarse_steps, cfg.refinement_n, m, model.d_bar).sum(axis=2)
     sqrt_h = math.sqrt(cfg.h_fine)
     for n in range(cfg.coarse_steps):
-        coarse = advance(model, coarse, cfg.h_coarse, sqrt_h, increments[:, n])
+        try:
+            coarse = advance(model, coarse, cfg.h_coarse, sqrt_h, increments[:, n])
+        except DivergenceError as err:
+            raise DivergenceError(str(err), step_index=n) from None
     return fine, coarse.positions
 
 
@@ -186,28 +178,18 @@ def _level_pairs(model: ModelSpec, cfg: LevelConfig, m_particles: int, seed: int
 def simulate_level_pair(model: ModelSpec, cfg: LevelConfig, m_particles: int,
                         test_fn: TestFunction, seed: int,
                         sample_index: int = 0) -> tuple[float, float, int]:
-    """One independent level-l >= 1 sample.
+    """One independent level-l sample.
 
     Returns the system average of Psi(fine) - Psi(coarse) at the horizon,
     the fine-only system average, and the exact draw count M * d_bar * N^l.
+    Level 0 has no coarse system (its term is zero), so there the two
+    averages are the same one-step value.
     """
-    if cfg.level < 1:
-        raise ConfigurationError("simulate_level_pair requires level >= 1; use level0_sample")
     fine, coarse = next(_level_pairs(model, cfg, m_particles, seed, sample_index, 1))
     psi_f = test_fn.psi(fine[0])
-    psi_c = test_fn.psi(coarse[0])
-    diff = float(sorted_mean(psi_f - psi_c))
     mean_fine = float(sorted_mean(psi_f))
+    diff = mean_fine if coarse is None else float(sorted_mean(psi_f - test_fn.psi(coarse[0])))
     return diff, mean_fine, cost_per_sample(cfg, m_particles, model.d_bar)
-
-
-def level0_sample(model: ModelSpec, cfg: LevelConfig, m_particles: int,
-                  test_fn: TestFunction, seed: int, sample_index: int = 0) -> tuple[float, int]:
-    """One base-level sample: a single explicit step of size T."""
-    if cfg.level != 0:
-        raise ConfigurationError("level0_sample requires level == 0")
-    fine, _ = next(_level_pairs(model, cfg, m_particles, seed, sample_index, 1))
-    return float(sorted_mean(test_fn.psi(fine[0]))), cost_per_sample(cfg, m_particles, model.d_bar)
 
 
 def _level_samples(model: ModelSpec, level: int, refinement_n: int, m_particles: int,

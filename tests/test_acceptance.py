@@ -28,8 +28,6 @@ from scipy.stats import chi2
 from mlmc_mvsde import (
     ParticleCloud,
     SimulationGrid,
-    builtin_model,
-    builtin_test_function,
     coupled_variance_study,
     loglog_fit,
     mlmc_estimate,
@@ -42,12 +40,7 @@ from mlmc_mvsde import (
 )
 from mlmc_mvsde.cli_runner import main as cli_main
 
-IDENT = builtin_test_function("identity")
-OU = {"a": 1.0, "b": 0.5, "sigma": 1.0, "x0": 1.0, "T": 1.0}
-
-
-def ou(eps):
-    return builtin_model("meanfield_ou", {**OU, "epsilon": eps})
+from helpers import IDENT, OU, ou
 
 
 def ou_sin_diffusion(eps):

@@ -195,6 +195,70 @@ def test_validate_config_catches_model_param_errors():
     assert any("'a'" in d for d in diags)
 
 
+ZERO = {"name": "zero", "params": {"x0": 1.0, "T": 1.0, "epsilon": 0.1}}
+
+#: a small valid config per experiment whose integer and bool fields are probed below
+TYPED_BASES = {
+    "coupled-variance": {"grid": {"refinement_n": 2, "levels": [1, 1], "m_particles": 2,
+                                  "replications": 2}},
+    "mlmc": {"grid": {"refinement_n": 2, "m_particles": 2, "pilot_samples": 2, "max_level": 2},
+             "targets": {"delta": 0.5}},
+    "strong-error": {"grid": {"h_list": [0.5], "ref_factor": 2, "m_particles": 2,
+                              "replications": 2}},
+    "chaos": {"grid": {"m_list": [2], "reference_m": 4, "replications": 2, "steps": 2,
+                       "pathwise": False}},
+}
+
+TYPED_FIELDS = [
+    ("coupled-variance", "m_particles"),
+    ("coupled-variance", "replications"),
+    ("chaos", "reference_m"),
+    ("chaos", "steps"),
+    ("mlmc", "pilot_samples"),
+    ("mlmc", "max_level"),
+    ("strong-error", "ref_factor"),
+]
+
+
+def typed_config(exp: str, out_dir: str) -> dict:
+    return {"experiment": exp, "model": ZERO, "seed": 0, "output_dir": out_dir,
+            **json.loads(json.dumps(TYPED_BASES[exp]))}
+
+
+@pytest.mark.parametrize("exp", sorted(TYPED_BASES))
+def test_typed_bases_run(tmp_path, exp):
+    path = write_config(tmp_path, "ok.json", typed_config(exp, str(tmp_path / "out")))
+    assert main(["run", str(path)]) == 0
+
+
+@pytest.mark.parametrize("value", [2.5, "8", True])
+@pytest.mark.parametrize("exp,key", TYPED_FIELDS)
+def test_run_rejects_a_non_integer_field(tmp_path, capsys, exp, key, value):
+    cfg = typed_config(exp, str(tmp_path / "out"))
+    cfg["grid"][key] = value
+    path = write_config(tmp_path, "bad.json", cfg)
+    assert main(["run", str(path)]) == 2
+    assert f"grid.{key} must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [2.5, "8", True, 0])
+def test_run_rejects_a_non_integer_m_list_entry(tmp_path, capsys, value):
+    cfg = typed_config("chaos", str(tmp_path / "out"))
+    cfg["grid"]["m_list"] = [2, value]
+    path = write_config(tmp_path, "bad.json", cfg)
+    assert main(["run", str(path)]) == 2
+    assert "grid.m_list must be a non-empty list of positive integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["no", 0, 1, None])
+def test_run_rejects_a_non_bool_pathwise(tmp_path, capsys, value):
+    cfg = typed_config("chaos", str(tmp_path / "out"))
+    cfg["grid"]["pathwise"] = value
+    path = write_config(tmp_path, "bad.json", cfg)
+    assert main(["run", str(path)]) == 2
+    assert "grid.pathwise must be true or false" in capsys.readouterr().err
+
+
 def test_validate_config_unknown_experiment():
     diags = validate_config({"experiment": "nope"})
     assert diags and "experiment" in diags[0]

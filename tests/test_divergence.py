@@ -1,5 +1,6 @@
-"""Every per-system Euler path reports the step at which it diverged, and
-the CLI prints it (``simulate_path`` is covered in ``test_em_engine``)."""
+"""Every per-system Euler path, and the stacked coarse paths of a level pair,
+report the step at which they diverged, and the CLI prints it
+(``simulate_path`` and ``ode_limit`` are covered in ``test_em_engine``)."""
 
 import json
 
@@ -93,3 +94,32 @@ def test_cli_prints_the_divergence_step(spike, tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert main(["run", str(path)]) == 3
     assert f"divergence at step {STEP}:" in capsys.readouterr().err
+
+
+def coarse_only_params():
+    # h_fine = 1/2 gives the fine factor 1 - 3/2 = -1/2 per step, h_coarse = 1
+    # the coarse factor 1 - 3 = -2: only the coarse path leaves the trust
+    # region, at its first step (|-2 x0| = 1.2e12)
+    return {"a": 3.0, "b": 0.0, "sigma": 0.0, "x0": 6e11, "T": 1.0, "epsilon": 0.0}
+
+
+def test_a_coarse_divergence_carries_the_coarse_step_index():
+    model = builtin_model("meanfield_ou", coarse_only_params())
+    cfg = LevelConfig(refinement_n=2, level=1, horizon=1.0)
+    with pytest.raises(DivergenceError) as err:
+        simulate_level_pair(model, cfg, 3, builtin_test_function("identity"), seed=0)
+    assert err.value.step_index == 0
+
+
+def test_cli_prints_the_coarse_divergence_step(tmp_path, capsys):
+    cfg = {
+        "experiment": "coupled-variance",
+        "model": {"name": "meanfield_ou", "params": coarse_only_params()},
+        "grid": {"refinement_n": 2, "levels": [1, 1], "m_particles": 3, "replications": 2},
+        "seed": 0,
+        "output_dir": str(tmp_path / "out"),
+    }
+    path = tmp_path / "div.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path)]) == 3
+    assert "divergence at step 0:" in capsys.readouterr().err

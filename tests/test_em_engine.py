@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlmc_mvsde import (
     ConfigurationError,
@@ -18,21 +20,10 @@ from mlmc_mvsde import (
     small_noise_curve,
     strong_error_curve,
 )
-from mlmc_mvsde.em_engine import advance, check_nested_steps
-from mlmc_mvsde.model import ModelSpec
+from mlmc_mvsde.em_engine import DIVERGENCE_LIMIT, advance, check_nested_steps
+from mlmc_mvsde.model import ModelSpec, drift_eval
 
-OU = {"a": 1.0, "b": 0.5, "sigma": 1.0, "x0": 1.0, "T": 1.0}
-
-
-def ou(eps):
-    return builtin_model("meanfield_ou", {**OU, "epsilon": eps})
-
-
-def euler_mean(a, x0, h, steps):
-    m = x0
-    for _ in range(steps):
-        m *= 1.0 - a * h
-    return m
+from helpers import OU, builtin_args, euler_mean, ou, pointwise_twin
 
 
 def test_grid_construction():
@@ -173,18 +164,15 @@ def test_simulate_path_constant_drift_exact():
     assert np.all(rec.clouds[-1].positions == 3.0)
 
 
-def test_simulate_path_deterministic_and_store_modes():
+def test_simulate_path_is_deterministic_over_the_full_grid():
     model = ou(0.3)
     grid = SimulationGrid.from_steps(1.0, 32)
     a = simulate_path(model, grid, 16, seed=42)
     b = simulate_path(model, grid, 16, seed=42)
-    assert a.rng_draws == b.rng_draws
+    assert a.rng_draws == b.rng_draws == 16 * 32
+    assert len(a.clouds) == 33 and np.array_equal(a.times, grid.times())
     for ca, cb in zip(a.clouds, b.clouds):
         assert np.array_equal(ca.positions, cb.positions)
-    t = simulate_path(model, grid, 16, seed=42, store="terminal")
-    assert len(t.clouds) == 2
-    assert np.array_equal(t.clouds[-1].positions, a.clouds[-1].positions)
-    assert t.rng_draws == a.rng_draws
 
 
 def test_simulate_path_terminal_mean_clt_band():
@@ -209,6 +197,42 @@ def test_ode_limit_examples():
     const = builtin_model("constant_drift", {"c": 2.0, "x0": 1.0, "T": 1.0, "epsilon": 0.1})
     z = ode_limit(const, SimulationGrid.from_steps(1.0, 4))
     assert z[-1, 0] == 3.0
+
+
+def reference_ode_limit(model, grid):
+    """The zero-noise Euler loop written out: z <- z + h f(z, delta_z)."""
+    z = np.array(model.x0, dtype=float)
+    out = [z]
+    for n in range(grid.steps):
+        z = z + grid.h * drift_eval(model, z, ParticleCloud.at(z, 1))
+        if not np.all(np.isfinite(z)) or np.max(np.abs(z)) > DIVERGENCE_LIMIT:
+            raise DivergenceError("iterate left the finite trust region", step_index=n)
+        out.append(z)
+    return np.array(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(args=builtin_args(epsilons=(0.0, 0.5)), pointwise=st.booleans(),
+       horizon=st.sampled_from([0.5, 1.0, 3.0]), steps=st.integers(1, 79))
+def test_ode_limit_equals_the_zero_noise_euler_loop(args, pointwise, horizon, steps):
+    name, params = args
+    model = builtin_model(name, {**params, "T": horizon})
+    if pointwise:
+        model = pointwise_twin(model)
+    grid = SimulationGrid.from_steps(horizon, steps)
+    z = ode_limit(model, grid)
+    assert z.shape == (steps + 1, model.d)
+    assert z.tobytes() == reference_ode_limit(model, grid).tobytes()
+
+
+def test_ode_limit_divergence_carries_the_step_index():
+    # h c = 0.4e12 per step: the iterate passes DIVERGENCE_LIMIT at step 2
+    const = builtin_model("constant_drift", {"c": 1.6e12, "x0": 0.0, "T": 1.0, "epsilon": 0.1})
+    grid = SimulationGrid.from_steps(1.0, 4)
+    for run in (ode_limit, reference_ode_limit):
+        with pytest.raises(DivergenceError) as err:
+            run(const, grid)
+        assert err.value.step_index == 2
 
 
 def test_zero_noise_collapse_to_ode_exact():

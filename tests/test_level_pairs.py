@@ -1,8 +1,9 @@
 """Properties of the chunked level-pair routine: it equals a loop of
 ``coupled_coarse_interval`` bit for bit whatever the chunking, its level-0
-samples equal one ``em_step`` per sample, relabelling particles only
-relabels its output, it raises the same errors from inside a chunk, and the
-estimator built on it keeps its exactness and cost identities."""
+samples equal one ``em_step`` per sample and ``simulate_level_pair`` at level
+0, relabelling particles only relabels its output, it raises the same errors
+from inside a chunk, and the estimator built on it keeps its exactness and
+cost identities."""
 
 from dataclasses import replace
 from unittest.mock import patch
@@ -13,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlmc_mvsde import (
-    CoupledLevelState,
     DivergenceError,
     LevelConfig,
     ModelSpec,
@@ -23,55 +23,26 @@ from mlmc_mvsde import (
     coupled_coarse_interval,
     em_step,
     mlmc_estimate,
+    simulate_level_pair,
 )
 from mlmc_mvsde import mlmc_engine
 from mlmc_mvsde.measure import sorted_mean
 from mlmc_mvsde.mlmc_engine import _coupled_pairs, _level_samples
-from mlmc_mvsde.model import BUILTIN_MODELS, BUILTIN_TEST_FUNCTIONS
+from mlmc_mvsde.model import BUILTIN_TEST_FUNCTIONS
 from mlmc_mvsde.rng import DOMAIN_LEVEL_ZERO, stream
 
-IDENT = builtin_test_function("identity")
-
-PARAMS = {
-    "zero": {},
-    "constant_drift": {"c": 2.0},
-    "meanfield_ou": {"a": 1.0, "b": 0.5, "sigma": 1.0},
-    "kuramoto": {"kappa": 1.5},
-    "measure_diffusion": {"sigma": 1.0},
-}
-
-
-def _pointwise(fn):
-    def call(x, mu):
-        if x.ndim != 1:
-            raise TypeError(f"pointwise coefficient called with shape {x.shape}")
-        return fn(x, mu)
-    return call
-
-
-def pointwise_twin(model):
-    return replace(model, drift=_pointwise(model.drift),
-                   diffusion=_pointwise(model.diffusion), vectorized=False)
-
-
-@st.composite
-def builtin_args(draw, epsilons=(0.0, 0.1, 0.5, 1.0)):
-    name = draw(st.sampled_from(BUILTIN_MODELS))
-    d = draw(st.integers(1, 2))
-    x0 = draw(st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d))
-    eps = draw(st.sampled_from(epsilons))
-    return name, {**PARAMS[name], "x0": x0, "T": 1.0, "epsilon": eps}
+from helpers import IDENT, PARAMS, builtin_args, pointwise_twin
 
 
 def looped(model, cfg, xi):
     """Terminal states of each sample through ``coupled_coarse_interval``."""
     fine, coarse = [], []
     for blocks in xi:
-        state = CoupledLevelState.initial(model, xi.shape[3])
+        fine_m = coarse_m = model.start(xi.shape[3])
         for block in blocks:
-            state = coupled_coarse_interval(model, state, cfg, block)
-        fine.append(state.fine.positions)
-        coarse.append(state.coarse.positions)
+            fine_m, coarse_m = coupled_coarse_interval(model, fine_m, coarse_m, cfg, block)
+        fine.append(fine_m.positions)
+        coarse.append(coarse_m.positions)
     return np.stack(fine), np.stack(coarse)
 
 
@@ -118,6 +89,22 @@ def test_level0_samples_equal_one_step_per_sample(args, pointwise, psi, m, count
     got = np.concatenate([_level_samples(model, 0, 2, m, test_fn, seed, lo, hi - lo)
                           for lo, hi in zip(bounds, bounds[1:])])
     assert got.tobytes() == np.array(want, dtype=float).tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(args=builtin_args(), pointwise=st.booleans(), psi=st.sampled_from(BUILTIN_TEST_FUNCTIONS),
+       m=st.integers(1, 5), seed=st.integers(0, 2**32 - 1), index=st.integers(0, 50))
+def test_level0_pair_equals_the_level0_sample(args, pointwise, psi, m, seed, index):
+    # level 0 has no coarse term: the difference is the fine value itself
+    model = builtin_model(*args)
+    if pointwise:
+        model = pointwise_twin(model)
+    test_fn = builtin_test_function(psi)
+    cfg = LevelConfig(refinement_n=2, level=0, horizon=model.horizon)
+    diff, fine, cost = simulate_level_pair(model, cfg, m, test_fn, seed, index)
+    want = _level_samples(model, 0, 2, m, test_fn, seed, index, 1)
+    assert np.array([diff]).tobytes() == np.array([fine]).tobytes() == want.tobytes()
+    assert cost == m * model.d_bar
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,28 +1,22 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mlmc_mvsde import (
     ConfigurationError,
-    CoupledLevelState,
     DivergenceError,
     LevelConfig,
     ModelSpec,
     NumericError,
-    ParticleCloud,
     SimulationGrid,
     builtin_model,
-    builtin_test_function,
     chaos_study,
     cost_compare,
     coupled_coarse_interval,
     coupled_variance_study,
-    level0_sample,
     loglog_fit,
     mlmc_estimate,
-    ode_limit,
     second_moment_study,
     simulate_level_pair,
     simulate_path,
@@ -30,19 +24,7 @@ from mlmc_mvsde import (
 from mlmc_mvsde.mlmc_engine import _coupled_pairs, cost_per_sample
 from mlmc_mvsde.measure import sorted_mean
 
-IDENT = builtin_test_function("identity")
-OU = {"a": 1.0, "b": 0.5, "sigma": 1.0, "x0": 1.0, "T": 1.0}
-
-
-def ou(eps):
-    return builtin_model("meanfield_ou", {**OU, "epsilon": eps})
-
-
-def euler_mean(a, x0, h, steps):
-    m = x0
-    for _ in range(steps):
-        m *= 1.0 - a * h
-    return m
+from helpers import IDENT, euler_mean, ou, pointwise_twin
 
 
 def test_level_config_geometry():
@@ -56,29 +38,28 @@ def test_level_config_geometry():
 
 
 def test_coupled_state_initialization():
-    state = CoupledLevelState.initial(ou(0.1), 6)
-    assert np.all(state.fine.positions == 1.0)
-    assert np.all(state.coarse.positions == 1.0)
+    start = ou(0.1).start(6)
+    assert np.all(start.positions == 1.0)
 
 
 def test_coupled_interval_constant_drift_zero_noise():
     model = builtin_model("constant_drift", {"c": 2.0, "x0": 0.0, "T": 1.0, "epsilon": 0.0})
     cfg = LevelConfig(refinement_n=2, level=1, horizon=1.0)
-    state = CoupledLevelState.initial(model, 4)
+    start = model.start(4)
     xi = np.random.default_rng(0).normal(size=(2, 4, 1))
-    out = coupled_coarse_interval(model, state, cfg, xi)
-    assert np.all(out.fine.positions == 2.0)
-    assert np.all(out.coarse.positions == 2.0)
+    fine, coarse = coupled_coarse_interval(model, start, start, cfg, xi)
+    assert np.all(fine.positions == 2.0)
+    assert np.all(coarse.positions == 2.0)
 
 
 def test_coupled_interval_ou_deterministic_oracle():
     # one coarse interval of the zero-noise flow: (1 - h_l)^N vs 1 - h_{l-1}
     model = ou(0.0)
     cfg = LevelConfig(refinement_n=2, level=1, horizon=1.0)
-    state = CoupledLevelState.initial(model, 4)
-    out = coupled_coarse_interval(model, state, cfg, np.zeros((2, 4, 1)))
-    assert np.all(out.fine.positions == 0.25)
-    assert np.all(out.coarse.positions == 0.0)
+    start = model.start(4)
+    fine, coarse = coupled_coarse_interval(model, start, start, cfg, np.zeros((2, 4, 1)))
+    assert np.all(fine.positions == 0.25)
+    assert np.all(coarse.positions == 0.0)
 
 
 def test_coarse_increment_variance_law():
@@ -90,20 +71,9 @@ def test_coarse_increment_variance_law():
     assert eff.var() == pytest.approx(cfg.h_coarse, rel=0.05)
 
 
-def _pointwise(fn):
-    """A coefficient that refuses stacked states, as a one-state-at-a-time
-    user callable would."""
-    def call(x, mu):
-        if x.shape != (1,):
-            raise TypeError(f"pointwise coefficient called with shape {x.shape}")
-        return fn(x, mu)
-    return call
-
-
 def test_pointwise_model_level_pair_matches_vectorized():
     model = ou(0.3)
-    pointwise = replace(model, drift=_pointwise(model.drift),
-                        diffusion=_pointwise(model.diffusion), vectorized=False)
+    pointwise = pointwise_twin(model)
     for level in (1, 3):
         cfg = LevelConfig(refinement_n=2, level=level, horizon=1.0)
         assert simulate_level_pair(pointwise, cfg, 8, IDENT, seed=2, sample_index=1) == \
@@ -116,9 +86,9 @@ def test_coarse_step_divergence_is_flagged():
     model = builtin_model("meanfield_ou", {"a": 4.0, "b": 0.0, "x0": 5e11, "T": 1.0,
                                            "epsilon": 0.0})
     cfg = LevelConfig(refinement_n=2, level=1, horizon=1.0)
-    state = CoupledLevelState.initial(model, 4)
+    start = model.start(4)
     with pytest.raises(DivergenceError):
-        coupled_coarse_interval(model, state, cfg, np.zeros((2, 4, 1)))
+        coupled_coarse_interval(model, start, start, cfg, np.zeros((2, 4, 1)))
 
 
 def test_coarse_step_non_finite_drift_is_named():
@@ -132,22 +102,21 @@ def test_coarse_step_non_finite_drift_is_named():
         lipschitz_K=16.0, growth_beta=32.0,
     )
     cfg = LevelConfig(refinement_n=2, level=2, horizon=2.0)
-    state = CoupledLevelState.initial(model, 3)
-    state = coupled_coarse_interval(model, state, cfg, np.zeros((2, 3, 1)))
-    assert np.all(state.fine.positions == 1.0) and np.all(state.coarse.positions == -3.0)
+    start = model.start(3)
+    fine, coarse = coupled_coarse_interval(model, start, start, cfg, np.zeros((2, 3, 1)))
+    assert np.all(fine.positions == 1.0) and np.all(coarse.positions == -3.0)
     with pytest.raises(NumericError, match="drift"):
-        coupled_coarse_interval(model, state, cfg, np.zeros((2, 3, 1)))
+        coupled_coarse_interval(model, fine, coarse, cfg, np.zeros((2, 3, 1)))
 
 
 def test_coupled_interval_outputs_are_fresh_read_only():
     model = ou(0.5)
     cfg = LevelConfig(refinement_n=2, level=1, horizon=1.0)
-    state = CoupledLevelState.initial(model, 4)
+    start = model.start(4)
     xi = np.random.default_rng(0).normal(size=(2, 4, 1))
-    out = coupled_coarse_interval(model, state, cfg, xi)
-    for cloud in (out.fine, out.coarse):
+    for cloud in coupled_coarse_interval(model, start, start, cfg, xi):
         assert not cloud.positions.flags.writeable
-        for source in (state.fine.positions, state.coarse.positions, xi):
+        for source in (start.positions, xi):
             assert not np.shares_memory(cloud.positions, source)
 
 
@@ -182,24 +151,18 @@ def test_simulate_level_pair_constant_drift_cancellation():
         assert abs(diff) < 1e-13
 
 
-def test_simulate_level_pair_requires_level_ge_1():
-    cfg = LevelConfig(refinement_n=2, level=0, horizon=1.0)
-    with pytest.raises(ConfigurationError):
-        simulate_level_pair(ou(0.1), cfg, 4, IDENT, seed=0)
-
-
 def test_level0_examples():
     cfg = LevelConfig(refinement_n=2, level=0, horizon=1.0)
     zero = builtin_model("zero", {"x0": 1.0, "T": 1.0, "epsilon": 0.1})
-    val, cost = level0_sample(zero, cfg, 8, IDENT, seed=0)
-    assert val == 1.0 and cost == 8
+    val, fine, cost = simulate_level_pair(zero, cfg, 8, IDENT, seed=0)
+    assert val == fine == 1.0 and cost == 8
 
     const = builtin_model("constant_drift", {"c": 2.0, "x0": 0.0, "T": 1.0, "epsilon": 0.0})
-    val, _ = level0_sample(const, cfg, 8, IDENT, seed=0)
+    val, _, _ = simulate_level_pair(const, cfg, 8, IDENT, seed=0)
     assert val == 2.0
 
     det = ou(0.0)
-    val, _ = level0_sample(det, cfg, 8, IDENT, seed=0)
+    val, _, _ = simulate_level_pair(det, cfg, 8, IDENT, seed=0)
     assert val == euler_mean(1.0, 1.0, 1.0, 1)
 
 
@@ -225,7 +188,8 @@ def test_telescoping_identity():
     m = 16
     level_means, level_vars = [], []
     cfg0 = LevelConfig(refinement_n=2, level=0, horizon=1.0)
-    xs = np.array([level0_sample(model, cfg0, m, IDENT, 100, k)[0] for k in range(n_samples)])
+    xs = np.array([simulate_level_pair(model, cfg0, m, IDENT, 100, k)[0]
+                   for k in range(n_samples)])
     level_means.append(xs.mean()), level_vars.append(xs.var(ddof=1))
     for level in (1, 2):
         cfg = LevelConfig(refinement_n=2, level=level, horizon=1.0)
@@ -236,8 +200,8 @@ def test_telescoping_identity():
 
     grid = SimulationGrid.from_steps(1.0, 4)
     fine = np.array([
-        sorted_mean(IDENT.psi(simulate_path(model, grid, m, seed=7_000_000 + k,
-                                            store="terminal").clouds[-1].positions))
+        sorted_mean(IDENT.psi(simulate_path(model, grid, m,
+                                            seed=7_000_000 + k).clouds[-1].positions))
         for k in range(n_samples)
     ])
     joint_se = math.sqrt(sum(v / n_samples for v in level_vars) + fine.var(ddof=1) / n_samples)

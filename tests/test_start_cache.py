@@ -13,22 +13,13 @@ from mlmc_mvsde import (
     ModelSpec,
     ParticleCloud,
     builtin_model,
-    builtin_test_function,
     em_step,
-    level0_sample,
+    simulate_level_pair,
 )
 from mlmc_mvsde.mlmc_engine import _level_samples
-from mlmc_mvsde.model import BUILTIN_MODELS, coefficients
+from mlmc_mvsde.model import coefficients
 
-IDENT = builtin_test_function("identity")
-
-PARAMS = {
-    "zero": {},
-    "constant_drift": {"c": 2.0},
-    "meanfield_ou": {"a": 1.0, "b": 0.5, "sigma": 1.0},
-    "kuramoto": {"kappa": 1.5},
-    "measure_diffusion": {"sigma": 1.0},
-}
+from helpers import IDENT, builtin_args, pointwise_twin
 
 
 class _Uncached(ModelSpec):
@@ -41,15 +32,6 @@ class _Uncached(ModelSpec):
 
 def uncached(model):
     return _Uncached(**{f.name: getattr(model, f.name) for f in fields(model) if f.init})
-
-
-@st.composite
-def builtin_args(draw):
-    name = draw(st.sampled_from(BUILTIN_MODELS))
-    d = draw(st.integers(1, 2))
-    x0 = draw(st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d))
-    eps = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
-    return name, {**PARAMS[name], "x0": x0, "T": 1.0, "epsilon": eps}
 
 
 small_m = st.integers(1, 6)
@@ -113,21 +95,12 @@ def test_start_is_read_only_and_built_once(args, m):
     assert coefficients(model, start)[0] is coefficients(model, model.start(m))[0]
 
 
-def _pointwise(fn):
-    def call(x, mu):
-        if x.ndim != 1:
-            raise TypeError(f"pointwise coefficient called with shape {x.shape}")
-        return fn(x, mu)
-    return call
-
-
 @settings(max_examples=25, deadline=None)
 @given(args=builtin_args(), m=small_m, seed=seeds, index=st.integers(0, 50))
 def test_pointwise_twin_matches_through_level0(args, m, seed, index):
     model = builtin_model(*args)
-    twin = replace(model, drift=_pointwise(model.drift),
-                   diffusion=_pointwise(model.diffusion), vectorized=False)
+    twin = pointwise_twin(model)
     cfg = LevelConfig(refinement_n=2, level=0, horizon=model.horizon)
     for _ in range(2):  # the first call builds each start state, the second reuses it
-        assert level0_sample(twin, cfg, m, IDENT, seed, index) == \
-            level0_sample(model, cfg, m, IDENT, seed, index)
+        assert simulate_level_pair(twin, cfg, m, IDENT, seed, index) == \
+            simulate_level_pair(model, cfg, m, IDENT, seed, index)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mlmc_mvsde import DegeneracyError, DomainError, level0_sample, loglog_fit
+from mlmc_mvsde import DegeneracyError, DomainError, loglog_fit, simulate_level_pair
 from mlmc_mvsde.mlmc_engine import LevelConfig
 from mlmc_mvsde.model import builtin_model, builtin_test_function
 
@@ -61,7 +61,7 @@ def test_normal_ci_coverage():
     covered = 0
     n_sims, n_samples = 1000, 30
     for sim in range(n_sims):
-        xs = np.array([level0_sample(model, cfg, 16, psi, seed=sim, sample_index=k)[0]
+        xs = np.array([simulate_level_pair(model, cfg, 16, psi, seed=sim, sample_index=k)[0]
                        for k in range(n_samples)])
         half = 1.959963984540054 * math.sqrt(xs.var(ddof=1) / n_samples)
         covered += abs(xs.mean() - truth) <= half
