@@ -125,8 +125,7 @@ def _update(x, f, g, xi, h_drift, scale):
 def _walk(model: ModelSpec, cloud: ParticleCloud, h: float, blocks):
     """Yield the cloud after each ``em_step`` of size h, one per noise block.
 
-    Every per-system Euler path is this loop. ``blocks`` may be lazy, so a
-    path can draw its noise one step at a time. A ``DivergenceError`` is
+    Every per-system Euler path is this loop. A ``DivergenceError`` is
     re-raised with the index of the step that raised it.
     """
     for n, xi in enumerate(blocks):
@@ -152,10 +151,9 @@ def simulate_path(model: ModelSpec, grid: SimulationGrid, m_particles: int,
     """
     if m_particles < 1:
         raise ConfigurationError("m_particles must be >= 1")
-    gen = stream(seed, DOMAIN_PATH, 0)
+    xi = stream(seed, DOMAIN_PATH, 0).standard_normal((grid.steps, m_particles, model.d_bar))
     start = model.start(m_particles)
-    blocks = (gen.standard_normal((m_particles, model.d_bar)) for _ in range(grid.steps))
-    return PathRecord(times=grid.times(), clouds=[start, *_walk(model, start, grid.h, blocks)],
+    return PathRecord(times=grid.times(), clouds=[start, *_walk(model, start, grid.h, xi)],
                       rng_draws=m_particles * model.d_bar * grid.steps)
 
 
@@ -229,22 +227,21 @@ def small_noise_curve(model: ModelSpec, epsilon_list: list[float], grid: Simulat
 
     For each noise scale the statistic is E[max_n |Y_i(t_n) - z(t_n)|^2],
     averaged over particles, then over replications. The same increments
-    drive every epsilon (common random numbers), so for models whose
-    deviation is linear in the noise the fitted slope is exact.
+    drive every epsilon (common random numbers): each replication draws its
+    block once, so for models whose deviation is linear in the noise the
+    fitted slope is exact.
     """
     z_path = ode_limit(model, grid)
-    out = []
-    for eps in epsilon_list:
-        model_eps = model.with_epsilon(eps)
-        total = 0.0
-        for rep in range(replications):
-            gen = stream(seed, DOMAIN_SMALL_NOISE, rep)
-            blocks = (gen.standard_normal((m_particles, model.d_bar)) for _ in range(grid.steps))
-            path = _walk(model_eps, model_eps.start(m_particles), grid.h, blocks)
+    models = [model.with_epsilon(eps) for eps in epsilon_list]
+    totals = [0.0] * len(models)
+    for rep in range(replications):
+        xi = stream(seed, DOMAIN_SMALL_NOISE, rep).standard_normal(
+            (grid.steps, m_particles, model.d_bar))
+        for i, model_eps in enumerate(models):
             sup = np.zeros(m_particles)
-            for cloud, z in zip(path, z_path[1:]):
+            for cloud, z in zip(_walk(model_eps, model_eps.start(m_particles), grid.h, xi),
+                                z_path[1:]):
                 dev = np.sum((cloud.positions - z) ** 2, axis=1)
                 np.maximum(sup, dev, out=sup)
-            total += float(sorted_mean(sup))
-        out.append((eps, total / replications))
-    return out
+            totals[i] += float(sorted_mean(sup))
+    return [(eps, total / replications) for eps, total in zip(epsilon_list, totals)]

@@ -36,9 +36,11 @@ class DivergenceError(RuntimeError):
     ``step_index`` identifies the offending time step once known; it is
     attached by the path drivers (``em_engine._walk`` and the stacked coarse
     loop of ``mlmc_engine._coupled_pairs``), the stepper itself raises with
-    ``None``.
+    ``None``. ``path`` is ``"fine"`` or ``"coarse"`` for a level sample,
+    whose two paths count steps of different sizes, and ``None`` elsewhere.
     """
 
-    def __init__(self, message: str, step_index: int | None = None):
+    def __init__(self, message: str, step_index: int | None = None, path: str | None = None):
         super().__init__(message)
         self.step_index = step_index
+        self.path = path

@@ -42,6 +42,8 @@ DEFAULT_MAX_LEVEL = 8
 DEFAULT_PILOT_SAMPLES = 32
 #: noise bytes of the level-pair samples stepped together as one chunk
 CHUNK_NOISE_BYTES = 1 << 18
+#: default grid steps of the chaos study
+DEFAULT_CHAOS_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -133,14 +135,17 @@ def _coupled_pairs(model: ModelSpec, cfg: LevelConfig,
     the K coarse paths advance together, one stacked step per coarse
     interval, with the same arithmetic per system as ``coupled_coarse_interval``.
     A ``DivergenceError`` carries the index of the fine or coarse step that
-    raised it.
+    raised it and names that path.
     """
     k, m = xi.shape[0], xi.shape[-2]
     start = model.start(m)
     fine = np.empty((k, m, model.d))
-    for j in range(k):
-        blocks = xi[j].reshape(-1, m, model.d_bar)
-        fine[j] = _last(_walk(model, start, cfg.h_fine, blocks)).positions
+    try:
+        for j in range(k):
+            blocks = xi[j].reshape(-1, m, model.d_bar)
+            fine[j] = _last(_walk(model, start, cfg.h_fine, blocks)).positions
+    except DivergenceError as err:
+        raise DivergenceError(str(err), err.step_index, "fine") from None
     if cfg.level == 0:
         return fine, None
     coarse = ParticleCloud._wrap(np.broadcast_to(start.positions, (k, m, model.d)))
@@ -150,7 +155,7 @@ def _coupled_pairs(model: ModelSpec, cfg: LevelConfig,
         try:
             coarse = advance(model, coarse, cfg.h_coarse, sqrt_h, increments[:, n])
         except DivergenceError as err:
-            raise DivergenceError(str(err), step_index=n) from None
+            raise DivergenceError(str(err), n, "coarse") from None
     return fine, coarse.positions
 
 
@@ -389,9 +394,9 @@ def _psi_system_variance(model: ModelSpec, steps: int, m_particles: int,
     start = model.start(m_particles)
     vals = []
     for rep in range(replications):
-        gen = stream(seed, DOMAIN_PSI_VARIANCE, rep)
-        blocks = (gen.standard_normal((m_particles, model.d_bar)) for _ in range(grid.steps))
-        cloud = _last(_walk(model, start, grid.h, blocks))
+        xi = stream(seed, DOMAIN_PSI_VARIANCE, rep).standard_normal(
+            (grid.steps, m_particles, model.d_bar))
+        cloud = _last(_walk(model, start, grid.h, xi))
         vals.append(float(sorted_mean(test_fn.psi(cloud.positions))))
     return float(np.var(np.array(vals), ddof=1))
 
@@ -450,8 +455,8 @@ class ChaosRow:
 
 
 def chaos_study(model: ModelSpec, m_list: list[int], reference_m: int, replications: int,
-                seed: int, test_fn: TestFunction | None = None, steps: int = 64,
-                pathwise: bool = False) -> list[ChaosRow]:
+                seed: int, test_fn: TestFunction | None = None,
+                steps: int = DEFAULT_CHAOS_STEPS, pathwise: bool = False) -> list[ChaosRow]:
     """Convergence of the M-particle system toward a large reference system.
 
     Default mode compares system-averaged observables of an M-particle
@@ -459,38 +464,36 @@ def chaos_study(model: ModelSpec, m_list: list[int], reference_m: int, replicati
     particles, reporting the mean squared gap per M. ``pathwise`` instead
     couples the first M particle streams of both systems and reports the
     per-particle supremum gap along the grid (no rate is asserted for it).
+    Each replication walks its reference system once, in lockstep with the
+    small system of every M.
     """
     if reference_m <= max(m_list):
         raise ConfigurationError("reference_m must exceed every entry of m_list")
     test_fn = test_fn or builtin_test_function("identity")
     grid = SimulationGrid.from_steps(model.horizon, steps)
-    rows = []
-    for m in m_list:
-        def one(rep: int, _m=m) -> float:
-            gen_ref = stream(seed, DOMAIN_CHAOS, rep, 0)
-            xi_ref = gen_ref.standard_normal((grid.steps, reference_m, model.d_bar))
-            if pathwise:
-                # shared leading streams couple particle i across both systems
-                xi_small = xi_ref[:, :_m, :]
-            else:
-                # resets the generator behind gen_ref, whose draws are taken
-                gen_small = stream(seed, DOMAIN_CHAOS, rep, 1)
-                xi_small = gen_small.standard_normal((grid.steps, _m, model.d_bar))
-            ref_path = _walk(model, model.start(reference_m), grid.h, xi_ref)
-            small_path = _walk(model, model.start(_m), grid.h, xi_small)
-            sup = np.zeros(_m)
-            for ref, small in zip(ref_path, small_path):
-                if pathwise:
-                    gap = np.sum((small.positions - ref.positions[:_m]) ** 2, axis=1)
-                    np.maximum(sup, gap, out=sup)
-            if pathwise:
-                return float(sorted_mean(sup))
-            a = float(sorted_mean(test_fn.psi(small.positions)))
-            b = float(sorted_mean(test_fn.psi(ref.positions)))
-            return (a - b) ** 2
 
-        vals = ordered_map(one, range(replications))
-        rows.append(ChaosRow(m_particles=m,
-                             mse_vs_reference=float(np.mean(vals)),
-                             replications=replications))
-    return rows
+    def one(rep: int) -> list[float]:
+        xi_ref = stream(seed, DOMAIN_CHAOS, rep, 0).standard_normal(
+            (grid.steps, reference_m, model.d_bar))
+        if pathwise:
+            # shared leading streams couple particle i across both systems
+            xis = [xi_ref[:, :m] for m in m_list]
+        else:
+            # every M draws the head of one stream, independent of the reference
+            xis = [stream(seed, DOMAIN_CHAOS, rep, 1).standard_normal((grid.steps, m, model.d_bar))
+                   for m in m_list]
+        paths = [_walk(model, model.start(m), grid.h, xi) for m, xi in zip(m_list, xis)]
+        sups = [np.zeros(m) for m in m_list]
+        for ref, *smalls in zip(_walk(model, model.start(reference_m), grid.h, xi_ref), *paths):
+            if pathwise:
+                for sup, small in zip(sups, smalls):
+                    gap = np.sum((small.positions - ref.positions[:len(sup)]) ** 2, axis=1)
+                    np.maximum(sup, gap, out=sup)
+        if pathwise:
+            return [float(sorted_mean(sup)) for sup in sups]
+        b = float(sorted_mean(test_fn.psi(ref.positions)))
+        return [(float(sorted_mean(test_fn.psi(small.positions))) - b) ** 2 for small in smalls]
+
+    vals = ordered_map(one, range(replications))
+    return [ChaosRow(m_particles=m, mse_vs_reference=float(np.mean([v[i] for v in vals])),
+                     replications=replications) for i, m in enumerate(m_list)]

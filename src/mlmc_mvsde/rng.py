@@ -4,12 +4,12 @@ Every stochastic routine derives its noise from a counter-based Philox
 generator keyed by ``(seed, domain, *context)``. The domain constant keeps
 streams of different experiment kinds disjoint, the context identifies the
 replication (and, where relevant, the level), and positions inside one
-stream follow a fixed step-major layout. Each sample draws one block: a
-level-pair sample fills its whole (coarse_steps, N, M, d_bar) array in one
-call, which equals drawing it interval by interval, bit for bit. Two runs
-with the same key consume bit-identical variates regardless of scheduling,
-which is what makes the fine/coarse couplings and the cost accounting
-reproducible.
+stream follow a fixed step-major layout. Each stream fills one block in
+one call: a path, a replication or a level-pair sample draws its whole
+(steps, M, d_bar) array (fine steps for a level pair), which equals
+drawing it step by step, bit for bit. Two runs with the same key consume
+bit-identical variates regardless of scheduling, which is what makes the
+fine/coarse couplings and the cost accounting reproducible.
 
 The Philox key of a stream equals the one numpy derives from
 ``SeedSequence(entropy=seed, spawn_key=key)`` with ``generate_state(2,

@@ -1,11 +1,13 @@
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
 
-from mlmc_mvsde.cli_runner import ReportBundle, _print_summary, main, validate_config
+from mlmc_mvsde.cli_runner import (EXPERIMENTS, ReportBundle, _print_summary, main,
+                                   load_config, validate_config)
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -207,6 +209,11 @@ TYPED_BASES = {
                               "replications": 2}},
     "chaos": {"grid": {"m_list": [2], "reference_m": 4, "replications": 2, "steps": 2,
                        "pathwise": False}},
+    "cost-compare": {"grid": {"refinement_n": 2, "m_particles": 2, "pilot_samples": 2,
+                              "max_level": 2},
+                     "targets": {"delta_list": [0.5], "epsilon_list": [0.1]}},
+    "small-noise-deviation": {"grid": {"h": 0.5, "m_particles": 2, "replications": 2},
+                              "targets": {"epsilon_list": [0.1]}},
 }
 
 TYPED_FIELDS = [
@@ -269,3 +276,58 @@ def test_shipped_config_csv_is_bit_exact(tmp_path, name):
     assert main(["run", str(CONFIGS / f"{name}.json"), "--out", str(tmp_path)]) == 0
     (csv,) = tmp_path.glob("*.csv")
     assert hashlib.sha256(csv.read_bytes()).hexdigest() == SHIPPED_CSV_SHA256[name]
+
+
+#: (experiment, section, key, value) that ``validate`` crashed on or passed
+#: and ``run`` then rejected, crashed on or misread
+REJECTED = [
+    *[("strong-error", "grid", "h_list", h)
+      for h in ([0.25, "a"], [0.25, 0], ["a"], [-0.25], [0.3])],
+    ("strong-error", "grid", "ref_factor", 1),
+    ("strong-error", "grid", "replications", 1),
+    ("mlmc", "grid", "pilot_samples", 1),
+    *[("cost-compare", "targets", key, value)
+      for key, value in (("delta_list", ["x"]), ("delta_list", [-0.1]),
+                         ("epsilon_list", ["x"]), ("epsilon_list", [2.0]))],
+    *[("small-noise-deviation", "targets", "epsilon_list", e) for e in (["x"], [2.0], [True])],
+    ("small-noise-deviation", "grid", "h", 0.3),
+    ("small-noise-deviation", "grid", "h", math.inf),
+    ("mlmc", "assertions", "expected", math.nan),
+    ("strong-error", "assertions", "slope_mn", 99),
+    ("strong-error", "assertions", "slope_min", "x"),
+    ("strong-error", "assertions", "max_var_diff", 1e-9),
+    ("mlmc", "assertions", "slope_min", 1.0),
+    ("mlmc", "assertions", "tolerance", 0.1),
+]
+
+
+@pytest.mark.parametrize("exp,section,key,value", REJECTED,
+                         ids=[f"{exp}-{key}={json.dumps(v, separators=(',', ':'))}"
+                              for exp, _, key, v in REJECTED])
+def test_validate_and_run_reject_the_same_config(tmp_path, capsys, exp, section, key, value):
+    cfg = typed_config(exp, str(tmp_path / "out"))
+    cfg.setdefault(section, {})[key] = value
+    path = write_config(tmp_path, "bad.json", cfg)
+    assert main(["validate", str(path)]) == 2
+    assert f"{section}.{key}" in capsys.readouterr().out
+    assert main(["run", str(path)]) == 2
+    assert f"{section}.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+def test_shipped_config_validates_clean(path):
+    assert validate_config(load_config(path)) == []
+
+
+def test_readme_documents_every_experiment_field_and_assertion():
+    readme = (CONFIGS.parent / "README.md").read_text()
+    documented = {}
+    for line in readme.splitlines():
+        cells = line.split("|")[1:-1]
+        if len(cells) == 4 and (exp := cells[0].strip().strip("`")) in EXPERIMENTS:
+            names = [set(re.findall(r"`(\w+)`", cell)) for cell in cells[1:]]
+            documented[exp] = ({f"grid.{key}" for key in names[0]}
+                               | {f"targets.{key}" for key in names[1]}, names[2])
+    assert documented == {exp: (set(spec.fields), set(spec.assertions))
+                          for exp, spec in EXPERIMENTS.items()}

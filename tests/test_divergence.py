@@ -79,6 +79,8 @@ def test_divergence_carries_the_step_index(spike, name):
     with pytest.raises(DivergenceError) as err:
         RUNS[name](flat_model())
     assert err.value.step_index == STEP
+    # only a level sample has two paths to tell apart
+    assert err.value.path == ("fine" if name == "simulate_level_pair" else None)
 
 
 def test_cli_prints_the_divergence_step(spike, tmp_path, capsys):
@@ -109,6 +111,7 @@ def test_a_coarse_divergence_carries_the_coarse_step_index():
     with pytest.raises(DivergenceError) as err:
         simulate_level_pair(model, cfg, 3, builtin_test_function("identity"), seed=0)
     assert err.value.step_index == 0
+    assert err.value.path == "coarse"
 
 
 def test_cli_prints_the_coarse_divergence_step(tmp_path, capsys):
@@ -123,3 +126,19 @@ def test_cli_prints_the_coarse_divergence_step(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert main(["run", str(path)]) == 3
     assert "divergence at step 0:" in capsys.readouterr().err
+
+
+def test_cli_names_the_diverged_path(spike, tmp_path, capsys):
+    # the spike at fine step 5 of a level-3 pair stops the fine path first
+    cfg = {
+        "experiment": "coupled-variance",
+        "model": {"name": "constant_drift",
+                  "params": {"c": 0.0, "sigma": 1.0, "x0": 0.0, "T": 1.0, "epsilon": 1.0}},
+        "grid": {"refinement_n": 2, "levels": [3, 3], "m_particles": 3, "replications": 2},
+        "seed": 0,
+        "output_dir": str(tmp_path / "out"),
+    }
+    path = tmp_path / "div.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path)]) == 3
+    assert f"divergence at step {STEP}: fine path:" in capsys.readouterr().err

@@ -365,3 +365,13 @@ def test_small_noise_curve_quadratic_in_epsilon():
     # linear dynamics with shared increments scale exactly like epsilon^2
     assert fit.slope == pytest.approx(2.0, abs=1e-3)
     assert fit.r_squared > 0.999999
+
+
+def test_small_noise_curve_rows_equal_single_epsilon_runs():
+    # common random numbers: every epsilon sees the block its run alone draws
+    model = builtin_model("kuramoto", {"kappa": 1.0, "sigma": 1.0, "x0": 0.5, "T": 1.0,
+                                       "epsilon": 0.1})
+    grid = SimulationGrid.from_steps(1.0, 8)
+    curve = small_noise_curve(model, [0.3, 0.0, 0.3], grid, 5, 3, seed=4)
+    assert curve == [small_noise_curve(model, [eps], grid, 5, 3, seed=4)[0]
+                     for eps in (0.3, 0.0, 0.3)]

@@ -343,6 +343,15 @@ def test_chaos_pathwise_mode_decays():
     assert vals[0] > vals[-1]
 
 
+@pytest.mark.parametrize("pathwise", [False, True])
+def test_chaos_rows_equal_single_m_runs(pathwise):
+    # one reference walk serves every M: each row is the run of its M alone
+    rows = chaos_study(ou(0.25), [3, 8, 3], 16, 4, seed=2, steps=8, pathwise=pathwise)
+    alone = [chaos_study(ou(0.25), [m], 16, 4, seed=2, steps=8, pathwise=pathwise)[0]
+             for m in (3, 8, 3)]
+    assert rows == alone
+
+
 def test_chaos_reference_size_validated():
     with pytest.raises(ConfigurationError):
         chaos_study(ou(0.1), [16, 32], 32, 5, seed=0)
