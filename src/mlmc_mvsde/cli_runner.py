@@ -95,6 +95,9 @@ _ESTIMATOR = {"grid.refinement_n": (_integer(2), REQUIRED), **_M,
               "grid.max_level": (_integer(1), DEFAULT_MAX_LEVEL)}
 #: assertions on every rate fit an experiment produces
 _FIT = ("slope_min", "slope_max", "r2_min")
+#: every top-level key a config may hold
+_TOP_LEVEL = ("experiment", "model", "psi", "seed", "grid", "targets", "assertions",
+              "output_dir", "formats")
 
 
 class Experiment(NamedTuple):
@@ -164,20 +167,20 @@ def validate_config(cfg: dict) -> list[str]:
     """Full schema and cross-field validation; returns diagnostics."""
     diags: list[str] = []
     exp = cfg.get("experiment")
-    if exp not in EXPERIMENTS:
+    if not isinstance(exp, str) or exp not in EXPERIMENTS:
         diags.append(f"experiment must be one of {tuple(EXPERIMENTS)}, got {exp!r}")
         return diags
 
     model = None
-    model_cfg = cfg.get("model")
-    if not isinstance(model_cfg, dict) or "name" not in model_cfg:
+    model_cfg = cfg["model"] if isinstance(cfg.get("model"), dict) else {}
+    if not isinstance(model_cfg.get("params"), dict):
         diags.append("model must be an object with 'name' and 'params'")
-    elif model_cfg["name"] not in BUILTIN_MODELS:
-        diags.append(f"model.name must be one of {BUILTIN_MODELS}, got {model_cfg['name']!r}")
+    elif model_cfg.get("name") not in BUILTIN_MODELS:
+        diags.append(f"model.name must be one of {BUILTIN_MODELS}, got {model_cfg.get('name')!r}")
     else:
         try:
-            model = builtin_model(model_cfg["name"], model_cfg.get("params", {}))
-        except (ConfigurationError, ValueError) as err:
+            model = builtin_model(model_cfg["name"], model_cfg["params"])
+        except (ValueError, TypeError, ArithmeticError) as err:
             diags.append(f"model.params: {err}")
 
     psi = cfg.get("psi", "identity")
@@ -195,6 +198,21 @@ def validate_config(cfg: dict) -> list[str]:
         if not isinstance(sections[section], dict):
             diags.append(f"{section} must be an object")
             sections[section] = {}
+
+    # every key of the config and of its sections, as (section, key) with
+    # section "" at the top level
+    spec = EXPERIMENTS[exp]
+    known = {("", key) for key in _TOP_LEVEL} | {("model", "name"), ("model", "params")}
+    known |= {("assertions", key) for key in spec.assertions}
+    known |= {tuple(name.split(".")) for name in spec.fields}
+    for section, entries in {"": cfg, "model": model_cfg, **sections}.items():
+        for key, val in entries.items():
+            name = f"{section}.{key}" if section else key
+            if (section, key) not in known:
+                diags.append(f"{name} is not one of {exp}'s {section or 'top-level'} keys "
+                             f"{sorted(k for s, k in known if s == section)}")
+            elif section == "assertions" and not _is_number(val):
+                diags.append(f"{name} must be a number")
 
     values = {}
     for name, key, check, val in _fields(exp, sections):
@@ -220,14 +238,7 @@ def validate_config(cfg: dict) -> list[str]:
     if "reference_m" in values and values["reference_m"] <= max(values.get("m_list", [0])):
         diags.append("grid.reference_m must exceed every entry of grid.m_list")
 
-    checks = sections["assertions"]
-    for key, val in checks.items():
-        if key not in EXPERIMENTS[exp].assertions:
-            diags.append(f"assertions.{key} is not one of {exp}'s assertions "
-                         f"{EXPERIMENTS[exp].assertions}")
-        elif not _is_number(val):
-            diags.append(f"assertions.{key} must be a number")
-    if "tolerance" in checks and "expected" not in checks:
+    if "tolerance" in sections["assertions"] and "expected" not in sections["assertions"]:
         diags.append("assertions.tolerance needs assertions.expected")
 
     formats = cfg.get("formats", ["csv", "json"])
@@ -373,45 +384,29 @@ def write_json(bundle: ReportBundle, path: Path):
         "flags": bundle.flags,
         "summary": bundle.summary,
     }
-    path.write_text(json.dumps(doc, indent=2, default=_json_default) + "\n")
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+    path.write_text(json.dumps(doc, indent=2) + "\n")
 
 
 def check_assertions(cfg: dict, bundle: ReportBundle) -> list[str]:
     """Evaluate a validated config's assertion block; returns failure messages.
-    ``validate_config`` admits only the keys the experiment can evaluate."""
+    ``validate_config`` admits only the keys the experiment can evaluate. A
+    ``*_min`` key is a lower bound on each value it names, every other
+    bound key an upper bound."""
     checks = cfg.get("assertions") or {}
     failures: list[str] = []
+    if checks.keys() & _FIT and not bundle.fits:
+        failures.append("slope assertion configured but no rate fit was produced")
 
-    if checks.keys() & _FIT:
-        if not bundle.fits:
-            failures.append("slope assertion configured but no rate fit was produced")
-        for fit in bundle.fits:
-            if "slope_min" in checks and fit["slope"] < checks["slope_min"]:
-                failures.append(f"{fit['name']}: slope {fit['slope']:.4f} < {checks['slope_min']}")
-            if "slope_max" in checks and fit["slope"] > checks["slope_max"]:
-                failures.append(f"{fit['name']}: slope {fit['slope']:.4f} > {checks['slope_max']}")
-            if "r2_min" in checks and fit["r_squared"] < checks["r2_min"]:
-                failures.append(f"{fit['name']}: r^2 {fit['r_squared']:.4f} < {checks['r2_min']}")
-
-    if "max_var_diff" in checks and bundle.summary["max_var_diff"] > checks["max_var_diff"]:
-        failures.append(f"max var_diff {bundle.summary['max_var_diff']:.3e} "
-                        f"> {checks['max_var_diff']}")
-
-    for i, r in enumerate(bundle.summary.get("log2_ratios", [])):
-        if "ratio_min" in checks and r < checks["ratio_min"]:
-            failures.append(f"log2 ratio[{i}] {r:.3f} < {checks['ratio_min']}")
-        if "ratio_max" in checks and r > checks["ratio_max"]:
-            failures.append(f"log2 ratio[{i}] {r:.3f} > {checks['ratio_max']}")
+    slopes = [(f"{fit['name']}: slope", fit["slope"]) for fit in bundle.fits]
+    ratios = [(f"log2 ratio[{i}]", r) for i, r in enumerate(bundle.summary.get("log2_ratios", []))]
+    bounded = {"slope_min": slopes, "slope_max": slopes, "ratio_min": ratios, "ratio_max": ratios,
+               "r2_min": [(f"{fit['name']}: r^2", fit["r_squared"]) for fit in bundle.fits],
+               "max_var_diff": [("max var_diff", bundle.summary.get("max_var_diff"))]}
+    for key, bound in checks.items():
+        lower = key.endswith("_min")
+        failures += [f"{label} {value:.4g} {'<' if lower else '>'} {bound}"
+                     for label, value in bounded.get(key, [])
+                     if (value < bound if lower else value > bound)]
 
     if "expected" in checks:
         est = bundle.summary["estimate"]
@@ -440,11 +435,7 @@ def _print_summary(bundle: ReportBundle):
 
 
 def cmd_run(args) -> int:
-    try:
-        cfg = load_config(args.config)
-    except ConfigurationError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = load_config(args.config)
     if args.seed is not None:
         cfg["seed"] = args.seed
     if args.out is not None:
@@ -457,9 +448,6 @@ def cmd_run(args) -> int:
 
     try:
         bundle = run_experiment(cfg)
-    except ConfigurationError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
     except DivergenceError as err:
         step = f" at step {err.step_index}" if err.step_index is not None else ""
         path = f" {err.path} path:" if err.path is not None else ""
@@ -488,12 +476,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    try:
-        cfg = load_config(args.config)
-    except ConfigurationError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    diags = validate_config(cfg)
+    diags = validate_config(load_config(args.config))
     if not diags:
         print("config ok")
         return EXIT_OK
@@ -525,7 +508,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigurationError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -112,12 +112,12 @@ def w2_to_dirac(mu: ParticleCloud, point: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.sum((mu.positions - p) ** 2, axis=1))))
 
 
-def wasserstein2(mu: ParticleCloud, nu: ParticleCloud, assignment_cap: int = ASSIGNMENT_CAP) -> float:
+def wasserstein2(mu: ParticleCloud, nu: ParticleCloud) -> float:
     """Quadratic Wasserstein distance between two equal-size uniform clouds.
 
     In one dimension the optimal coupling matches sorted samples. In higher
     dimension the exact optimal assignment is solved, capped at
-    ``assignment_cap`` particles.
+    ``ASSIGNMENT_CAP`` particles.
     """
     if mu.d != nu.d:
         raise ShapeError(f"dimension mismatch: {mu.d} vs {nu.d}")
@@ -127,9 +127,9 @@ def wasserstein2(mu: ParticleCloud, nu: ParticleCloud, assignment_cap: int = ASS
         xs = np.sort(mu.positions[:, 0])
         ys = np.sort(nu.positions[:, 0])
         return float(np.sqrt(np.mean((xs - ys) ** 2)))
-    if mu.m > assignment_cap:
+    if mu.m > ASSIGNMENT_CAP:
         raise CapabilityError(
-            f"exact assignment limited to {assignment_cap} particles in d>1, got M={mu.m}"
+            f"exact assignment limited to {ASSIGNMENT_CAP} particles in d>1, got M={mu.m}"
         )
     from scipy.optimize import linear_sum_assignment
 

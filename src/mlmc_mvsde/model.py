@@ -33,7 +33,10 @@ from .measure import ParticleCloud, empirical_mean, particle_mean
 DriftFn = Callable[[np.ndarray, ParticleCloud], np.ndarray]
 DiffusionFn = Callable[[np.ndarray, ParticleCloud], np.ndarray]
 
-BUILTIN_MODELS = ("zero", "constant_drift", "meanfield_ou", "kuramoto", "measure_diffusion")
+#: the parameters each builtin reads besides x0, T and epsilon
+_MODEL_PARAMS = {"zero": (), "constant_drift": ("c", "sigma"), "meanfield_ou": ("a", "b", "sigma"),
+                 "kuramoto": ("kappa", "sigma"), "measure_diffusion": ("a", "sigma")}
+BUILTIN_MODELS = tuple(_MODEL_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -228,7 +231,8 @@ def builtin_model(name: str, params: Mapping) -> ModelSpec:
     """Construct one of the named example models.
 
     Every builtin needs ``x0``, ``T`` and ``ε`` (ASCII aliases ``epsilon`` /
-    ``eps`` and ``sigma`` are accepted); the remaining keys are per model:
+    ``eps`` and ``sigma`` are accepted); the remaining keys are per model,
+    and a key the model does not read is a ``ConfigurationError``:
 
     - ``zero``: f = 0, g = 0.
     - ``constant_drift``: f = c, g = σ (default 1).
@@ -244,6 +248,10 @@ def builtin_model(name: str, params: Mapping) -> ModelSpec:
     """
     if name not in BUILTIN_MODELS:
         raise ConfigurationError(f"unknown model '{name}'; expected one of {BUILTIN_MODELS}")
+    known = {alias for key in ("x0", "T", "epsilon", *_MODEL_PARAMS[name])
+             for alias in _PARAM_ALIASES.get(key, (key,))}
+    if unknown := [key for key in params if key not in known]:
+        raise ConfigurationError(f"unknown {name} parameters {unknown}")
     x0 = np.atleast_1d(np.asarray(_require_vector(params, "x0"), dtype=float))
     horizon = _param(params, "T", required=True)
     epsilon = _param(params, "epsilon", required=True)

@@ -186,6 +186,79 @@ def test_assert_flag_pass_and_fail(tmp_path):
     assert main(["run", str(path)]) == 0
 
 
+ZERO = {"name": "zero", "params": {"x0": 1.0, "T": 1.0, "epsilon": 0.1}}
+OU_MODEL = {"name": "meanfield_ou",
+            "params": {"a": 1, "b": 0.5, "sigma": 1, "x0": 1, "T": 1, "epsilon": 0.3}}
+
+#: small runs whose results the assertion tests below bound: second-moment
+#: makes one fit and three log2 ratios, cost-compare one fit per epsilon,
+#: and the zero model's mlmc estimate is exactly its x0 = 1
+ASSERTED = {
+    "second-moment": {"model": OU_MODEL, "grid": {"refinement_n": 2, "levels": [1, 4],
+                                                  "m_particles": 4, "replications": 8}},
+    "cost-compare": {"model": OU_MODEL,
+                     "grid": {"refinement_n": 2, "m_particles": 2, "pilot_samples": 4,
+                              "max_level": 3},
+                     "targets": {"delta_list": [0.1, 0.05], "epsilon_list": [0.1, 0.3]}},
+    "mlmc": {"model": ZERO, "grid": {"refinement_n": 2, "m_particles": 2,
+                                     "pilot_samples": 2, "max_level": 2},
+             "targets": {"delta": 0.5}},
+    "coupled-variance": {"model": ZERO, "grid": {"refinement_n": 2, "levels": [1, 2],
+                                                 "m_particles": 2, "replications": 2}},
+}
+
+
+def run_asserted(tmp_path, capsys, exp: str, checks: dict) -> tuple[int, list[str]]:
+    """Exit code and failure lines of ``run --assert`` on ``ASSERTED[exp]``."""
+    cfg = {"experiment": exp, "seed": 0, "output_dir": str(tmp_path / "out"),
+           **ASSERTED[exp], "assertions": checks}
+    code = main(["run", str(write_config(tmp_path, "asserted.json", cfg)), "--assert"])
+    prefix = "assertion failed: "
+    return code, [line[len(prefix):] for line in capsys.readouterr().err.splitlines()
+                  if line.startswith(prefix)]
+
+
+#: (experiment, key, a bound every value meets, a bound every value breaks,
+#: the label of each value it then names)
+BOUNDS = [
+    ("second-moment", "slope_min", -100, 100, ["second_moment_vs_h_coarse: slope"]),
+    ("second-moment", "slope_max", 100, -100, ["second_moment_vs_h_coarse: slope"]),
+    ("second-moment", "r2_min", -1, 2, ["second_moment_vs_h_coarse: r^2"]),
+    ("second-moment", "ratio_min", -100, 100, [f"log2 ratio[{i}]" for i in range(3)]),
+    ("second-moment", "ratio_max", 100, -100, [f"log2 ratio[{i}]" for i in range(3)]),
+    ("cost-compare", "slope_min", -100, 100,
+     [f"mlmc_cost_vs_delta_eps_{eps}: slope" for eps in (0.1, 0.3)]),
+    ("coupled-variance", "max_var_diff", 1, -1, ["max var_diff"]),
+]
+
+
+@pytest.mark.parametrize("exp,key,holds,breaks,labels", BOUNDS,
+                         ids=[f"{exp}-{key}" for exp, key, *_ in BOUNDS])
+def test_assert_names_every_value_outside_a_bound(tmp_path, capsys, exp, key, holds, breaks,
+                                                  labels):
+    assert run_asserted(tmp_path, capsys, exp, {key: holds}) == (0, [])
+    code, failed = run_asserted(tmp_path, capsys, exp, {key: breaks})
+    assert code == 4 and len(failed) == len(labels)
+    op = "<" if key.endswith("_min") else ">"
+    for line, label in zip(sorted(failed), labels):
+        assert re.fullmatch(rf"{re.escape(label)} \S+ {op} {breaks}", line), line
+
+
+@pytest.mark.parametrize("checks,ok", [({"expected": 1.0}, True), ({"expected": 2.0}, False),
+                                       ({"expected": 1.5, "tolerance": 0.6}, True),
+                                       ({"expected": 1.5, "tolerance": 0.4}, False)])
+def test_assert_bounds_the_mlmc_estimate(tmp_path, capsys, checks, ok):
+    code, failed = run_asserted(tmp_path, capsys, "mlmc", checks)
+    assert (code, len(failed)) == ((0, 0) if ok else (4, 1))
+    assert all(line.startswith("estimate 1 differs from ") for line in failed)
+
+
+def test_assert_reports_a_missing_rate_fit(tmp_path, capsys):
+    # the zero model's variances are all 0, so no positive point is left to fit
+    assert run_asserted(tmp_path, capsys, "coupled-variance", {"slope_min": 1.0}) == (
+        4, ["slope assertion configured but no rate fit was produced"])
+
+
 def test_validate_config_catches_model_param_errors():
     diags = validate_config({
         "experiment": "mlmc",
@@ -196,8 +269,6 @@ def test_validate_config_catches_model_param_errors():
     })
     assert any("'a'" in d for d in diags)
 
-
-ZERO = {"name": "zero", "params": {"x0": 1.0, "T": 1.0, "epsilon": 0.1}}
 
 #: a small valid config per experiment whose integer and bool fields are probed below
 TYPED_BASES = {
@@ -228,8 +299,8 @@ TYPED_FIELDS = [
 
 
 def typed_config(exp: str, out_dir: str) -> dict:
-    return {"experiment": exp, "model": ZERO, "seed": 0, "output_dir": out_dir,
-            **json.loads(json.dumps(TYPED_BASES[exp]))}
+    return json.loads(json.dumps({"experiment": exp, "model": ZERO, "seed": 0,
+                                  "output_dir": out_dir, **TYPED_BASES[exp]}))
 
 
 @pytest.mark.parametrize("exp", sorted(TYPED_BASES))
@@ -279,8 +350,18 @@ def test_shipped_config_csv_is_bit_exact(tmp_path, name):
 
 
 #: (experiment, section, key, value) that ``validate`` crashed on or passed
-#: and ``run`` then rejected, crashed on or misread
+#: and ``run`` then rejected, crashed on or misread, or that no test reached;
+#: section None sets a top-level key
 REJECTED = [
+    ("mlmc", None, "model", "zero"),
+    ("mlmc", "model", "name", "nope"),
+    ("mlmc", None, "psi", "sin"),
+    ("mlmc", None, "seed", 1.5),
+    *[("mlmc", None, section, [1]) for section in ("grid", "targets", "assertions")],
+    ("chaos", "grid", "reference_m", 2),
+    *[("mlmc", None, "formats", formats) for formats in ("csv", [], ["csv", "xml"])],
+    ("mlmc", "targets", "delta_list", [0.5]),
+    ("mlmc", "model", "description", "OU"),
     *[("strong-error", "grid", "h_list", h)
       for h in ([0.25, "a"], [0.25, 0], ["a"], [-0.25], [0.3])],
     ("strong-error", "grid", "ref_factor", 1),
@@ -306,12 +387,52 @@ REJECTED = [
                               for exp, _, key, v in REJECTED])
 def test_validate_and_run_reject_the_same_config(tmp_path, capsys, exp, section, key, value):
     cfg = typed_config(exp, str(tmp_path / "out"))
-    cfg.setdefault(section, {})[key] = value
+    (cfg.setdefault(section, {}) if section else cfg)[key] = value
+    name = f"{section}.{key}" if section else key
     path = write_config(tmp_path, "bad.json", cfg)
     assert main(["validate", str(path)]) == 2
-    assert f"{section}.{key}" in capsys.readouterr().out
+    assert name in capsys.readouterr().out
     assert main(["run", str(path)]) == 2
-    assert f"{section}.{key}" in capsys.readouterr().err
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case", ["missing file", "top level not an object", "no seed"])
+def test_validate_and_run_reject_a_malformed_document(tmp_path, capsys, case):
+    cfg = typed_config("mlmc", str(tmp_path / "out"))
+    del cfg["seed"]
+    doc, name = {"missing file": (None, "bad.json"),
+                 "top level not an object": ([cfg], "JSON object"),
+                 "no seed": (cfg, "'seed'")}[case]
+    path = tmp_path / "bad.json"
+    if doc is not None:
+        write_config(tmp_path, path.name, doc)
+    for command in ("validate", "run"):
+        assert main([command, str(path)]) == 2
+        assert name in "".join(capsys.readouterr())
+    assert not (tmp_path / "out").exists()
+
+
+#: (shipped config, section path, key, its misspelling) that ran as if the
+#: misspelt key were absent
+TYPOS = [("strong_error", ("grid",), "ref_factor", "ref_facter"),
+         ("coupled_variance", (), "assertions", "asertions"),
+         ("coupled_variance", ("model", "params"), "sigma", "sigam")]
+
+
+@pytest.mark.parametrize("config,section,key,typo", TYPOS, ids=[t[3] for t in TYPOS])
+def test_a_misspelt_key_is_rejected_before_simulating(tmp_path, capsys, config, section, key,
+                                                       typo):
+    cfg = load_config(CONFIGS / f"{config}.json")
+    cfg["output_dir"] = str(tmp_path / "out")
+    target = cfg
+    for part in section:
+        target = target[part]
+    target[typo] = target.pop(key)
+    path = write_config(tmp_path, "typo.json", cfg)
+    for command in ("validate", "run"):
+        assert main([command, str(path)]) == 2
+        assert typo in "".join(capsys.readouterr())
     assert not (tmp_path / "out").exists()
 
 

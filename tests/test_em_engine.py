@@ -67,7 +67,11 @@ def test_em_step_shape_errors():
 
 @pytest.mark.parametrize("name", ["meanfield_ou", "kuramoto", "measure_diffusion"])
 def test_advance_moves_a_stack_as_its_systems(name):
-    model = builtin_model(name, {**OU, "sigma": 0.7, "x0": [1.0, -0.5], "epsilon": 0.5})
+    # the parameters each model reads, at the values it had when given all of OU's
+    params = {"meanfield_ou": {"a": 1.0, "b": 0.5}, "kuramoto": {},
+              "measure_diffusion": {"a": 1.0}}[name]
+    model = builtin_model(name, {**params, "sigma": 0.7, "x0": [1.0, -0.5], "T": 1.0,
+                                 "epsilon": 0.5})
     rng = np.random.default_rng(4)
     x = rng.normal(size=(3, 5, 2))
     xi = rng.normal(size=(3, 5, 2))

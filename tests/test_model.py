@@ -129,6 +129,17 @@ def test_builtin_model_errors():
     assert "'x0'" in str(err.value)
 
 
+@pytest.mark.parametrize("name,params,unknown", [
+    ("meanfield_ou", {"a": 1.0, "b": 0.5, "sigam": 2.0}, "sigam"),
+    ("kuramoto", {"b": 0.5}, "b"),
+    ("zero", {"sigma": 1.0}, "sigma"),
+], ids=["meanfield_ou", "kuramoto", "zero"])
+def test_builtin_model_rejects_a_parameter_it_does_not_read(name, params, unknown):
+    with pytest.raises(ConfigurationError) as err:
+        builtin_model(name, {**BASE, **params})
+    assert f"['{unknown}']" in str(err.value)
+
+
 def test_unicode_parameter_aliases():
     m1 = builtin_model("meanfield_ou", {"a": 1.0, "b": 0.5, "σ": 2.0,
                                         "x0": 1.0, "T": 1.0, "ε": 0.25})
@@ -138,6 +149,11 @@ def test_unicode_parameter_aliases():
     x = np.array([0.3])
     assert np.array_equal(diffusion_eval(m1, x, mu), diffusion_eval(m2, x, mu))
     assert m1.epsilon == m2.epsilon
+    assert builtin_model("meanfield_ou", {"a": 1.0, "b": 0.5, "x0": 1.0, "T": 1.0,
+                                          "eps": 0.25}).epsilon == m1.epsilon
+    k1 = builtin_model("kuramoto", {"κ": 1.7, "x0": 1.0, "T": 1.0, "ε": 0.25})
+    k2 = builtin_model("kuramoto", {"kappa": 1.7, "x0": 1.0, "T": 1.0, "epsilon": 0.25})
+    assert np.array_equal(drift_eval(k1, x, mu), drift_eval(k2, x, mu))
 
 
 def test_epsilon_range():
