@@ -95,9 +95,11 @@ _ESTIMATOR = {"grid.refinement_n": (_integer(2), REQUIRED), **_M,
               "grid.max_level": (_integer(1), DEFAULT_MAX_LEVEL)}
 #: assertions on every rate fit an experiment produces
 _FIT = ("slope_min", "slope_max", "r2_min")
-#: every top-level key a config may hold
-_TOP_LEVEL = ("experiment", "model", "psi", "seed", "grid", "targets", "assertions",
-              "output_dir", "formats")
+#: every key a config may hold besides its experiment's fields and assertions,
+#: as (section, key) with section "" at the top level
+_KEYS = {("", key) for key in ("experiment", "model", "psi", "seed", "grid", "targets",
+                               "assertions", "output_dir", "formats")}
+_KEYS |= {("model", "name"), ("model", "params")}
 
 
 class Experiment(NamedTuple):
@@ -199,12 +201,9 @@ def validate_config(cfg: dict) -> list[str]:
             diags.append(f"{section} must be an object")
             sections[section] = {}
 
-    # every key of the config and of its sections, as (section, key) with
-    # section "" at the top level
     spec = EXPERIMENTS[exp]
-    known = {("", key) for key in _TOP_LEVEL} | {("model", "name"), ("model", "params")}
-    known |= {("assertions", key) for key in spec.assertions}
-    known |= {tuple(name.split(".")) for name in spec.fields}
+    known = {*_KEYS, *(("assertions", key) for key in spec.assertions),
+             *(tuple(name.split(".")) for name in spec.fields)}
     for section, entries in {"": cfg, "model": model_cfg, **sections}.items():
         for key, val in entries.items():
             name = f"{section}.{key}" if section else key
