@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -24,12 +23,8 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigurationError, DivergenceError
-from .model import (
-    BUILTIN_MODELS,
-    BUILTIN_TEST_FUNCTIONS,
-    builtin_model,
-    builtin_test_function,
-)
+from .model import (BUILTIN_MODELS, BUILTIN_TEST_FUNCTIONS, REQUIRED, builtin_model,
+                    builtin_test_function, is_number)
 from .em_engine import (DEFAULT_REF_FACTOR, SimulationGrid, check_nested_steps,
                         small_noise_curve, strong_error_curve)
 from .mlmc_engine import (
@@ -54,13 +49,8 @@ def _is_int(val) -> bool:
     return isinstance(val, int) and not isinstance(val, bool)
 
 
-def _is_number(val) -> bool:
-    """A finite int or float, never a bool (JSON reads NaN and Infinity as floats)."""
-    return _is_int(val) or isinstance(val, float) and math.isfinite(val)
-
-
 def _positive(val) -> bool:
-    return _is_number(val) and val > 0
+    return is_number(val) and val > 0
 
 
 def _check(ok: Callable, problem: str) -> Callable:
@@ -80,11 +70,8 @@ def _entries(ok: Callable, what: str) -> Callable:
                   f"must be a non-empty list of {what}")
 
 
-#: stands in for the default of a field the config must set
-REQUIRED = object()
-
 _POSITIVE = _check(_positive, "must be a positive number")
-_EPSILONS = _entries(lambda e: _is_number(e) and 0 <= e <= 1, "numbers in [0, 1]")
+_EPSILONS = _entries(lambda e: is_number(e) and 0 <= e <= 1, "numbers in [0, 1]")
 _LEVELS = _check(lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v))
                  and 1 <= v[0] <= v[1], "must be [lo, hi] with integers 1 <= lo <= hi")
 _M = {"grid.m_particles": (_integer(1), REQUIRED)}
@@ -210,7 +197,7 @@ def validate_config(cfg: dict) -> list[str]:
             if (section, key) not in known:
                 diags.append(f"{name} is not one of {exp}'s {section or 'top-level'} keys "
                              f"{sorted(k for s, k in known if s == section)}")
-            elif section == "assertions" and not _is_number(val):
+            elif section == "assertions" and not is_number(val):
                 diags.append(f"{name} must be a number")
 
     values = {}

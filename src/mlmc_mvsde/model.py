@@ -22,6 +22,7 @@ their output is exactly invariant under particle relabeling.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
@@ -33,10 +34,29 @@ from .measure import ParticleCloud, empirical_mean, particle_mean
 DriftFn = Callable[[np.ndarray, ParticleCloud], np.ndarray]
 DiffusionFn = Callable[[np.ndarray, ParticleCloud], np.ndarray]
 
-#: the parameters each builtin reads besides x0, T and epsilon
-_MODEL_PARAMS = {"zero": (), "constant_drift": ("c", "sigma"), "meanfield_ou": ("a", "b", "sigma"),
-                 "kuramoto": ("kappa", "sigma"), "measure_diffusion": ("a", "sigma")}
+#: stands in for the default of a parameter the caller must set
+REQUIRED = object()
+_COMMON = {"x0": REQUIRED, "T": REQUIRED, "epsilon": REQUIRED}
+#: each builtin's parameters -> default, or REQUIRED where there is none
+_MODEL_PARAMS = {
+    "zero": _COMMON,
+    "constant_drift": {**_COMMON, "c": REQUIRED, "sigma": 1.0},
+    "meanfield_ou": {**_COMMON, "a": REQUIRED, "b": REQUIRED, "sigma": 1.0},
+    "kuramoto": {**_COMMON, "kappa": 1.0, "sigma": 1.0},
+    "measure_diffusion": {**_COMMON, "a": 1.0, "sigma": REQUIRED},
+}
 BUILTIN_MODELS = tuple(_MODEL_PARAMS)
+#: the other spellings of a parameter
+_ALIASES = {"σ": "sigma", "ε": "epsilon", "eps": "epsilon", "κ": "kappa"}
+
+
+def is_number(val) -> bool:
+    """A real number finite as a float: an int, a float or a numpy scalar, never
+    a bool or a string (JSON reads NaN and Infinity as floats)."""
+    try:
+        return isinstance(val, numbers.Real) and not isinstance(val, bool) and math.isfinite(val)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 @dataclass(frozen=True)
@@ -119,25 +139,27 @@ class TestFunction:
 
 def drift_eval(model: ModelSpec, x: np.ndarray, mu: ParticleCloud) -> np.ndarray:
     """Evaluate the drift at one state against an empirical measure."""
-    x = _check_state(model, x)
-    _check_measure(model, mu)
-    out = np.asarray(model.drift(x, mu), dtype=float)
-    if out.shape != (model.d,):
-        raise ShapeError(f"drift returned shape {out.shape}, expected ({model.d},)")
-    _check_finite(out, "drift")
-    return out
+    return _pointwise(model, model.drift, x, mu, (model.d,), "drift")
 
 
 def diffusion_eval(model: ModelSpec, x: np.ndarray, mu: ParticleCloud) -> np.ndarray:
     """Evaluate the diffusion matrix at one state against an empirical measure."""
-    x = _check_state(model, x)
-    _check_measure(model, mu)
-    out = np.asarray(model.diffusion(x, mu), dtype=float)
-    if out.shape != (model.d, model.d_bar):
-        raise ShapeError(
-            f"diffusion returned shape {out.shape}, expected ({model.d}, {model.d_bar})"
-        )
-    _check_finite(out, "diffusion")
+    return _pointwise(model, model.diffusion, x, mu, (model.d, model.d_bar), "diffusion")
+
+
+def _pointwise(model: ModelSpec, fn: Callable, x, mu: ParticleCloud, shape: tuple,
+               label: str) -> np.ndarray:
+    """``fn`` at the (d,) state ``x`` against ``mu``, with the state, the
+    measure's dimension and the output's shape and finiteness checked."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.shape != (model.d,):
+        raise ShapeError(f"state has shape {x.shape}, expected ({model.d},)")
+    if mu.d != model.d:
+        raise ShapeError(f"measure dimension {mu.d} does not match model d={model.d}")
+    out = np.asarray(fn(x, mu), dtype=float)
+    if out.shape != shape:
+        raise ShapeError(f"{label} returned shape {out.shape}, expected {shape}")
+    _check_finite(out, label)
     return out
 
 
@@ -170,18 +192,6 @@ def coefficients(model: ModelSpec, cloud: ParticleCloud) -> tuple[np.ndarray, np
     return f, g
 
 
-def _check_state(model: ModelSpec, x: np.ndarray) -> np.ndarray:
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (model.d,):
-        raise ShapeError(f"state has shape {x.shape}, expected ({model.d},)")
-    return x
-
-
-def _check_measure(model: ModelSpec, mu: ParticleCloud):
-    if mu.d != model.d:
-        raise ShapeError(f"measure dimension {mu.d} does not match model d={model.d}")
-
-
 def _check_finite(arr: np.ndarray, label: str):
     if not np.isfinite(arr).all():
         bad = np.argwhere(~np.isfinite(arr))[0]
@@ -206,55 +216,65 @@ def _constant_diffusion(matrix: np.ndarray) -> DiffusionFn:
     return diffusion
 
 
-_PARAM_ALIASES = {
-    "sigma": ("σ", "sigma"),
-    "epsilon": ("ε", "epsilon", "eps"),
-    "a": ("a",),
-    "b": ("b",),
-    "c": ("c",),
-    "x0": ("x0",),
-    "T": ("T",),
-    "kappa": ("kappa", "κ"),
-}
-
-
-def _param(params: Mapping, key: str, default=None, required: bool = False) -> float:
-    for alias in _PARAM_ALIASES.get(key, (key,)):
-        if alias in params:
-            return float(params[alias])
-    if required:
-        raise ConfigurationError(f"missing model parameter '{key}'")
-    return default
+def _read_params(name: str, params: Mapping) -> dict:
+    """Builtin ``name``'s parameters by key, read as floats (``x0`` as a float
+    vector) where ``params`` spells them once, else their table defaults."""
+    table = _MODEL_PARAMS[name]
+    if unknown := [s for s in params if _ALIASES.get(s, s) not in table]:
+        raise ConfigurationError(f"unknown {name} parameters {unknown}")
+    spelt = {}
+    for spelling in params:
+        key = _ALIASES.get(spelling, spelling)
+        if key in spelt:
+            raise ConfigurationError(
+                f"model parameter '{key}' is given twice, as '{spelt[key]}' and '{spelling}'")
+        spelt[key] = spelling
+    if missing := [key for key, val in table.items() if val is REQUIRED and key not in spelt]:
+        raise ConfigurationError(f"missing model parameter '{missing[0]}'")
+    values = dict(table)
+    for key, spelling in spelt.items():
+        val = params[spelling]
+        vector = key == "x0" and (isinstance(val, (list, tuple)) or np.ndim(val) == 1)
+        entries = list(val) if vector else [val]
+        if not entries or not all(map(is_number, entries)):
+            what = " or a non-empty list of them" if key == "x0" else ""
+            raise ConfigurationError(
+                f"model parameter '{spelling}' must be a finite real number{what}, got {val!r}")
+        values[key] = np.array(entries, dtype=float) if key == "x0" else float(val)
+    return values
 
 
 def builtin_model(name: str, params: Mapping) -> ModelSpec:
     """Construct one of the named example models.
 
-    Every builtin needs ``x0``, ``T`` and ``ε`` (ASCII aliases ``epsilon`` /
-    ``eps`` and ``sigma`` are accepted); the remaining keys are per model,
-    and a key the model does not read is a ``ConfigurationError``:
+    ``params`` holds each parameter of the model at most once, as a finite
+    real number: an int, a float or a numpy scalar, never a bool or a string.
+    ``x0`` may also be a non-empty list, tuple or 1-D array of them; its
+    length is the dimension. ``σ``, ``ε`` or ``eps``, and ``κ`` spell
+    ``sigma``, ``epsilon`` and ``kappa``. Every model needs ``x0``, ``T`` and
+    ``epsilon``; its other parameters and their defaults are listed below. A
+    missing parameter without a default, one the model does not read, one
+    given under two spellings or one of the wrong type is a
+    ``ConfigurationError`` that names it.
 
-    - ``zero``: f = 0, g = 0.
-    - ``constant_drift``: f = c, g = σ (default 1).
-    - ``meanfield_ou``: f(x,μ) = -a x + b (mean(μ) - x), g = σ. The particle
-      mean started from a point obeys m(t) = x0 exp(-a t); the exact mean at
-      the horizon is recorded in ``meta['exact_mean_at_horizon']``.
-    - ``kuramoto``: f(x,μ) = κ mean_j sin(x_j - x) componentwise, g = σ,
-      evaluated in O(M) as κ (S cos x - C sin x) with S, C the means of
-      sin x_j and cos x_j. The only builtin whose coefficients satisfy the
-      declared bounds globally, not just on the validation region.
-    - ``measure_diffusion``: f = -a x, g(x,μ) = σ (1 + mean(μ)) on the
-      diagonal.
+    - ``zero`` (no others): f = 0, g = 0.
+    - ``constant_drift`` (``c``, ``sigma`` = 1): f = c, g = σ.
+    - ``meanfield_ou`` (``a``, ``b``, ``sigma`` = 1): f(x,μ) = -a x + b (mean(μ) - x),
+      g = σ. The particle mean started from a point obeys m(t) = x0 exp(-a t);
+      the exact mean at the horizon is recorded in
+      ``meta['exact_mean_at_horizon']``.
+    - ``kuramoto`` (``kappa`` = 1, ``sigma`` = 1): f(x,μ) = κ mean_j sin(x_j - x)
+      componentwise, g = σ, evaluated in O(M) as κ (S cos x - C sin x) with
+      S, C the means of sin x_j and cos x_j. The only builtin whose
+      coefficients satisfy the declared bounds globally, not just on the
+      validation region.
+    - ``measure_diffusion`` (``a`` = 1, ``sigma``): f = -a x,
+      g(x,μ) = σ (1 + mean(μ)) on the diagonal.
     """
     if name not in BUILTIN_MODELS:
         raise ConfigurationError(f"unknown model '{name}'; expected one of {BUILTIN_MODELS}")
-    known = {alias for key in ("x0", "T", "epsilon", *_MODEL_PARAMS[name])
-             for alias in _PARAM_ALIASES.get(key, (key,))}
-    if unknown := [key for key in params if key not in known]:
-        raise ConfigurationError(f"unknown {name} parameters {unknown}")
-    x0 = np.atleast_1d(np.asarray(_require_vector(params, "x0"), dtype=float))
-    horizon = _param(params, "T", required=True)
-    epsilon = _param(params, "epsilon", required=True)
+    p = _read_params(name, params)
+    x0, horizon, epsilon = p["x0"], p["T"], p["epsilon"]
     d = x0.shape[0]
     d_bar = d
     meta: dict = {}
@@ -265,8 +285,7 @@ def builtin_model(name: str, params: Mapping) -> ModelSpec:
         K, beta = 0.0, 2.0
 
     elif name == "constant_drift":
-        c = _param(params, "c", required=True)
-        sigma = _param(params, "sigma", default=1.0)
+        c, sigma = p["c"], p["sigma"]
         cvec = np.full(d, c)
         drift = lambda x, mu: np.broadcast_to(cvec, x.shape)
         diffusion = _constant_diffusion(sigma * np.eye(d, d_bar))
@@ -274,9 +293,7 @@ def builtin_model(name: str, params: Mapping) -> ModelSpec:
         beta = _provable_growth_beta(K, abs(c) * math.sqrt(d), abs(sigma) * math.sqrt(d))
 
     elif name == "meanfield_ou":
-        a = _param(params, "a", required=True)
-        b = _param(params, "b", required=True)
-        sigma = _param(params, "sigma", default=1.0)
+        a, b, sigma = p["a"], p["b"], p["sigma"]
 
         def drift(x, mu, _a=a, _b=b):
             m = empirical_mean(mu)
@@ -289,23 +306,22 @@ def builtin_model(name: str, params: Mapping) -> ModelSpec:
         meta["mean_rate"] = a
 
     elif name == "kuramoto":
-        kappa = _param(params, "kappa", default=1.0)
-        sigma = _param(params, "sigma", default=1.0)
+        kappa, sigma = p["kappa"], p["sigma"]
 
         def drift(x, mu, _k=kappa):
-            # sin(x_j - x) = sin x_j cos x - cos x_j sin x
+            # sin(x_j - x) = sin x_j cos x - cos x_j sin x; the steppers pass
+            # the cloud's own positions as x, whose sines and cosines serve twice
+            sin_x, cos_x = np.sin(x), np.cos(x)
             pos = mu.positions
-            s = particle_mean(np.sin(pos))
-            c = particle_mean(np.cos(pos))
-            return _k * (s * np.cos(x) - c * np.sin(x))
+            sin_p, cos_p = (sin_x, cos_x) if pos is x else (np.sin(pos), np.cos(pos))
+            return _k * (particle_mean(sin_p) * cos_x - particle_mean(cos_p) * sin_x)
 
         diffusion = _constant_diffusion(sigma * np.eye(d, d_bar))
         K = max(2.0 * kappa**2, sigma**2)
         beta = 2.0 * max(1.0, kappa**2, sigma**2)
 
     else:  # measure_diffusion
-        a = _param(params, "a", default=1.0)
-        sigma = _param(params, "sigma", required=True)
+        a, sigma = p["a"], p["sigma"]
 
         def drift(x, mu, _a=a):
             return -_a * x
@@ -333,23 +349,16 @@ def builtin_model(name: str, params: Mapping) -> ModelSpec:
     )
 
 
-def _require_vector(params: Mapping, key: str):
-    if key not in params:
-        raise ConfigurationError(f"missing model parameter '{key}'")
-    return params[key]
-
-
-BUILTIN_TEST_FUNCTIONS = ("identity", "cos")
+#: the named observables, each of the first state component
+_TEST_FUNCTIONS = {psi.name: psi for psi in (
+    TestFunction(lambda x: np.asarray(x, dtype=float)[..., 0], 1.0, "identity"),
+    TestFunction(lambda x: np.cos(np.asarray(x, dtype=float)[..., 0]), 1.0, "cos"))}
+BUILTIN_TEST_FUNCTIONS = tuple(_TEST_FUNCTIONS)
 
 
 def builtin_test_function(name: str) -> TestFunction:
     """Named observables: 'identity' (first component) and 'cos'."""
-    if name == "identity":
-        return TestFunction(psi=lambda x: np.asarray(x, dtype=float)[..., 0], grad_bound=1.0, name="identity")
-    if name == "cos":
-        return TestFunction(
-            psi=lambda x: np.cos(np.asarray(x, dtype=float)[..., 0]), grad_bound=1.0, name="cos"
-        )
-    raise ConfigurationError(
-        f"unknown test function '{name}'; expected one of {BUILTIN_TEST_FUNCTIONS}"
-    )
+    if name not in _TEST_FUNCTIONS:
+        raise ConfigurationError(
+            f"unknown test function '{name}'; expected one of {BUILTIN_TEST_FUNCTIONS}")
+    return _TEST_FUNCTIONS[name]

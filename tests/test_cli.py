@@ -388,12 +388,33 @@ REJECTED = [
 def test_validate_and_run_reject_the_same_config(tmp_path, capsys, exp, section, key, value):
     cfg = typed_config(exp, str(tmp_path / "out"))
     (cfg.setdefault(section, {}) if section else cfg)[key] = value
-    name = f"{section}.{key}" if section else key
+    assert_rejected(tmp_path, capsys, cfg, f"{section}.{key}" if section else key)
+
+
+#: meanfield_ou parameters that ``validate`` passed: ``run`` read the first
+#: three with float(), crashed on NaN with exit 1, and let σ win over sigma
+BAD_PARAMS = [{"a": "1.5"}, {"T": True}, {"x0": [True]}, {"a": math.nan},
+              {"sigma": 2.0, "σ": 1.0}]
+
+
+@pytest.mark.parametrize("params", BAD_PARAMS,
+                         ids=lambda p: json.dumps(p, ensure_ascii=False, separators=(",", ":")))
+def test_validate_and_run_reject_the_same_model_parameter(tmp_path, capsys, params):
+    cfg = typed_config("mlmc", str(tmp_path / "out"))
+    cfg["model"] = {"name": "meanfield_ou", "params": {**OU_MODEL["params"], **params}}
+    assert_rejected(tmp_path, capsys, cfg, "model.params", f"'{list(params)[-1]}'")
+
+
+def assert_rejected(tmp_path, capsys, cfg, *names):
+    """``validate`` and ``run`` both exit 2 on ``cfg`` with a message holding
+    every one of ``names``, and nothing is written."""
     path = write_config(tmp_path, "bad.json", cfg)
     assert main(["validate", str(path)]) == 2
-    assert name in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert all(name in out for name in names), out
     assert main(["run", str(path)]) == 2
-    assert name in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert all(name in err for name in names), err
     assert not (tmp_path / "out").exists()
 
 

@@ -114,8 +114,8 @@ def test_em_step_error_precedence():
         em_step(_custom(finite_f, inf_g), cloud, 0.1, xi)
     with pytest.raises(NumericError, match="^drift "):
         em_step(_custom(nan_f, inf_g), cloud, 0.1, xi)
-    # finite coefficients, overflowing state
-    with pytest.raises(DivergenceError):
+    # finite coefficients, overflowing state: numpy warns of the overflow
+    with pytest.raises(DivergenceError), pytest.warns(RuntimeWarning, match="overflow"):
         em_step(_custom(lambda x, mu: np.full(x.shape, 1e308), finite_g),
                 ParticleCloud([1e308, 1.0, 0.0]), 1.0, xi)
 

@@ -15,6 +15,7 @@ from mlmc_mvsde import (
     moment_w2,
     wasserstein2,
 )
+from mlmc_mvsde.model import coefficients
 
 BASE = {"x0": 1.0, "T": 1.0, "epsilon": 0.1}
 
@@ -154,6 +155,62 @@ def test_unicode_parameter_aliases():
     k1 = builtin_model("kuramoto", {"κ": 1.7, "x0": 1.0, "T": 1.0, "ε": 0.25})
     k2 = builtin_model("kuramoto", {"kappa": 1.7, "x0": 1.0, "T": 1.0, "epsilon": 0.25})
     assert np.array_equal(drift_eval(k1, x, mu), drift_eval(k2, x, mu))
+    # one parameter under two spellings is refused, whether or not they agree
+    for key, twice in (("epsilon", {"epsilon": 0.25, "eps": 0.25}),
+                       ("sigma", {"sigma": 2.0, "σ": 1.0})):
+        with pytest.raises(ConfigurationError, match=f"'{key}' is given twice"):
+            builtin_model("meanfield_ou", {"a": 1.0, "b": 0.5, **BASE, **twice})
+
+
+#: one of every kind of finite real number a parameter may be
+NUMBERS = [1, 1.0, np.int64(1), np.float64(1.0), np.float32(1.0)]
+
+
+@pytest.mark.parametrize("value", NUMBERS, ids=lambda v: type(v).__name__)
+def test_builtin_model_reads_any_finite_real_number_as_a_float(value):
+    keys = ("a", "b", "sigma", "x0", "T", "epsilon")
+    model = builtin_model("meanfield_ou", dict.fromkeys(keys, value))
+    want = builtin_model("meanfield_ou", dict.fromkeys(keys, 1.0))
+    assert type(model.epsilon) is float and type(model.horizon) is float
+    assert (model.epsilon, model.horizon, model.lipschitz_K, model.growth_beta, model.meta) == (
+        want.epsilon, want.horizon, want.lipschitz_K, want.growth_beta, want.meta)
+
+
+@pytest.mark.parametrize("x0", [0.5, [0.5, -1], (0.5, -1), np.array([0.5, -1.0]), [np.int64(2)]],
+                         ids=["scalar", "list", "tuple", "array", "numpy-entry"])
+def test_x0_is_a_number_or_a_vector_of_them(x0):
+    model = builtin_model("zero", {**BASE, "x0": x0})
+    assert np.array_equal(model.x0, np.atleast_1d(np.asarray(x0, dtype=float)))
+
+
+#: values that are no finite real number, each refused for a scalar parameter
+NOT_NUMBERS = ["1.5", True, np.True_, None, math.nan, math.inf, -math.inf, 10**400, [1.0]]
+
+
+@pytest.mark.parametrize("key,value", [
+    *[(key, v) for key in ("a", "T", "epsilon") for v in NOT_NUMBERS],
+    *[("x0", v) for v in ("1.5", True, None, math.nan, [], [[1.0]], [1.0, "2"], [True],
+                          np.array([[1.0]]), np.array([1.0, np.inf]))],
+])
+def test_builtin_model_refuses_what_is_no_finite_real_number(key, value):
+    with pytest.raises(ConfigurationError, match=f"'{key}' must be a finite real number"):
+        builtin_model("meanfield_ou", {**BASE, "a": 1.0, "b": 0.5, key: value})
+
+
+@pytest.mark.parametrize("name,given,defaults", [
+    ("constant_drift", {"c": 2.0}, {"sigma": 1.0}),
+    ("meanfield_ou", {"a": 1.0, "b": 0.5}, {"sigma": 1.0}),
+    ("kuramoto", {}, {"kappa": 1.0, "sigma": 1.0}),
+    ("measure_diffusion", {"sigma": 0.7}, {"a": 1.0}),
+])
+def test_a_default_spelt_out_builds_the_same_model(name, given, defaults):
+    bare = builtin_model(name, {**BASE, **given})
+    full = builtin_model(name, {**BASE, **given, **defaults})
+    assert (bare.lipschitz_K, bare.growth_beta, bare.meta) == (
+        full.lipschitz_K, full.growth_beta, full.meta)
+    cloud = ParticleCloud(np.random.default_rng(5).normal(size=(8, 1)))
+    for want, got in zip(coefficients(bare, cloud), coefficients(full, cloud)):
+        assert np.array_equal(want, got)
 
 
 def test_epsilon_range():
