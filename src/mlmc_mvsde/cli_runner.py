@@ -3,7 +3,8 @@
 One JSON document describes one experiment; ``run`` executes it and writes
 ``<output_dir>/<experiment>.csv`` and/or ``.json``, ``validate`` reports
 schema and cross-field problems without simulating. Exit codes: 0 success,
-2 validation error, 3 divergence, 4 failed assertion under ``--assert``.
+2 validation error, 3 divergence or a non-finite coefficient, 4 failed
+assertion under ``--assert``.
 Float cells are serialized with 17 significant digits so identical runs
 produce byte-identical tables; the only volatile field (wall time) lives in
 the JSON metadata block.
@@ -22,7 +23,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .errors import ConfigurationError, DivergenceError
+from .errors import ConfigurationError, DivergenceError, NumericError
 from .model import (BUILTIN_MODELS, BUILTIN_TEST_FUNCTIONS, REQUIRED, builtin_model,
                     builtin_test_function, is_number)
 from .em_engine import (DEFAULT_REF_FACTOR, SimulationGrid, check_nested_steps,
@@ -438,6 +439,9 @@ def cmd_run(args) -> int:
         step = f" at step {err.step_index}" if err.step_index is not None else ""
         path = f" {err.path} path:" if err.path is not None else ""
         print(f"divergence{step}:{path} {err}", file=sys.stderr)
+        return EXIT_DIVERGENCE
+    except NumericError as err:  # a coefficient left the floats
+        print(f"divergence: {err}", file=sys.stderr)
         return EXIT_DIVERGENCE
 
     out_dir = Path(cfg.get("output_dir", "."))

@@ -101,9 +101,10 @@ def advance(model: ModelSpec, cloud: ParticleCloud, h_drift: float, sqrt_dt: flo
     scale = model.epsilon * sqrt_dt
     try:
         new, ok = _update(cloud.positions, f, g, xi, h_drift, scale)
-    except FloatingPointError:
-        # under np.errstate(all="raise"): the same arithmetic, quietly, so
-        # an overflow fails the scan below and an underflow does not
+    except (FloatingPointError, RuntimeWarning):
+        # numpy raised on the arithmetic (np.errstate(all="raise") or warnings
+        # as errors): the same arithmetic, quietly, so an overflow fails the
+        # scan below and an underflow does not
         with np.errstate(all="ignore"):
             new, ok = _update(cloud.positions, f, g, xi, h_drift, scale)
     # Every coefficient entry enters the new state, so a non-finite one

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -197,7 +198,7 @@ def simulate_level_pair(model: ModelSpec, cfg: LevelConfig, m_particles: int,
     return diff, mean_fine, cost_per_sample(cfg, m_particles, model.d_bar)
 
 
-def _level_samples(model: ModelSpec, level: int, refinement_n: int, m_particles: int,
+def _level_samples(model: ModelSpec, cfg: LevelConfig, m_particles: int,
                    test_fn: TestFunction, seed: int, first: int, count: int) -> np.ndarray:
     """Per-system observable samples ``first .. first+count-1`` at one level.
 
@@ -205,11 +206,27 @@ def _level_samples(model: ModelSpec, level: int, refinement_n: int, m_particles:
     differences. Stream keys depend only on (seed, level, sample index), so
     extending a sample set never reshuffles earlier samples.
     """
-    cfg = LevelConfig(refinement_n=refinement_n, level=level, horizon=model.horizon)
     chunks = [sorted_mean(test_fn.psi(fine) if coarse is None
                           else test_fn.psi(fine) - test_fn.psi(coarse), axis=-1)
               for fine, coarse in _level_pairs(model, cfg, m_particles, seed, first, count)]
     return np.concatenate(chunks) if chunks else np.empty(0)
+
+
+def _level_rows(study: str, row: type, model: ModelSpec, levels: list[int], refinement_n: int,
+                m_particles: int, replications: int,
+                stat: Callable[[LevelConfig], dict]) -> list:
+    """One ``row`` per level of a coupled-level study, in order: its level,
+    coarse step, sample count and draw count, and the fields ``stat(cfg)``
+    returns for that level."""
+    if any(l < 1 for l in levels):
+        raise ConfigurationError(f"{study} requires levels >= 1")
+    rows = []
+    for level in levels:
+        cfg = LevelConfig(refinement_n, level, model.horizon)
+        rows.append(row(level=level, h_coarse=cfg.h_coarse, samples=replications,
+                        rng_cost=replications * cost_per_sample(cfg, m_particles, model.d_bar),
+                        **stat(cfg)))
+    return rows
 
 
 @dataclass
@@ -231,27 +248,16 @@ def coupled_variance_study(model: ModelSpec, levels: list[int], refinement_n: in
     The half-width is the normal approximation for a sample variance,
     z_0.95 * sqrt((m4 - s^4) / n) with m4 the fourth central moment.
     """
-    if any(l < 1 for l in levels):
-        raise ConfigurationError("coupled_variance_study requires levels >= 1")
-    rows = []
-    for level in levels:
-        cfg = LevelConfig(refinement_n=refinement_n, level=level, horizon=model.horizon)
-        xs = _level_samples(model, level, refinement_n, m_particles, test_fn, seed,
-                            0, replications)
+    def stat(cfg: LevelConfig) -> dict:
+        xs = _level_samples(model, cfg, m_particles, test_fn, seed, 0, replications)
         var = float(xs.var(ddof=1)) if replications > 1 else 0.0
         centered = xs - xs.mean()
         m4 = float(np.mean(centered**4))
         hw = 1.959963984540054 * math.sqrt(max(m4 - var**2, 0.0) / replications)
-        rows.append(LevelVarianceRow(
-            level=level,
-            h_coarse=cfg.h_coarse,
-            var_diff=var,
-            ci_halfwidth=hw,
-            mean_diff=float(xs.mean()),
-            samples=replications,
-            rng_cost=replications * cost_per_sample(cfg, m_particles, model.d_bar),
-        ))
-    return rows
+        return {"var_diff": var, "ci_halfwidth": hw, "mean_diff": float(xs.mean())}
+
+    return _level_rows("coupled_variance_study", LevelVarianceRow, model, levels, refinement_n,
+                       m_particles, replications, stat)
 
 
 @dataclass
@@ -266,23 +272,14 @@ class SecondMomentRow:
 def second_moment_study(model: ModelSpec, levels: list[int], refinement_n: int,
                         m_particles: int, replications: int, seed: int) -> list[SecondMomentRow]:
     """Mean squared fine-coarse state gap |Y_fine(T) - Y_coarse(T)|^2 per level."""
-    if any(l < 1 for l in levels):
-        raise ConfigurationError("second_moment_study requires levels >= 1")
-    rows = []
-    for level in levels:
-        cfg = LevelConfig(refinement_n=refinement_n, level=level, horizon=model.horizon)
-
+    def stat(cfg: LevelConfig) -> dict:
         vals = np.concatenate([
             sorted_mean(np.sum((fine - coarse) ** 2, axis=-1), axis=-1)
             for fine, coarse in _level_pairs(model, cfg, m_particles, seed, 0, replications)])
-        rows.append(SecondMomentRow(
-            level=level,
-            h_coarse=cfg.h_coarse,
-            second_moment=float(vals.mean()),
-            samples=replications,
-            rng_cost=replications * cost_per_sample(cfg, m_particles, model.d_bar),
-        ))
-    return rows
+        return {"second_moment": float(vals.mean())}
+
+    return _level_rows("second_moment_study", SecondMomentRow, model, levels, refinement_n,
+                       m_particles, replications, stat)
 
 
 def mlmc_estimate(model: ModelSpec, test_fn: TestFunction, target_delta: float,
@@ -314,57 +311,42 @@ def mlmc_estimate(model: ModelSpec, test_fn: TestFunction, target_delta: float,
     if max_level < 1:
         raise ConfigurationError("max_level must be >= 1")
 
-    samples: dict[int, np.ndarray] = {}
+    cfgs: list[LevelConfig] = []
+    samples: list[np.ndarray] = []
 
-    def pilot(level: int):
-        samples[level] = _level_samples(model, level, refinement_n, m_particles,
-                                        test_fn, seed, 0, pilot_samples)
+    def pilot():
+        cfgs.append(LevelConfig(refinement_n, len(cfgs), model.horizon))
+        samples.append(_level_samples(model, cfgs[-1], m_particles, test_fn, seed,
+                                      0, pilot_samples))
 
-    pilot(0)
-    pilot(1)
-    top = 1
+    pilot()
+    pilot()
     flags: list[str] = []
     bias_budget = target_delta / math.sqrt(2.0)
-    while abs(float(samples[top].mean())) / (refinement_n - 1) > bias_budget:
-        if top == max_level:
+    while abs(float(samples[-1].mean())) / (refinement_n - 1) > bias_budget:
+        if len(cfgs) > max_level:
             flags.append("bias_unconverged")
             break
-        top += 1
-        pilot(top)
+        pilot()
 
-    levels = list(range(top + 1))
-    costs = {l: cost_per_sample(LevelConfig(refinement_n=refinement_n, level=l,
-                                            horizon=model.horizon),
-                                m_particles, model.d_bar)
-             for l in levels}
-    variances = {l: float(samples[l].var(ddof=1)) for l in levels}
-
-    if all(v <= 0.0 for v in variances.values()):
-        allocation = {l: pilot_samples for l in levels}
+    costs = [cost_per_sample(cfg, m_particles, model.d_bar) for cfg in cfgs]
+    variances = [float(xs.var(ddof=1)) for xs in samples]
+    if all(v <= 0.0 for v in variances):
+        allocation = [pilot_samples] * len(cfgs)
     else:
-        weight = sum(math.sqrt(variances[l] * costs[l]) for l in levels)
-        allocation = {}
-        for l in levels:
-            k = math.ceil(target_delta**-2 * math.sqrt(variances[l] / costs[l]) * weight)
-            allocation[l] = max(k, pilot_samples)
+        weight = sum(math.sqrt(v * c) for v, c in zip(variances, costs))
+        allocation = [max(math.ceil(target_delta**-2 * math.sqrt(v / c) * weight), pilot_samples)
+                      for v, c in zip(variances, costs)]
 
-    for l in levels:
+    for l, cfg in enumerate(cfgs):
         extra = allocation[l] - len(samples[l])
         if extra > 0:
-            more = _level_samples(model, l, refinement_n, m_particles, test_fn, seed,
-                                  len(samples[l]), extra)
+            more = _level_samples(model, cfg, m_particles, test_fn, seed, len(samples[l]), extra)
             samples[l] = np.concatenate([samples[l], more])
 
-    per_level = []
-    for l in levels:
-        xs = samples[l]
-        per_level.append(LevelStatistics(
-            level=l,
-            samples=len(xs),
-            mean_diff=float(xs.mean()),
-            var_diff=float(xs.var(ddof=1)),
-            rng_cost=len(xs) * costs[l],
-        ))
+    per_level = [LevelStatistics(level=l, samples=len(xs), mean_diff=float(xs.mean()),
+                                 var_diff=float(xs.var(ddof=1)), rng_cost=len(xs) * costs[l])
+                 for l, xs in enumerate(samples)]
     estimate = float(sum(row.mean_diff for row in per_level))
     total_cost = int(sum(row.rng_cost for row in per_level))
     return MlmcReport(
@@ -372,7 +354,7 @@ def mlmc_estimate(model: ModelSpec, test_fn: TestFunction, target_delta: float,
         per_level=per_level,
         total_cost=total_cost,
         target_delta=target_delta,
-        allocation=[allocation[l] for l in levels],
+        allocation=allocation,
         flags=flags,
     )
 

@@ -176,6 +176,18 @@ def coefficients(model: ModelSpec, cloud: ParticleCloud) -> tuple[np.ndarray, np
     entry = model._start.get(cloud.m)
     if entry is not None and entry[0] is cloud:
         return entry[1], entry[2]
+    try:
+        return _evaluate(model, cloud)
+    except (FloatingPointError, RuntimeWarning):
+        # numpy raised on an overflow inside a coefficient (np.errstate(all=
+        # "raise") or warnings as errors): the same pure evaluation, quietly,
+        # so the finiteness checks name the coefficient that left the floats
+        with np.errstate(all="ignore"):
+            return _evaluate(model, cloud)
+
+
+def _evaluate(model: ModelSpec, cloud: ParticleCloud) -> tuple[np.ndarray, np.ndarray]:
+    """``coefficients`` evaluated, past its start-state lookup."""
     x = cloud.positions
     g_shape = x.shape[:-1] + (model.d, model.d_bar)
     if not model.vectorized:
@@ -195,11 +207,25 @@ def coefficients(model: ModelSpec, cloud: ParticleCloud) -> tuple[np.ndarray, np
 def _check_finite(arr: np.ndarray, label: str):
     if not np.isfinite(arr).all():
         bad = np.argwhere(~np.isfinite(arr))[0]
-        raise NumericError(f"{label} produced a non-finite value at component {tuple(bad)}")
+        raise NumericError(
+            f"{label} produced a non-finite value at component {tuple(bad.tolist())}")
 
 
 def _provable_growth_beta(lipschitz_K: float, f0: float, g0: float) -> float:
     return 2.0 * max(1.0, lipschitz_K, f0 * f0, g0 * g0)
+
+
+def _derived(name: str, formula: str, value: Callable[[], float | list]) -> float | list:
+    """``value()``, the constant (or list of them) that builtin ``name``
+    derives from its parameters by ``formula``; one that overflows a float
+    is a ``ConfigurationError`` naming both."""
+    try:
+        out = value()
+    except OverflowError:
+        out = math.inf
+    if not np.isfinite(out).all():
+        raise ConfigurationError(f"{name} parameters overflow {formula}")
+    return out
 
 
 def _constant_diffusion(matrix: np.ndarray) -> DiffusionFn:
@@ -255,7 +281,9 @@ def builtin_model(name: str, params: Mapping) -> ModelSpec:
     ``epsilon``; its other parameters and their defaults are listed below. A
     missing parameter without a default, one the model does not read, one
     given under two spellings or one of the wrong type is a
-    ``ConfigurationError`` that names it.
+    ``ConfigurationError`` that names it, and so is a finite parameter
+    whose derived constants overflow a float (the message names the model
+    and the formula).
 
     - ``zero`` (no others): f = 0, g = 0.
     - ``constant_drift`` (``c``, ``sigma`` = 1): f = c, g = σ.
@@ -300,9 +328,11 @@ def builtin_model(name: str, params: Mapping) -> ModelSpec:
             return -_a * x + _b * (m - x)
 
         diffusion = _constant_diffusion(sigma * np.eye(d, d_bar))
-        K = max((a + b) ** 2 + b**2, sigma**2)
+        K = max(_derived(name, "(a + b)^2 + b^2", lambda: (a + b) ** 2 + b**2),
+                _derived(name, "sigma^2", lambda: sigma**2))
         beta = _provable_growth_beta(K, 0.0, abs(sigma) * math.sqrt(d))
-        meta["exact_mean_at_horizon"] = (x0 * math.exp(-a * horizon)).tolist()
+        meta["exact_mean_at_horizon"] = _derived(
+            name, "x0 exp(-a T)", lambda: [x * math.exp(-a * horizon) for x in x0.tolist()])
         meta["mean_rate"] = a
 
     elif name == "kuramoto":
@@ -317,7 +347,8 @@ def builtin_model(name: str, params: Mapping) -> ModelSpec:
             return _k * (particle_mean(sin_p) * cos_x - particle_mean(cos_p) * sin_x)
 
         diffusion = _constant_diffusion(sigma * np.eye(d, d_bar))
-        K = max(2.0 * kappa**2, sigma**2)
+        K = max(_derived(name, "2 kappa^2", lambda: 2.0 * kappa**2),
+                _derived(name, "sigma^2", lambda: sigma**2))
         beta = 2.0 * max(1.0, kappa**2, sigma**2)
 
     else:  # measure_diffusion
@@ -331,7 +362,8 @@ def builtin_model(name: str, params: Mapping) -> ModelSpec:
             mat = _s * np.eye(d, d_bar) * (1.0 + m)[..., None]
             return np.broadcast_to(mat, x.shape[:-1] + mat.shape[-2:])
 
-        K = max(a**2, 2.0 * sigma**2)
+        K = max(_derived(name, "a^2", lambda: a**2),
+                _derived(name, "2 sigma^2", lambda: 2.0 * sigma**2))
         beta = _provable_growth_beta(K, 0.0, abs(sigma) * math.sqrt(d))
 
     return ModelSpec(

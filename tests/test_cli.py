@@ -1,7 +1,10 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -110,6 +113,37 @@ def test_run_divergence_exits_3(tmp_path, capsys):
     path = write_config(tmp_path, "div.json", cfg)
     assert main(["run", str(path)]) == 3
     assert "divergence" in capsys.readouterr().err
+
+
+def test_run_nonfinite_coefficient_exits_3(tmp_path, capsys):
+    # validate accepts it, but the drift -a x0 overflows at the start state
+    cfg = {"experiment": "strong-error", "seed": 0, "output_dir": str(tmp_path / "out"),
+           "model": {"name": "meanfield_ou",
+                     "params": {"a": 1e150, "b": 0.5, "x0": 1e300, "T": 1.0, "epsilon": 0.1}},
+           "grid": {"h_list": [0.5, 0.25], "m_particles": 4, "replications": 2}}
+    path = write_config(tmp_path, "nonfinite.json", cfg)
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["run", str(path)]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "divergence: drift produced a non-finite value at component (0, 0)"]
+
+
+def test_run_under_warnings_as_errors_exits_3(tmp_path):
+    # x0 + c h overflows on the first level-0 step, where numpy's overflow
+    # warning is an exception
+    cfg = {"experiment": "mlmc", "seed": 0, "output_dir": str(tmp_path / "out"),
+           "model": {"name": "constant_drift",
+                     "params": {"c": 1.5e308, "x0": 1.5e308, "T": 1.0, "epsilon": 0.1}},
+           "grid": {"refinement_n": 2, "m_particles": 4}, "targets": {"delta": 0.1}}
+    path = write_config(tmp_path, "overflow.json", cfg)
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "mlmc_mvsde.cli_runner", "run",
+         str(path)], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.splitlines() == [
+        "divergence at step 0: fine path: particle state left the finite trust region"]
 
 
 def test_summary_prints_float_exponents(capsys):
@@ -403,6 +437,24 @@ def test_validate_and_run_reject_the_same_model_parameter(tmp_path, capsys, para
     cfg = typed_config("mlmc", str(tmp_path / "out"))
     cfg["model"] = {"name": "meanfield_ou", "params": {**OU_MODEL["params"], **params}}
     assert_rejected(tmp_path, capsys, cfg, "model.params", f"'{list(params)[-1]}'")
+
+
+#: finite parameters whose derived constants overflow a float
+OVERFLOWING = [("meanfield_ou", {"a": -1000, "b": 0}, "x0 exp(-a T)"),
+               ("meanfield_ou", {"a": -700, "b": 0, "x0": 1e300}, "x0 exp(-a T)"),
+               ("meanfield_ou", {"a": 1e300, "b": 0.5}, "(a + b)^2"),
+               ("kuramoto", {"kappa": 1e200}, "2 kappa^2"),
+               ("measure_diffusion", {"sigma": 1e200}, "2 sigma^2")]
+
+
+@pytest.mark.parametrize("name,params,formula", OVERFLOWING,
+                         ids=[f"{name}-{json.dumps(params, separators=(',', ':'))}"
+                              for name, params, _ in OVERFLOWING])
+def test_validate_and_run_reject_an_overflowing_model_parameter(tmp_path, capsys, name, params,
+                                                                 formula):
+    cfg = typed_config("mlmc", str(tmp_path / "out"))
+    cfg["model"] = {"name": name, "params": {"x0": 1, "T": 1, "epsilon": 0.1, **params}}
+    assert_rejected(tmp_path, capsys, cfg, "model.params", f"{name} parameters overflow {formula}")
 
 
 def assert_rejected(tmp_path, capsys, cfg, *names):

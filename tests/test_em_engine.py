@@ -142,6 +142,24 @@ def test_em_step_errors_under_raising_errstate():
     assert out.positions[0, 0] > 0.0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_em_step_errors_under_warnings_as_errors():
+    # numpy's overflow warning is an exception here; the caller must still
+    # get the library's errors, with a step index from the path loop
+    model = builtin_model("constant_drift", {"c": 1.5e308, "x0": 1.5e308, "T": 1.0,
+                                             "epsilon": 0.1})
+    with pytest.raises(DivergenceError):
+        em_step(model, model.start(4), 1.0, np.zeros((4, 1)))
+    with pytest.raises(DivergenceError) as err:
+        simulate_path(model, SimulationGrid.from_steps(1.0, 1), 4, 0)
+    assert err.value.step_index == 0
+    # the drift -a x0 itself overflows, in the start state's coefficients
+    model = builtin_model("meanfield_ou", {"a": 1e150, "b": 0.5, "x0": 1e300, "T": 1.0,
+                                           "epsilon": 0.1})
+    with pytest.raises(NumericError, match=r"^drift .* \(0, 0\)$"):
+        em_step(model, model.start(4), 0.5, np.zeros((4, 1)))
+
+
 def test_em_step_output_is_fresh_and_read_only():
     for model in (ou(0.4), builtin_model("zero", {"x0": 1.0, "T": 1.0, "epsilon": 0.1})):
         cloud = ParticleCloud.at([1.0], 5)

@@ -86,7 +86,8 @@ def test_level0_samples_equal_one_step_per_sample(args, pointwise, psi, m, count
         want.append(sorted_mean(test_fn.psi(cloud.positions)))
     cuts = sorted(data.draw(st.lists(st.integers(0, count), max_size=3)))
     bounds = [0, *cuts, count]
-    got = np.concatenate([_level_samples(model, 0, 2, m, test_fn, seed, lo, hi - lo)
+    cfg = LevelConfig(2, 0, model.horizon)
+    got = np.concatenate([_level_samples(model, cfg, m, test_fn, seed, lo, hi - lo)
                           for lo, hi in zip(bounds, bounds[1:])])
     assert got.tobytes() == np.array(want, dtype=float).tobytes()
 
@@ -102,7 +103,7 @@ def test_level0_pair_equals_the_level0_sample(args, pointwise, psi, m, seed, ind
     test_fn = builtin_test_function(psi)
     cfg = LevelConfig(refinement_n=2, level=0, horizon=model.horizon)
     diff, fine, cost = simulate_level_pair(model, cfg, m, test_fn, seed, index)
-    want = _level_samples(model, 0, 2, m, test_fn, seed, index, 1)
+    want = _level_samples(model, cfg, m, test_fn, seed, index, 1)
     assert np.array([diff]).tobytes() == np.array([fine]).tobytes() == want.tobytes()
     assert cost == m * model.d_bar
 
@@ -130,10 +131,11 @@ def test_relabelled_particles_move_to_the_same_bits(args, pointwise, level, m, s
 def test_level_samples_do_not_depend_on_the_chunk_budget(args, level, m, count, seed, data):
     model = builtin_model(*args)
     sample_bytes = 8 * 2**level * m * model.d_bar
-    whole = _level_samples(model, level, 2, m, IDENT, seed, 0, count)
+    cfg = LevelConfig(2, level, model.horizon)
+    whole = _level_samples(model, cfg, m, IDENT, seed, 0, count)
     for per_chunk in (1, data.draw(st.integers(1, count))):
         with patch.object(mlmc_engine, "CHUNK_NOISE_BYTES", per_chunk * sample_bytes):
-            got = _level_samples(model, level, 2, m, IDENT, seed, 0, count)
+            got = _level_samples(model, cfg, m, IDENT, seed, 0, count)
         assert got.tobytes() == whole.tobytes()
 
 
@@ -167,12 +169,13 @@ def test_one_diverging_coarse_path_in_a_chunk_raises(monkeypatch):
     # h_fine = 1/2: the fine path goes to c*xi and back to 0, while the coarse
     # path takes the summed noise 2*c*xi in one step, past DIVERGENCE_LIMIT
     model = _linear_model(lambda x, mu: -4.0 * x)
+    cfg = LevelConfig(2, 1, model.horizon)
     c = np.sqrt(0.5)
     monkeypatch.setattr(mlmc_engine, "stream", _Blocks(bad=2, value=0.75e12 / c))
     with pytest.raises(DivergenceError):
-        _level_samples(model, 1, 2, 3, IDENT, 0, 0, 4)
+        _level_samples(model, cfg, 3, IDENT, 0, 0, 4)
     monkeypatch.setattr(mlmc_engine, "stream", _Blocks(bad=2, value=0.4e12 / c))
-    assert np.all(_level_samples(model, 1, 2, 3, IDENT, 0, 0, 4)[[0, 1, 3]] == 0.0)
+    assert np.all(_level_samples(model, cfg, 3, IDENT, 0, 0, 4)[[0, 1, 3]] == 0.0)
 
 
 def test_a_nan_coarse_drift_in_a_chunk_is_named(monkeypatch):
@@ -182,7 +185,7 @@ def test_a_nan_coarse_drift_in_a_chunk_is_named(monkeypatch):
     model = replace(model, horizon=2.0)
     monkeypatch.setattr(mlmc_engine, "stream", _Blocks(bad=1, value=1.5 / np.sqrt(0.5)))
     with pytest.raises(NumericError, match="drift"):
-        _level_samples(model, 2, 2, 3, IDENT, 0, 0, 3)
+        _level_samples(model, LevelConfig(2, 2, model.horizon), 3, IDENT, 0, 0, 3)
 
 
 @settings(max_examples=20, deadline=None)
@@ -192,7 +195,7 @@ def test_zero_noise_level_samples_are_identical(args, level, m, seed):
     # bit-identical samples: zero sample variance (numpy's ``var`` may still
     # read about 1e-33, since the rounded mean need not equal the samples)
     model = builtin_model(*args)
-    xs = _level_samples(model, level, 2, m, IDENT, seed, 0, 5)
+    xs = _level_samples(model, LevelConfig(2, level, model.horizon), m, IDENT, seed, 0, 5)
     assert xs.tobytes() == np.full(5, xs[0]).tobytes()
 
 

@@ -45,7 +45,8 @@ def test_warm_start_cache_changes_no_bits(args, m, seed):
         fresh = builtin_model(*args)
         warm = builtin_model(*args)
         warm.start(m)
-        got = [_level_samples(model, level, 2, m, IDENT, seed, 0, 3)
+        cfg = LevelConfig(2, level, fresh.horizon)
+        got = [_level_samples(model, cfg, m, IDENT, seed, 0, 3)
                for model in (fresh, warm, uncached(fresh))]
         assert got[0].tobytes() == got[1].tobytes() == got[2].tobytes()
 
@@ -56,9 +57,10 @@ def test_warm_start_cache_changes_no_bits(args, m, seed):
 def test_sample_extension_is_prefix_stable(args, m, seed, level, n, data):
     k = data.draw(st.integers(0, n))
     model = builtin_model(*args)
-    whole = _level_samples(model, level, 2, m, IDENT, seed, 0, n)
-    head = _level_samples(model, level, 2, m, IDENT, seed, 0, k)
-    tail = _level_samples(model, level, 2, m, IDENT, seed, k, n - k)
+    cfg = LevelConfig(2, level, model.horizon)
+    whole = _level_samples(model, cfg, m, IDENT, seed, 0, n)
+    head = _level_samples(model, cfg, m, IDENT, seed, 0, k)
+    tail = _level_samples(model, cfg, m, IDENT, seed, k, n - k)
     assert np.concatenate([head, tail]).tobytes() == whole.tobytes()
 
 
