@@ -36,6 +36,6 @@ print("\nlevel   h_coarse   var of observable difference   rng cost")
 for row in rows:
     print(f"{row.level:>5}   {row.h_coarse:<8}   {row.var_diff:.6e} "
           f"(+- {row.ci_halfwidth:.1e})   {row.rng_cost}")
-fit = loglog_fit([(r.h_coarse, r.var_diff) for r in rows], skip_coarsest=True)
+fit = loglog_fit([(r.h_coarse, r.var_diff) for r in rows[1:]])
 print(f"fitted variance rate in the coarse step (coarsest level excluded): "
       f"{fit.slope:.3f}")

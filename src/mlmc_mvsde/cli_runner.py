@@ -434,7 +434,10 @@ def cmd_run(args) -> int:
         return EXIT_CONFIG
 
     try:
-        bundle = run_experiment(cfg)
+        # an overflow shows as a non-finite state, which the divergence
+        # checks report in one line; numpy's own warning would come first
+        with np.errstate(over="ignore", invalid="ignore"):
+            bundle = run_experiment(cfg)
     except DivergenceError as err:
         step = f" at step {err.step_index}" if err.step_index is not None else ""
         path = f" {err.path} path:" if err.path is not None else ""

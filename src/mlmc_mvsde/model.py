@@ -211,10 +211,6 @@ def _check_finite(arr: np.ndarray, label: str):
             f"{label} produced a non-finite value at component {tuple(bad.tolist())}")
 
 
-def _provable_growth_beta(lipschitz_K: float, f0: float, g0: float) -> float:
-    return 2.0 * max(1.0, lipschitz_K, f0 * f0, g0 * g0)
-
-
 def _derived(name: str, formula: str, value: Callable[[], float | list]) -> float | list:
     """``value()``, the constant (or list of them) that builtin ``name``
     derives from its parameters by ``formula``; one that overflows a float
@@ -226,6 +222,12 @@ def _derived(name: str, formula: str, value: Callable[[], float | list]) -> floa
     if not np.isfinite(out).all():
         raise ConfigurationError(f"{name} parameters overflow {formula}")
     return out
+
+
+def _growth_beta(name: str, formula: str, lipschitz_K: float, f0: float, g0: float) -> float:
+    """Builtin ``name``'s growth constant ``2 max(1, K, f0^2, g0^2)``,
+    checked by ``_derived`` under the model's own ``formula``."""
+    return _derived(name, formula, lambda: 2.0 * max(1.0, lipschitz_K, f0 * f0, g0 * g0))
 
 
 def _constant_diffusion(matrix: np.ndarray) -> DiffusionFn:
@@ -318,7 +320,8 @@ def builtin_model(name: str, params: Mapping) -> ModelSpec:
         drift = lambda x, mu: np.broadcast_to(cvec, x.shape)
         diffusion = _constant_diffusion(sigma * np.eye(d, d_bar))
         K = 0.0
-        beta = _provable_growth_beta(K, abs(c) * math.sqrt(d), abs(sigma) * math.sqrt(d))
+        beta = _growth_beta(name, "2 max(1, c^2 d, sigma^2 d)",
+                            K, abs(c) * math.sqrt(d), abs(sigma) * math.sqrt(d))
 
     elif name == "meanfield_ou":
         a, b, sigma = p["a"], p["b"], p["sigma"]
@@ -330,7 +333,8 @@ def builtin_model(name: str, params: Mapping) -> ModelSpec:
         diffusion = _constant_diffusion(sigma * np.eye(d, d_bar))
         K = max(_derived(name, "(a + b)^2 + b^2", lambda: (a + b) ** 2 + b**2),
                 _derived(name, "sigma^2", lambda: sigma**2))
-        beta = _provable_growth_beta(K, 0.0, abs(sigma) * math.sqrt(d))
+        beta = _growth_beta(name, "2 max(1, (a + b)^2 + b^2, sigma^2 d)",
+                            K, 0.0, abs(sigma) * math.sqrt(d))
         meta["exact_mean_at_horizon"] = _derived(
             name, "x0 exp(-a T)", lambda: [x * math.exp(-a * horizon) for x in x0.tolist()])
         meta["mean_rate"] = a
@@ -349,7 +353,7 @@ def builtin_model(name: str, params: Mapping) -> ModelSpec:
         diffusion = _constant_diffusion(sigma * np.eye(d, d_bar))
         K = max(_derived(name, "2 kappa^2", lambda: 2.0 * kappa**2),
                 _derived(name, "sigma^2", lambda: sigma**2))
-        beta = 2.0 * max(1.0, kappa**2, sigma**2)
+        beta = _growth_beta(name, "2 max(1, kappa^2, sigma^2)", 0.0, kappa, sigma)
 
     else:  # measure_diffusion
         a, sigma = p["a"], p["sigma"]
@@ -364,7 +368,8 @@ def builtin_model(name: str, params: Mapping) -> ModelSpec:
 
         K = max(_derived(name, "a^2", lambda: a**2),
                 _derived(name, "2 sigma^2", lambda: 2.0 * sigma**2))
-        beta = _provable_growth_beta(K, 0.0, abs(sigma) * math.sqrt(d))
+        beta = _growth_beta(name, "2 max(1, a^2, 2 sigma^2, sigma^2 d)",
+                            K, 0.0, abs(sigma) * math.sqrt(d))
 
     return ModelSpec(
         d=d,

@@ -15,9 +15,9 @@ The Philox key of a stream equals the one numpy derives from
 ``SeedSequence(entropy=seed, spawn_key=key)`` with ``generate_state(2,
 np.uint64)``; ``tests/test_rng.py`` checks this against numpy itself. The
 entropy mixing is reimplemented here because building a ``SeedSequence``
-per sample costs more than simulating a small sample. The pool after every
-key word but the last is cached, and the last word (the sample or
-replication index) is mixed for 256 consecutive indices in one array pass.
+per sample costs more than simulating a small sample. The last key word
+(the sample or replication index) is mixed for 256 consecutive indices in
+one array pass, and the keys of the 64 latest such blocks are cached.
 
 ``stream`` resets and returns one module-level generator, so a returned
 generator is valid only until the next ``stream`` call: draw what a stream
@@ -64,14 +64,21 @@ _CACHED_BLOCKS = 64
 _ZEROS = (0, 0, 0, 0)
 
 
-def _hash_consts(init: int, mult: int, first: int) -> np.ndarray:
-    """The hash constants before hashes ``first .. first + 4`` of one pass, as a column."""
-    return np.array([[init * pow(mult, first + i, 1 << 32) & _MASK32]
-                     for i in range(_POOL_SIZE + 1)], dtype=np.uint64)
+def _hasher(const: int, mult: int):
+    """numpy's ``hashmix``, carrying its running hash constant from ``const``.
 
+    It takes and returns 32-bit words as Python ints or uint64 arrays; every
+    product of two 32-bit words fits in uint64 and is masked back to 32
+    bits. Nothing is updated in place, so an array hashed twice stays intact.
+    """
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> _XSHIFT
 
-#: the constants of generate_state's pass, which always starts afresh
-_OUTPUT_CONSTS = _hash_consts(_INIT_B, _MULT_B, 0)
+    return hashmix
 
 
 def _mix(x, y):
@@ -80,48 +87,27 @@ def _mix(x, y):
     return result ^ result >> _XSHIFT
 
 
-@lru_cache(maxsize=256)
-def _prefix_pool(seed: int, prefix: tuple[int, ...]) -> tuple[int, ...]:
-    """The mixed pool after the seed and every key word but the last.
+@lru_cache(maxsize=_CACHED_BLOCKS)
+def _key_block(seed: int, prefix: tuple[int, ...], block: int) -> np.ndarray:
+    """Philox keys, shape (_BLOCK, 2), for last key words ``block * _BLOCK + j``.
 
-    With a spawn key, numpy pads the run entropy to the pool size, so a
-    64-bit seed always fills the pool as ``(low, high, 0, 0)``.
+    This is numpy's ``mix_entropy`` and ``generate_state(2, np.uint64)``
+    step for step, with the last key word as the block's indices. With a
+    spawn key, numpy pads the run entropy to the pool size, so a 64-bit
+    seed always fills the pool as ``(low, high, 0, 0)``.
     """
-    const = _INIT_A
-
-    def hashmix(value: int) -> int:
-        nonlocal const
-        value ^= const
-        const = const * _MULT_A & _MASK32
-        value = value * const & _MASK32
-        return value ^ value >> _XSHIFT
-
+    hashmix = _hasher(_INIT_A, _MULT_A)
     pool = [hashmix(w) for w in (seed & _MASK32, seed >> 32, 0, 0)]
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
                 pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in prefix:
-        pool = [_mix(p, hashmix(int(word) & _MASK32)) for p in pool]
-    return tuple(pool)
-
-
-@lru_cache(maxsize=_CACHED_BLOCKS)
-def _key_block(seed: int, prefix: tuple[int, ...], block: int) -> np.ndarray:
-    """Philox keys, shape (_BLOCK, 2), for last key words ``block * _BLOCK + j``.
-
-    Rows of the (4, _BLOCK) arrays are the four pool words; every product
-    of two 32-bit words fits in uint64 and is masked back to 32 bits.
-    """
-    hashes = _POOL_SIZE * (_POOL_SIZE + len(prefix))  # made before the last word
-    a = _hash_consts(_INIT_A, _MULT_A, hashes)
-    pool = np.array(_prefix_pool(seed, prefix), dtype=np.uint64)[:, None]
     last = np.arange(block * _BLOCK, (block + 1) * _BLOCK, dtype=np.uint64)
-    h = (last ^ a[:-1]) * a[1:] & _MASK32
-    pool = _mix(pool, h ^ h >> _XSHIFT)
-    # generate_state(2, np.uint64): hash each pool word, pair them little-endian
-    w = (pool ^ _OUTPUT_CONSTS[:-1]) * _OUTPUT_CONSTS[1:] & _MASK32
-    w ^= w >> _XSHIFT
+    for word in (*(int(w) & _MASK32 for w in prefix), last):
+        pool = [_mix(p, hashmix(word)) for p in pool]
+    # generate_state: hash each pool word afresh, pair them little-endian
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    w = [hashmix(p) for p in pool]
     keys = np.stack([w[0] | w[1] << 32, w[2] | w[3] << 32], axis=1)
     keys.flags.writeable = False
     return keys

@@ -17,15 +17,9 @@ class RateFit:
     r_squared: float
 
 
-def loglog_fit(points: Sequence[tuple[float, float]], skip_coarsest: bool = False) -> RateFit:
-    """Ordinary least squares on (log x, log y).
-
-    ``skip_coarsest`` drops the point with the largest x before fitting,
-    for sweeps whose coarsest entry is visibly pre-asymptotic.
-    """
+def loglog_fit(points: Sequence[tuple[float, float]]) -> RateFit:
+    """Ordinary least squares on (log x, log y)."""
     pts = [(float(x), float(y)) for x, y in points]
-    if skip_coarsest and len(pts) > 2:
-        pts.remove(max(pts, key=lambda p: p[0]))
     for x, y in pts:
         if x <= 0 or y <= 0:
             raise DomainError(f"loglog_fit requires positive coordinates, got ({x}, {y})")

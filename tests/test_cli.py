@@ -129,18 +129,33 @@ def test_run_nonfinite_coefficient_exits_3(tmp_path, capsys):
         "divergence: drift produced a non-finite value at component (0, 0)"]
 
 
-def test_run_under_warnings_as_errors_exits_3(tmp_path):
-    # x0 + c h overflows on the first level-0 step, where numpy's overflow
-    # warning is an exception
+def run_overflow_probe(tmp_path, *python_flags) -> subprocess.CompletedProcess:
+    """``run`` in a fresh interpreter on an mlmc config whose first level-0
+    step overflows: x0 + h a x0 with a = -1 and one particle (with more,
+    the particle mean that the diffusion reads overflows first)."""
     cfg = {"experiment": "mlmc", "seed": 0, "output_dir": str(tmp_path / "out"),
-           "model": {"name": "constant_drift",
-                     "params": {"c": 1.5e308, "x0": 1.5e308, "T": 1.0, "epsilon": 0.1}},
-           "grid": {"refinement_n": 2, "m_particles": 4}, "targets": {"delta": 0.1}}
+           "model": {"name": "measure_diffusion",
+                     "params": {"a": -1.0, "sigma": 1.0, "x0": 1.5e308, "T": 1.0,
+                                "epsilon": 0.1}},
+           "grid": {"refinement_n": 2, "m_particles": 1}, "targets": {"delta": 0.1}}
     path = write_config(tmp_path, "overflow.json", cfg)
     src = Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "mlmc_mvsde.cli_runner", "run",
-         str(path)], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    return subprocess.run(
+        [sys.executable, *python_flags, "-m", "mlmc_mvsde.cli_runner", "run", str(path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+
+
+def test_run_under_warnings_as_errors_exits_3(tmp_path):
+    # numpy's overflow warning is an exception here
+    proc = run_overflow_probe(tmp_path, "-W", "error::RuntimeWarning")
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.splitlines() == [
+        "divergence at step 0: fine path: particle state left the finite trust region"]
+
+
+def test_run_reports_an_overflow_in_one_line(tmp_path):
+    # with warnings at their defaults, numpy prints none before the report
+    proc = run_overflow_probe(tmp_path)
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.splitlines() == [
         "divergence at step 0: fine path: particle state left the finite trust region"]
@@ -444,7 +459,12 @@ OVERFLOWING = [("meanfield_ou", {"a": -1000, "b": 0}, "x0 exp(-a T)"),
                ("meanfield_ou", {"a": -700, "b": 0, "x0": 1e300}, "x0 exp(-a T)"),
                ("meanfield_ou", {"a": 1e300, "b": 0.5}, "(a + b)^2"),
                ("kuramoto", {"kappa": 1e200}, "2 kappa^2"),
-               ("measure_diffusion", {"sigma": 1e200}, "2 sigma^2")]
+               ("measure_diffusion", {"sigma": 1e200}, "2 sigma^2"),
+               # K is finite, the growth constant beta is not
+               ("constant_drift", {"c": 1.5e308}, "2 max(1, c^2 d, sigma^2 d)"),
+               ("kuramoto", {"sigma": 1.3e154}, "2 max(1, kappa^2, sigma^2)"),
+               ("meanfield_ou", {"a": 1e154, "b": 0}, "2 max(1, (a + b)^2 + b^2, sigma^2 d)"),
+               ("measure_diffusion", {"sigma": 9.4e153}, "2 max(1, a^2, 2 sigma^2, sigma^2 d)")]
 
 
 @pytest.mark.parametrize("name,params,formula", OVERFLOWING,

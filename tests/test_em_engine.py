@@ -146,12 +146,14 @@ def test_em_step_errors_under_raising_errstate():
 def test_em_step_errors_under_warnings_as_errors():
     # numpy's overflow warning is an exception here; the caller must still
     # get the library's errors, with a step index from the path loop
-    model = builtin_model("constant_drift", {"c": 1.5e308, "x0": 1.5e308, "T": 1.0,
-                                             "epsilon": 0.1})
+    # x0 + h a x0 overflows; one particle, since with more the particle mean
+    # that the diffusion reads overflows first
+    model = builtin_model("measure_diffusion", {"a": -1.0, "sigma": 1.0, "x0": 1.5e308,
+                                                "T": 1.0, "epsilon": 0.1})
     with pytest.raises(DivergenceError):
-        em_step(model, model.start(4), 1.0, np.zeros((4, 1)))
+        em_step(model, model.start(1), 1.0, np.zeros((1, 1)))
     with pytest.raises(DivergenceError) as err:
-        simulate_path(model, SimulationGrid.from_steps(1.0, 1), 4, 0)
+        simulate_path(model, SimulationGrid.from_steps(1.0, 1), 1, 0)
     assert err.value.step_index == 0
     # the drift -a x0 itself overflows, in the start state's coefficients
     model = builtin_model("meanfield_ou", {"a": 1e150, "b": 0.5, "x0": 1e300, "T": 1.0,

@@ -37,6 +37,8 @@ seeds = st.one_of(
 words = st.one_of(
     st.sampled_from([0, 1, 255, 256, 511, 512, MASK32 - 1, MASK32]),
     st.integers(0, MASK32),
+    st.integers(-(2**40), -1),  # masked to 32 bits
+    st.integers(2**32, 2**40),  # masked to 32 bits
 )
 keys = st.lists(words, min_size=1, max_size=3)
 

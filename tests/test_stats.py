@@ -36,15 +36,6 @@ def test_loglog_fit_scaling_invariance():
     assert a.slope == pytest.approx(b.slope, rel=1e-12)
 
 
-def test_loglog_fit_skip_coarsest():
-    # outlier at the largest x is excluded by the pre-asymptotic flag
-    pts = [(8.0, 1000.0), (4.0, 16.0), (2.0, 4.0), (1.0, 1.0)]
-    full = loglog_fit(pts)
-    trimmed = loglog_fit(pts, skip_coarsest=True)
-    assert trimmed.slope == pytest.approx(2.0, abs=1e-12)
-    assert full.slope > trimmed.slope
-
-
 def test_loglog_fit_errors():
     with pytest.raises(DomainError):
         loglog_fit([(1.0, 1.0), (2.0, -1.0)])
