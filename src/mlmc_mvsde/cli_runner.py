@@ -137,9 +137,11 @@ def load_config(path: str | Path) -> dict:
     if not p.exists():
         raise ConfigurationError(f"config file not found: {p}")
     try:
-        cfg = json.loads(p.read_text())
+        cfg = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as err:
         raise ConfigurationError(f"config is not valid JSON: {err}") from None
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigurationError(f"cannot read config {p}: {err}") from None
     if not isinstance(cfg, dict):
         raise ConfigurationError("config must be a JSON object")
     return cfg

@@ -78,35 +78,35 @@ def em_step(model: ModelSpec, cloud: ParticleCloud, h: float, gaussians: np.ndar
     xi = np.asarray(gaussians, dtype=float)
     if xi.ndim == 1:
         xi = xi[:, None]
-    return advance(model, cloud, h, math.sqrt(h), xi)
+    return ParticleCloud._wrap(advance(model, cloud.positions, h, math.sqrt(h), xi))
 
 
-def advance(model: ModelSpec, cloud: ParticleCloud, h_drift: float, sqrt_dt: float,
-            xi: np.ndarray) -> ParticleCloud:
+def advance(model: ModelSpec, x: np.ndarray, h_drift: float, sqrt_dt: float,
+            xi: np.ndarray) -> np.ndarray:
     """The checked explicit step ``x + f h_drift + epsilon sqrt_dt g xi``.
 
     Every fine and coarse update goes through here, so all of them get the
     same shape checks, the drift-then-diffusion finiteness checks and the
-    divergence check, in that order. ``cloud`` holds one (M, d) system or a
-    (..., M, d) stack of independent ones, each moved against its own
-    measure; ``xi`` is a float (..., M, d_bar) array of the same stacking,
-    and the result keeps the cloud's shape.
+    divergence check, in that order. ``x`` holds the states of one (M, d)
+    system or a (..., M, d) stack of independent ones, each moved against
+    its own measure; ``xi`` is a float (..., M, d_bar) array of the same
+    stacking. Returns the new states, a fresh array of the shape of ``x``.
     """
-    expected = cloud.positions.shape[:-1] + (model.d_bar,)
+    expected = x.shape[:-1] + (model.d_bar,)
     if xi.shape != expected:
         raise ShapeError(f"gaussians have shape {xi.shape}, expected {expected}")
-    if cloud.d != model.d:
-        raise ShapeError(f"cloud dimension {cloud.d} does not match model d={model.d}")
-    f, g = coefficients(model, cloud)
+    if x.shape[-1] != model.d:
+        raise ShapeError(f"state dimension {x.shape[-1]} does not match model d={model.d}")
+    f, g = coefficients(model, x)
     scale = model.epsilon * sqrt_dt
     try:
-        new, ok = _update(cloud.positions, f, g, xi, h_drift, scale)
+        new, ok = _update(x, f, g, xi, h_drift, scale)
     except (FloatingPointError, RuntimeWarning):
         # numpy raised on the arithmetic (np.errstate(all="raise") or warnings
         # as errors): the same arithmetic, quietly, so an overflow fails the
         # scan below and an underflow does not
         with np.errstate(all="ignore"):
-            new, ok = _update(cloud.positions, f, g, xi, h_drift, scale)
+            new, ok = _update(x, f, g, xi, h_drift, scale)
     # Every coefficient entry enters the new state, so a non-finite one
     # always fails the scan: the coefficients need checking, drift first,
     # only when it fails.
@@ -114,7 +114,7 @@ def advance(model: ModelSpec, cloud: ParticleCloud, h_drift: float, sqrt_dt: flo
         _check_finite(f, "drift")
         _check_finite(g, "diffusion")
         raise DivergenceError("particle state left the finite trust region")
-    return ParticleCloud._wrap(new)
+    return new
 
 
 def _update(x, f, g, xi, h_drift, scale):

@@ -48,9 +48,8 @@ class ParticleCloud:
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "ParticleCloud":
-        """Cloud over a fresh (M, d) float array, or a (..., M, d) stack of
-        independent systems, that its caller has already checked and no one
-        else references: frozen in place, not copied."""
+        """Cloud over a fresh (M, d) float array that its caller has already
+        checked and no one else references: frozen in place, not copied."""
         arr.setflags(write=False)
         cloud = object.__new__(cls)
         object.__setattr__(cloud, "positions", arr)
@@ -79,19 +78,13 @@ def sorted_mean(values: np.ndarray, axis: int = 0) -> np.ndarray:
     return np.add.reduce(arr, axis=-1) / arr.shape[-1]
 
 
-def empirical_mean(mu: ParticleCloud) -> np.ndarray:
-    """Componentwise mean of the cloud, permutation invariant.
-
-    Shape (d,) for one cloud. A (..., M, d) stack of systems keeps its
-    particle axis with length 1, (..., 1, d), so that ``empirical_mean(mu) - x``
-    broadcasts per system.
-    """
-    return particle_mean(mu.positions)
-
-
 def particle_mean(values: np.ndarray) -> np.ndarray:
-    """``sorted_mean`` over the particle axis -2 of (M, d) or (..., M, d) values,
-    keeping that axis for stacks as ``empirical_mean`` does."""
+    """Componentwise mean over the particle axis -2, permutation invariant.
+
+    Shape (d,) for the (M, d) values of one system. A (..., M, d) stack of
+    systems keeps its particle axis with length 1, (..., 1, d), so that
+    ``particle_mean(mu) - x`` broadcasts per system.
+    """
     mean = sorted_mean(values, axis=-2)
     return mean if mean.ndim == 1 else mean[..., None, :]
 

@@ -122,8 +122,9 @@ def coupled_coarse_interval(model: ModelSpec, fine: ParticleCloud, coarse: Parti
         raise ShapeError(
             f"gaussians have shape {xi.shape}, expected {(n_ref, m, model.d_bar)}"
         )
-    return (_last(_walk(model, fine, cfg.h_fine, xi)),
-            advance(model, coarse, cfg.h_coarse, math.sqrt(cfg.h_fine), xi.sum(axis=0)))
+    fine = _last(_walk(model, fine, cfg.h_fine, xi))
+    coarse = advance(model, coarse.positions, cfg.h_coarse, math.sqrt(cfg.h_fine), xi.sum(axis=0))
+    return fine, ParticleCloud._wrap(coarse)
 
 
 def _coupled_pairs(model: ModelSpec, cfg: LevelConfig,
@@ -149,7 +150,7 @@ def _coupled_pairs(model: ModelSpec, cfg: LevelConfig,
         raise DivergenceError(str(err), err.step_index, "fine") from None
     if cfg.level == 0:
         return fine, None
-    coarse = ParticleCloud._wrap(np.broadcast_to(start.positions, (k, m, model.d)))
+    coarse = np.broadcast_to(start.positions, (k, m, model.d))
     increments = xi.reshape(k, cfg.coarse_steps, cfg.refinement_n, m, model.d_bar).sum(axis=2)
     sqrt_h = math.sqrt(cfg.h_fine)
     for n in range(cfg.coarse_steps):
@@ -157,7 +158,7 @@ def _coupled_pairs(model: ModelSpec, cfg: LevelConfig,
             coarse = advance(model, coarse, cfg.h_coarse, sqrt_h, increments[:, n])
         except DivergenceError as err:
             raise DivergenceError(str(err), n, "coarse") from None
-    return fine, coarse.positions
+    return fine, coarse
 
 
 def _level_pairs(model: ModelSpec, cfg: LevelConfig, m_particles: int, seed: int,

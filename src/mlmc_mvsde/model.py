@@ -8,15 +8,19 @@ together with the noise scale ``epsilon``, the deterministic initial state,
 the horizon, and declared regularity constants. The steppers apply
 ``epsilon`` themselves; ``diffusion`` never includes it.
 
+The measure ``mu`` is the (M, d) state array of a particle system, read as
+the uniform empirical measure over its rows. The steppers call each
+coefficient as ``drift(x, x)`` on one system's (M, d) states or on a
+(K, M, d) stack of independent systems, and expect (..., M, d) drifts and
+(..., M, d, d_bar) diffusions back, each system reduced over its own
+particle axis -2 (``particle_mean``). Builtins reduce in canonical sorted
+order, so their output is exactly invariant under particle relabeling.
+``drift_eval`` and ``diffusion_eval`` evaluate one (d,) state against a
+``ParticleCloud``.
+
 Coefficient callables must be pure: every system starts from the same
 all-x0 cloud, and its coefficients there are evaluated once per (model, M)
-and reused (``ModelSpec.start``). When ``vectorized`` is set (all builtins),
-they also accept the (M, d) states of a whole cloud, or a (..., M, d) stack
-of independent systems together with the stacked cloud, and return the
-stacked coefficients, which is what the particle steppers use; they reduce
-over the particle axis -2. Measure arguments are always uniform empirical
-clouds; builtins reduce over the particle axis in canonical sorted order so
-their output is exactly invariant under particle relabeling.
+and reused (``ModelSpec.start``).
 """
 
 from __future__ import annotations
@@ -29,10 +33,13 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import ConfigurationError, NumericError, ShapeError
-from .measure import ParticleCloud, empirical_mean, particle_mean
+from .measure import ParticleCloud, particle_mean
 
-DriftFn = Callable[[np.ndarray, ParticleCloud], np.ndarray]
-DiffusionFn = Callable[[np.ndarray, ParticleCloud], np.ndarray]
+#: ``drift(x, mu)``: one (d,) drift per (d,) state of ``x`` against the measure
+#: ``mu``, an (M, d) state array or a (K, M, d) stack matching ``x``
+DriftFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
+#: ``diffusion(x, mu)``: the same arguments -> one (d, d_bar) matrix per state
+DiffusionFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 #: stands in for the default of a parameter the caller must set
 REQUIRED = object()
@@ -79,7 +86,6 @@ class ModelSpec:
     horizon: float
     lipschitz_K: float
     growth_beta: float
-    vectorized: bool = True
     name: str = "custom"
     meta: dict = field(default_factory=dict)
     # M -> (start cloud, its drift, its diffusion); fresh and empty in every
@@ -112,12 +118,13 @@ class ModelSpec:
         """The read-only cloud of m particles at x0 that every system starts from.
 
         Built once per M, together with its drift and diffusion, which
-        ``coefficients`` returns whenever it is given this very cloud.
+        ``coefficients`` returns whenever it is given this cloud's very
+        ``positions`` array.
         """
         entry = self._start.get(m)
         if entry is None:
             cloud = ParticleCloud.at(self.x0, m)
-            f, g = (a.view() for a in coefficients(self, cloud))
+            f, g = (a.view() for a in coefficients(self, cloud.positions))
             f.setflags(write=False)
             g.setflags(write=False)
             entry = self._start.setdefault(m, (cloud, f, g))
@@ -149,56 +156,49 @@ def diffusion_eval(model: ModelSpec, x: np.ndarray, mu: ParticleCloud) -> np.nda
 
 def _pointwise(model: ModelSpec, fn: Callable, x, mu: ParticleCloud, shape: tuple,
                label: str) -> np.ndarray:
-    """``fn`` at the (d,) state ``x`` against ``mu``, with the state, the
-    measure's dimension and the output's shape and finiteness checked."""
+    """``fn`` at the (d,) state ``x`` against the states of ``mu``, with the
+    state, the measure's dimension and the output's shape and finiteness checked."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (model.d,):
         raise ShapeError(f"state has shape {x.shape}, expected ({model.d},)")
     if mu.d != model.d:
         raise ShapeError(f"measure dimension {mu.d} does not match model d={model.d}")
-    out = np.asarray(fn(x, mu), dtype=float)
+    out = np.asarray(fn(x, mu.positions), dtype=float)
     if out.shape != shape:
         raise ShapeError(f"{label} returned shape {out.shape}, expected {shape}")
     _check_finite(out, label)
     return out
 
 
-def coefficients(model: ModelSpec, cloud: ParticleCloud) -> tuple[np.ndarray, np.ndarray]:
+def coefficients(model: ModelSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Drift (..., M, d) and diffusion (..., M, d, d_bar) of every particle
-    against its own system's cloud, for one cloud or a stack of systems.
+    against its own system, for the (M, d) states ``x`` of one system or a
+    (..., M, d) stack of them.
 
-    Vectorized models are called once on the whole stack and their outputs
-    shape-checked; pointwise ones go through ``drift_eval`` and
-    ``diffusion_eval`` once per particle of each system. At
-    ``model.start(M)`` itself the pair evaluated when that cloud was built
-    is returned.
+    The model is called once on the whole stack and its outputs
+    shape-checked. At the states of ``model.start(M)`` themselves the pair
+    evaluated when that cloud was built is returned.
     """
-    entry = model._start.get(cloud.m)
-    if entry is not None and entry[0] is cloud:
+    entry = model._start.get(x.shape[-2])
+    if entry is not None and entry[0].positions is x:
         return entry[1], entry[2]
     try:
-        return _evaluate(model, cloud)
+        return _evaluate(model, x)
     except (FloatingPointError, RuntimeWarning):
         # numpy raised on an overflow inside a coefficient (np.errstate(all=
         # "raise") or warnings as errors): the same pure evaluation, quietly,
         # so the finiteness checks name the coefficient that left the floats
         with np.errstate(all="ignore"):
-            return _evaluate(model, cloud)
+            return _evaluate(model, x)
 
 
-def _evaluate(model: ModelSpec, cloud: ParticleCloud) -> tuple[np.ndarray, np.ndarray]:
+def _evaluate(model: ModelSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``coefficients`` evaluated, past its start-state lookup."""
-    x = cloud.positions
-    g_shape = x.shape[:-1] + (model.d, model.d_bar)
-    if not model.vectorized:
-        systems = [ParticleCloud._wrap(s) for s in x.reshape(-1, cloud.m, cloud.d)]
-        f = np.stack([drift_eval(model, p, mu) for mu in systems for p in mu.positions])
-        g = np.stack([diffusion_eval(model, p, mu) for mu in systems for p in mu.positions])
-        return f.reshape(x.shape), g.reshape(g_shape)
-    f = np.asarray(model.drift(x, cloud), dtype=float)
+    f = np.asarray(model.drift(x, x), dtype=float)
     if f.shape != x.shape:
         raise ShapeError(f"drift returned shape {f.shape}, expected {x.shape}")
-    g = np.asarray(model.diffusion(x, cloud), dtype=float)
+    g_shape = x.shape[:-1] + (model.d, model.d_bar)
+    g = np.asarray(model.diffusion(x, x), dtype=float)
     if g.shape != g_shape:
         raise ShapeError(f"diffusion returned shape {g.shape}, expected {g_shape}")
     return f, g
@@ -327,8 +327,7 @@ def builtin_model(name: str, params: Mapping) -> ModelSpec:
         a, b, sigma = p["a"], p["b"], p["sigma"]
 
         def drift(x, mu, _a=a, _b=b):
-            m = empirical_mean(mu)
-            return -_a * x + _b * (m - x)
+            return -_a * x + _b * (particle_mean(mu) - x)
 
         diffusion = _constant_diffusion(sigma * np.eye(d, d_bar))
         K = max(_derived(name, "(a + b)^2 + b^2", lambda: (a + b) ** 2 + b**2),
@@ -344,10 +343,9 @@ def builtin_model(name: str, params: Mapping) -> ModelSpec:
 
         def drift(x, mu, _k=kappa):
             # sin(x_j - x) = sin x_j cos x - cos x_j sin x; the steppers pass
-            # the cloud's own positions as x, whose sines and cosines serve twice
+            # the system's own states as x, whose sines and cosines serve twice
             sin_x, cos_x = np.sin(x), np.cos(x)
-            pos = mu.positions
-            sin_p, cos_p = (sin_x, cos_x) if pos is x else (np.sin(pos), np.cos(pos))
+            sin_p, cos_p = (sin_x, cos_x) if mu is x else (np.sin(mu), np.cos(mu))
             return _k * (particle_mean(sin_p) * cos_x - particle_mean(cos_p) * sin_x)
 
         diffusion = _constant_diffusion(sigma * np.eye(d, d_bar))
@@ -362,8 +360,7 @@ def builtin_model(name: str, params: Mapping) -> ModelSpec:
             return -_a * x
 
         def diffusion(x, mu, _s=sigma):
-            m = empirical_mean(mu)
-            mat = _s * np.eye(d, d_bar) * (1.0 + m)[..., None]
+            mat = _s * np.eye(d, d_bar) * (1.0 + particle_mean(mu))[..., None]
             return np.broadcast_to(mat, x.shape[:-1] + mat.shape[-2:])
 
         K = max(_derived(name, "a^2", lambda: a**2),

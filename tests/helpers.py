@@ -1,7 +1,5 @@
 """Models, observables and strategies shared by the test modules."""
 
-from dataclasses import replace
-
 from hypothesis import strategies as st
 
 from mlmc_mvsde import builtin_model, builtin_test_function
@@ -32,22 +30,6 @@ def euler_mean(a, x0, h, steps):
     for _ in range(steps):
         m *= 1.0 - a * h
     return m
-
-
-def _pointwise(fn):
-    """A coefficient that refuses stacked states, as a one-state-at-a-time
-    user callable would."""
-    def call(x, mu):
-        if x.ndim != 1:
-            raise TypeError(f"pointwise coefficient called with shape {x.shape}")
-        return fn(x, mu)
-    return call
-
-
-def pointwise_twin(model):
-    """The same model with coefficients evaluated one particle at a time."""
-    return replace(model, drift=_pointwise(model.drift),
-                   diffusion=_pointwise(model.diffusion), vectorized=False)
 
 
 @st.composite

@@ -506,6 +506,22 @@ def test_validate_and_run_reject_a_malformed_document(tmp_path, capsys, case):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("case", ["directory", "not utf-8"])
+def test_an_unreadable_config_exits_2_in_one_line(tmp_path, capsys, command, case):
+    if case == "directory":
+        path = tmp_path / "configs"
+        path.mkdir()
+    else:
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'\xff\xfe{"seed": 0}')
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read config ")
+    assert captured.err.count("\n") == 1 and str(path) in captured.err
+
+
 #: (shipped config, section path, key, its misspelling) that ran as if the
 #: misspelt key were absent
 TYPOS = [("strong_error", ("grid",), "ref_factor", "ref_facter"),

@@ -23,7 +23,7 @@ from mlmc_mvsde import (
 from mlmc_mvsde.em_engine import DIVERGENCE_LIMIT, advance, check_nested_steps
 from mlmc_mvsde.model import ModelSpec, drift_eval
 
-from helpers import OU, builtin_args, euler_mean, ou, pointwise_twin
+from helpers import OU, builtin_args, euler_mean, ou
 
 
 def test_grid_construction():
@@ -75,13 +75,13 @@ def test_advance_moves_a_stack_as_its_systems(name):
     rng = np.random.default_rng(4)
     x = rng.normal(size=(3, 5, 2))
     xi = rng.normal(size=(3, 5, 2))
-    out = advance(model, ParticleCloud._wrap(x.copy()), 0.1, 0.3, xi).positions
-    assert out.shape == (3, 5, 2) and not out.flags.writeable
+    out = advance(model, x, 0.1, 0.3, xi)
+    assert out.shape == (3, 5, 2) and not np.shares_memory(out, x)
     for k in range(3):
-        one = advance(model, ParticleCloud(x[k]), 0.1, 0.3, xi[k]).positions
+        one = advance(model, x[k], 0.1, 0.3, xi[k])
         assert one.tobytes() == out[k].tobytes()
     with pytest.raises(ShapeError):
-        advance(model, ParticleCloud._wrap(x.copy()), 0.1, 0.3, xi[0])
+        advance(model, x, 0.1, 0.3, xi[0])
 
 
 def test_em_step_exchangeability_exact():
@@ -236,13 +236,11 @@ def reference_ode_limit(model, grid):
 
 
 @settings(max_examples=60, deadline=None)
-@given(args=builtin_args(epsilons=(0.0, 0.5)), pointwise=st.booleans(),
-       horizon=st.sampled_from([0.5, 1.0, 3.0]), steps=st.integers(1, 79))
-def test_ode_limit_equals_the_zero_noise_euler_loop(args, pointwise, horizon, steps):
+@given(args=builtin_args(epsilons=(0.0, 0.5)), horizon=st.sampled_from([0.5, 1.0, 3.0]),
+       steps=st.integers(1, 79))
+def test_ode_limit_equals_the_zero_noise_euler_loop(args, horizon, steps):
     name, params = args
     model = builtin_model(name, {**params, "T": horizon})
-    if pointwise:
-        model = pointwise_twin(model)
     grid = SimulationGrid.from_steps(horizon, steps)
     z = ode_limit(model, grid)
     assert z.shape == (steps + 1, model.d)
@@ -336,15 +334,14 @@ def test_one_step_interpolation_gap_rates():
 
     def measured(eps, h, reps=200):
         model = model_base.with_epsilon(eps)
-        cloud = ParticleCloud.at([1.0], m)
-        f = np.asarray(model.drift(cloud.positions, cloud))
-        g = np.asarray(model.diffusion(cloud.positions, cloud))
+        x = np.ones((m, 1))
+        f = np.asarray(model.drift(x, x))
+        g = np.asarray(model.diffusion(x, x))
         acc = 0.0
         for _ in range(reps):
             xi1 = rng.normal(size=(m, 1))
-            mid = cloud.positions + f * (h / 2) + eps * math.sqrt(h / 2) * np.einsum(
-                "mij,mj->mi", g, xi1)
-            acc += float(np.mean(np.sum((mid - cloud.positions) ** 2, axis=1)))
+            mid = x + f * (h / 2) + eps * math.sqrt(h / 2) * np.einsum("mij,mj->mi", g, xi1)
+            acc += float(np.mean(np.sum((mid - x) ** 2, axis=1)))
         return acc / reps
 
     hs = [2.0**-k for k in range(4, 9)]
@@ -366,9 +363,9 @@ def test_strong_error_small_steps_with_state_dependent_diffusion():
     # the linear-in-h error component needs a state-dependent diffusion; with
     # one present the small-step slope at large noise drops toward 1
     def drift(x, mu):
-        from mlmc_mvsde.measure import empirical_mean
+        from mlmc_mvsde.measure import particle_mean
 
-        return -x + 0.5 * (empirical_mean(mu) - x)
+        return -x + 0.5 * (particle_mean(mu) - x)
 
     def diffusion(x, mu):
         return (1.0 + 0.5 * np.sin(x))[..., None]

@@ -2,8 +2,9 @@
 ``coupled_coarse_interval`` bit for bit whatever the chunking, its level-0
 samples equal one ``em_step`` per sample and ``simulate_level_pair`` at level
 0, relabelling particles only relabels its output, it raises the same errors
-from inside a chunk, and the estimator built on it keeps its exactness and
-cost identities."""
+from inside a chunk, it hands every coefficient the state array itself as
+the measure, and the estimator built on it keeps its exactness and cost
+identities."""
 
 from dataclasses import replace
 from unittest.mock import patch
@@ -31,7 +32,7 @@ from mlmc_mvsde.mlmc_engine import _coupled_pairs, _level_samples
 from mlmc_mvsde.model import BUILTIN_TEST_FUNCTIONS
 from mlmc_mvsde.rng import DOMAIN_LEVEL_ZERO, stream
 
-from helpers import IDENT, PARAMS, builtin_args, pointwise_twin
+from helpers import IDENT, PARAMS, builtin_args
 
 
 def looped(model, cfg, xi):
@@ -47,14 +48,12 @@ def looped(model, cfg, xi):
 
 
 @settings(max_examples=40, deadline=None)
-@given(args=builtin_args(), pointwise=st.booleans(), level=st.integers(1, 3),
+@given(args=builtin_args(), level=st.integers(1, 3),
        n_ref=st.integers(2, 3), m=st.integers(1, 5), count=st.integers(1, 5),
        seed=st.integers(0, 2**32 - 1), data=st.data())
-def test_chunked_pairs_equal_looped_intervals(args, pointwise, level, n_ref, m, count,
+def test_chunked_pairs_equal_looped_intervals(args, level, n_ref, m, count,
                                               seed, data):
     model = builtin_model(*args)
-    if pointwise:
-        model = pointwise_twin(model)
     cfg = LevelConfig(refinement_n=n_ref, level=level, horizon=model.horizon)
     xi = np.random.default_rng(seed).standard_normal(
         (count, cfg.coarse_steps, n_ref, m, model.d_bar))
@@ -71,13 +70,11 @@ def test_chunked_pairs_equal_looped_intervals(args, pointwise, level, n_ref, m, 
 
 
 @settings(max_examples=40, deadline=None)
-@given(args=builtin_args(), pointwise=st.booleans(), psi=st.sampled_from(BUILTIN_TEST_FUNCTIONS),
+@given(args=builtin_args(), psi=st.sampled_from(BUILTIN_TEST_FUNCTIONS),
        m=st.integers(1, 5), count=st.integers(0, 6), seed=st.integers(0, 2**32 - 1),
        data=st.data())
-def test_level0_samples_equal_one_step_per_sample(args, pointwise, psi, m, count, seed, data):
+def test_level0_samples_equal_one_step_per_sample(args, psi, m, count, seed, data):
     model = builtin_model(*args)
-    if pointwise:
-        model = pointwise_twin(model)
     test_fn = builtin_test_function(psi)
     want = []
     for index in range(count):
@@ -93,13 +90,11 @@ def test_level0_samples_equal_one_step_per_sample(args, pointwise, psi, m, count
 
 
 @settings(max_examples=25, deadline=None)
-@given(args=builtin_args(), pointwise=st.booleans(), psi=st.sampled_from(BUILTIN_TEST_FUNCTIONS),
+@given(args=builtin_args(), psi=st.sampled_from(BUILTIN_TEST_FUNCTIONS),
        m=st.integers(1, 5), seed=st.integers(0, 2**32 - 1), index=st.integers(0, 50))
-def test_level0_pair_equals_the_level0_sample(args, pointwise, psi, m, seed, index):
+def test_level0_pair_equals_the_level0_sample(args, psi, m, seed, index):
     # level 0 has no coarse term: the difference is the fine value itself
     model = builtin_model(*args)
-    if pointwise:
-        model = pointwise_twin(model)
     test_fn = builtin_test_function(psi)
     cfg = LevelConfig(refinement_n=2, level=0, horizon=model.horizon)
     diff, fine, cost = simulate_level_pair(model, cfg, m, test_fn, seed, index)
@@ -109,12 +104,10 @@ def test_level0_pair_equals_the_level0_sample(args, pointwise, psi, m, seed, ind
 
 
 @settings(max_examples=25, deadline=None)
-@given(args=builtin_args(), pointwise=st.booleans(), level=st.integers(1, 3),
+@given(args=builtin_args(), level=st.integers(1, 3),
        m=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
-def test_relabelled_particles_move_to_the_same_bits(args, pointwise, level, m, seed):
+def test_relabelled_particles_move_to_the_same_bits(args, level, m, seed):
     model = builtin_model(*args)
-    if pointwise:
-        model = pointwise_twin(model)
     cfg = LevelConfig(refinement_n=2, level=level, horizon=model.horizon)
     rng = np.random.default_rng(seed)
     xi = rng.standard_normal((2, cfg.coarse_steps, 2, m, model.d_bar))
@@ -186,6 +179,32 @@ def test_a_nan_coarse_drift_in_a_chunk_is_named(monkeypatch):
     monkeypatch.setattr(mlmc_engine, "stream", _Blocks(bad=1, value=1.5 / np.sqrt(0.5)))
     with pytest.raises(NumericError, match="drift"):
         _level_samples(model, LevelConfig(2, 2, model.horizon), 3, IDENT, 0, 0, 3)
+
+
+def test_coefficients_take_the_state_array_as_their_measure():
+    # the model contract: every coefficient call gets the (..., M, d) state
+    # array itself as mu, one system on the fine path, a (K, M, d) stack on
+    # the coarse one
+    calls = []
+
+    def recorded(out):
+        def coefficient(x, mu):
+            calls.append((type(mu), mu is x, x.shape))
+            return out(x)
+        return coefficient
+
+    model = ModelSpec(d=2, d_bar=1, drift=recorded(lambda x: -0.5 * x),
+                      diffusion=recorded(lambda x: np.ones(x.shape + (1,))),
+                      epsilon=0.5, x0=np.array([1.0, -1.0]), horizon=1.0,
+                      lipschitz_K=1.0, growth_beta=2.0)
+    m, k = 3, 4
+    cfg = LevelConfig(2, 2, model.horizon)
+    for run, stack in ((lambda: simulate_level_pair(model, cfg, m, IDENT, 5, 1), 1),
+                       (lambda: _level_samples(model, cfg, m, IDENT, 5, 0, k), k)):
+        calls.clear()
+        run()
+        assert {(kind, same) for kind, same, _ in calls} == {(np.ndarray, True)}
+        assert {shape for _, _, shape in calls} == {(m, 2), (stack, m, 2)}
 
 
 @settings(max_examples=20, deadline=None)

@@ -24,7 +24,7 @@ from mlmc_mvsde import (
 from mlmc_mvsde.mlmc_engine import _coupled_pairs, cost_per_sample
 from mlmc_mvsde.measure import sorted_mean
 
-from helpers import IDENT, euler_mean, ou, pointwise_twin
+from helpers import IDENT, euler_mean, ou
 
 
 def test_level_config_geometry():
@@ -69,15 +69,6 @@ def test_coarse_increment_variance_law():
     draws = rng.standard_normal((4, 20000))
     eff = math.sqrt(cfg.h_fine) * draws.sum(axis=0)
     assert eff.var() == pytest.approx(cfg.h_coarse, rel=0.05)
-
-
-def test_pointwise_model_level_pair_matches_vectorized():
-    model = ou(0.3)
-    pointwise = pointwise_twin(model)
-    for level in (1, 3):
-        cfg = LevelConfig(refinement_n=2, level=level, horizon=1.0)
-        assert simulate_level_pair(pointwise, cfg, 8, IDENT, seed=2, sample_index=1) == \
-            simulate_level_pair(model, cfg, 8, IDENT, seed=2, sample_index=1)
 
 
 def test_coarse_step_divergence_is_flagged():

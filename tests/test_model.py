@@ -54,11 +54,12 @@ def test_kuramoto_drift_matches_pairwise_sum():
     for d in (1, 2):
         kura = builtin_model("kuramoto", {**BASE, "x0": [0.0] * d, "kappa": 1.7})
         for m in (1, 2, 7, 64, 512):
-            mu = ParticleCloud(rng.uniform(-4.0, 4.0, size=(m, d)))
+            pos = rng.uniform(-4.0, 4.0, size=(m, d))
             x = rng.uniform(-4.0, 4.0, size=(33, d))
-            want = kuramoto_pairwise(1.7, x, mu.positions)
-            assert np.allclose(kura.drift(x, mu), want, rtol=0.0, atol=1e-12)
-            assert np.allclose(drift_eval(kura, x[0], mu), want[0], rtol=0.0, atol=1e-12)
+            want = kuramoto_pairwise(1.7, x, pos)
+            assert np.allclose(kura.drift(x, pos), want, rtol=0.0, atol=1e-12)
+            assert np.allclose(drift_eval(kura, x[0], ParticleCloud(pos)), want[0],
+                               rtol=0.0, atol=1e-12)
 
 
 def test_kuramoto_drift_is_permutation_invariant():
@@ -67,8 +68,7 @@ def test_kuramoto_drift_is_permutation_invariant():
     pos = rng.normal(size=(50, 2))
     x = rng.normal(size=(10, 2))
     shuffled = pos[rng.permutation(50)]
-    assert np.array_equal(kura.drift(x, ParticleCloud(pos)),
-                          kura.drift(x, ParticleCloud(shuffled)))
+    assert np.array_equal(kura.drift(x, pos), kura.drift(x, shuffled))
 
 
 def test_diffusion_eval_examples():
@@ -208,8 +208,8 @@ def test_a_default_spelt_out_builds_the_same_model(name, given, defaults):
     full = builtin_model(name, {**BASE, **given, **defaults})
     assert (bare.lipschitz_K, bare.growth_beta, bare.meta) == (
         full.lipschitz_K, full.growth_beta, full.meta)
-    cloud = ParticleCloud(np.random.default_rng(5).normal(size=(8, 1)))
-    for want, got in zip(coefficients(bare, cloud), coefficients(full, cloud)):
+    x = np.random.default_rng(5).normal(size=(8, 1))
+    for want, got in zip(coefficients(bare, x), coefficients(full, x)):
         assert np.array_equal(want, got)
 
 
@@ -233,10 +233,11 @@ def test_coefficient_purity():
 def test_vectorized_matches_pointwise():
     rng = np.random.default_rng(4)
     for model in all_builtins():
-        mu = ParticleCloud(rng.normal(size=(16, model.d)))
+        pos = rng.normal(size=(16, model.d))
+        mu = ParticleCloud(pos)
         stack = rng.normal(size=(10, model.d))
-        f_stack = model.drift(stack, mu)
-        g_stack = model.diffusion(stack, mu)
+        f_stack = model.drift(stack, pos)
+        g_stack = model.diffusion(stack, pos)
         for i in range(10):
             assert np.array_equal(np.asarray(f_stack)[i], drift_eval(model, stack[i], mu))
             assert np.array_equal(np.asarray(g_stack)[i], diffusion_eval(model, stack[i], mu))

@@ -14,12 +14,11 @@ from mlmc_mvsde import (
     ParticleCloud,
     builtin_model,
     em_step,
-    simulate_level_pair,
 )
 from mlmc_mvsde.mlmc_engine import _level_samples
 from mlmc_mvsde.model import coefficients
 
-from helpers import IDENT, builtin_args, pointwise_twin
+from helpers import IDENT, builtin_args
 
 
 class _Uncached(ModelSpec):
@@ -92,17 +91,7 @@ def test_start_is_read_only_and_built_once(args, m):
     assert np.all(start.positions == model.x0)
     with pytest.raises(ValueError):
         start.positions[0, 0] = 1.0
-    for coef in coefficients(model, start):
+    for coef in coefficients(model, start.positions):
         assert not coef.flags.writeable
-    assert coefficients(model, start)[0] is coefficients(model, model.start(m))[0]
-
-
-@settings(max_examples=25, deadline=None)
-@given(args=builtin_args(), m=small_m, seed=seeds, index=st.integers(0, 50))
-def test_pointwise_twin_matches_through_level0(args, m, seed, index):
-    model = builtin_model(*args)
-    twin = pointwise_twin(model)
-    cfg = LevelConfig(refinement_n=2, level=0, horizon=model.horizon)
-    for _ in range(2):  # the first call builds each start state, the second reuses it
-        assert simulate_level_pair(twin, cfg, m, IDENT, seed, index) == \
-            simulate_level_pair(model, cfg, m, IDENT, seed, index)
+    assert coefficients(model, start.positions)[0] is \
+        coefficients(model, model.start(m).positions)[0]
