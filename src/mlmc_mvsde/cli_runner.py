@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -28,16 +28,9 @@ from .model import (BUILTIN_MODELS, BUILTIN_TEST_FUNCTIONS, REQUIRED, builtin_mo
                     builtin_test_function, is_number)
 from .em_engine import (DEFAULT_REF_FACTOR, SimulationGrid, check_nested_steps,
                         small_noise_curve, strong_error_curve)
-from .mlmc_engine import (
-    DEFAULT_CHAOS_STEPS,
-    DEFAULT_MAX_LEVEL,
-    DEFAULT_PILOT_SAMPLES,
-    chaos_study,
-    cost_compare,
-    coupled_variance_study,
-    mlmc_estimate,
-    second_moment_study,
-)
+from .mlmc_engine import (DEFAULT_CHAOS_STEPS, DEFAULT_MAX_LEVEL, DEFAULT_PILOT_SAMPLES,
+                          chaos_study, cost_compare, coupled_variance_study, mlmc_estimate,
+                          second_moment_study)
 from .stats import loglog_fit
 
 EXIT_OK = 0
@@ -90,35 +83,125 @@ _KEYS = {("", key) for key in ("experiment", "model", "psi", "seed", "grid", "ta
 _KEYS |= {("model", "name"), ("model", "params")}
 
 
+def _safe_fit(name: str, points: list[tuple[float, float]]) -> list[dict]:
+    """The log-log fit of the points with both coordinates positive, or no
+    fit when fewer than two remain or the fit is degenerate."""
+    points = [(x, y) for x, y in points if x > 0 and y > 0]
+    if len(points) < 2:
+        return []
+    try:
+        fit = loglog_fit(points)
+    except (ValueError, ArithmeticError):
+        return []
+    return [{"name": name, "slope": fit.slope, "intercept": fit.intercept,
+             "r_squared": fit.r_squared, "points": [[float(x), float(y)] for x, y in points]}]
+
+
+def _coupled_variance(model, test_fn, v, seed):
+    lo, hi = v["levels"]
+    rows = coupled_variance_study(model, list(range(lo, hi + 1)), v["refinement_n"],
+                                  v["m_particles"], v["replications"], test_fn, seed)
+    return ([{**asdict(r), "ci_lo": r.var_diff - r.ci_halfwidth,
+              "ci_hi": r.var_diff + r.ci_halfwidth} for r in rows],
+            _safe_fit("var_diff_vs_h_coarse", [(r.h_coarse, r.var_diff) for r in rows]),
+            [], {"max_var_diff": max(r.var_diff for r in rows)})
+
+
+def _second_moment(model, test_fn, v, seed):
+    lo, hi = v["levels"]
+    rows = second_moment_study(model, list(range(lo, hi + 1)), v["refinement_n"],
+                               v["m_particles"], v["replications"], seed)
+    moments = [r.second_moment for r in rows]
+    ratios = [float(np.log2(a / b)) for a, b in zip(moments, moments[1:]) if a > 0 and b > 0]
+    return (list(map(asdict, rows)),
+            _safe_fit("second_moment_vs_h_coarse", [(r.h_coarse, r.second_moment) for r in rows]),
+            [], {"log2_ratios": ratios})
+
+
+def _strong_error(model, test_fn, v, seed):
+    curve = strong_error_curve(model, v["h_list"], v["m_particles"], v["replications"], seed,
+                               v["ref_factor"], test_fn)
+    return ([{"h": h, "mse": mse, "replications": v["replications"]} for h, mse in curve],
+            _safe_fit("mse_vs_h", curve), [], {})
+
+
+def _mlmc(model, test_fn, v, seed):
+    report = mlmc_estimate(model, test_fn, v["delta"], v["refinement_n"], v["m_particles"],
+                           v["pilot_samples"], v["max_level"], seed)
+    return (list(map(asdict, report.per_level)), [], list(report.flags),
+            {"estimate": report.estimate, "total_cost": report.total_cost,
+             "target_delta": report.target_delta, "allocation": report.allocation})
+
+
+def _cost_compare(model, test_fn, v, seed):
+    rows = cost_compare(model, test_fn, v["delta_list"], v["epsilon_list"], v["refinement_n"],
+                        v["m_particles"], v["pilot_samples"], v["max_level"], seed)
+    fits = []
+    for eps in v["epsilon_list"]:
+        fits += _safe_fit(f"mlmc_cost_vs_delta_eps_{eps}",
+                          [(r.delta, float(r.mlmc_cost)) for r in rows if r.epsilon == eps])
+    return list(map(asdict, rows)), fits, [], {}
+
+
+def _chaos(model, test_fn, v, seed):
+    rows = chaos_study(model, v["m_list"], v["reference_m"], v["replications"], seed, test_fn,
+                       v["steps"], v["pathwise"])
+    return (list(map(asdict, rows)),
+            _safe_fit("mse_vs_m", [(float(r.m_particles), r.mse_vs_reference) for r in rows]),
+            [], {})
+
+
+def _small_noise(model, test_fn, v, seed):
+    curve = small_noise_curve(model, v["epsilon_list"], SimulationGrid.from_step_size(
+        model.horizon, v["h"]), v["m_particles"], v["replications"], seed)
+    return ([{"epsilon": eps, "mean_sup_sq": dev, "replications": v["replications"]}
+             for eps, dev in curve], _safe_fit("deviation_vs_epsilon", curve), [], {})
+
+
 class Experiment(NamedTuple):
     #: ``"section.key"`` -> (check, default or REQUIRED)
     fields: dict
     #: the assertion keys the experiment's results can evaluate
     assertions: tuple[str, ...]
+    #: the CSV header: the order in which each record's cells are written
+    columns: tuple[str, ...]
+    #: ``run(model, test_fn, values, seed)`` -> (records, fits, flags, summary),
+    #: with ``values`` the fields by key and each record mapping every column
+    #: to its cell
+    run: Callable
 
 
 EXPERIMENTS = {
     "strong-error": Experiment({
         "grid.h_list": (_entries(_positive, "positive numbers"), REQUIRED),
         "grid.ref_factor": (_integer(2), DEFAULT_REF_FACTOR), **_M,
-        "grid.replications": (_integer(2), REQUIRED)}, _FIT),
-    "coupled-variance": Experiment(_LEVEL_STUDY, _FIT + ("max_var_diff",)),
-    "second-moment": Experiment(_LEVEL_STUDY, _FIT + ("ratio_min", "ratio_max")),
-    "mlmc": Experiment({**_ESTIMATOR, "targets.delta": (_POSITIVE, REQUIRED)},
-                       ("expected", "tolerance")),
+        "grid.replications": (_integer(2), REQUIRED)}, _FIT,
+        ("h", "mse", "replications"), _strong_error),
+    "coupled-variance": Experiment(
+        _LEVEL_STUDY, _FIT + ("max_var_diff",),
+        ("level", "h_coarse", "var_diff", "ci_lo", "ci_hi", "rng_cost", "samples"),
+        _coupled_variance),
+    "second-moment": Experiment(
+        _LEVEL_STUDY, _FIT + ("ratio_min", "ratio_max"),
+        ("level", "h_coarse", "second_moment", "rng_cost", "samples"), _second_moment),
+    "mlmc": Experiment(
+        {**_ESTIMATOR, "targets.delta": (_POSITIVE, REQUIRED)}, ("expected", "tolerance"),
+        ("level", "samples", "mean_diff", "var_diff", "rng_cost"), _mlmc),
     "cost-compare": Experiment({
         **_ESTIMATOR, "targets.delta_list": (_entries(_positive, "positive numbers"), REQUIRED),
-        "targets.epsilon_list": (_EPSILONS, REQUIRED)}, _FIT),
+        "targets.epsilon_list": (_EPSILONS, REQUIRED)}, _FIT,
+        ("delta", "epsilon", "mc_cost", "mlmc_cost", "mc_steps", "mlmc_levels"), _cost_compare),
     "chaos": Experiment({
         "grid.m_list": (_entries(lambda m: _is_int(m) and m > 0, "positive integers"), REQUIRED),
         "grid.reference_m": (_integer(1), REQUIRED),
         "grid.replications": (_integer(1), REQUIRED),
         "grid.steps": (_integer(1), DEFAULT_CHAOS_STEPS),
         "grid.pathwise": (_check(lambda v: isinstance(v, bool), "must be true or false"), False)},
-        _FIT),
+        _FIT, ("m_particles", "mse_vs_reference", "replications"), _chaos),
     "small-noise-deviation": Experiment({
         "grid.h": (_POSITIVE, REQUIRED), **_M, "grid.replications": (_integer(1), REQUIRED),
-        "targets.epsilon_list": (_EPSILONS, REQUIRED)}, _FIT),
+        "targets.epsilon_list": (_EPSILONS, REQUIRED)}, _FIT,
+        ("epsilon", "mean_sup_sq", "replications"), _small_noise),
 }
 
 
@@ -238,105 +321,15 @@ def validate_config(cfg: dict) -> list[str]:
     return diags
 
 
-def _safe_fit(name: str, points: list[tuple[float, float]]) -> list[dict]:
-    """The log-log fit of the points with both coordinates positive, or no
-    fit when fewer than two remain or the fit is degenerate."""
-    points = [(x, y) for x, y in points if x > 0 and y > 0]
-    if len(points) < 2:
-        return []
-    try:
-        fit = loglog_fit(points)
-    except (ValueError, ArithmeticError):
-        return []
-    return [{"name": name, "slope": fit.slope, "intercept": fit.intercept,
-             "r_squared": fit.r_squared, "points": [[float(x), float(y)] for x, y in points]}]
-
-
 def run_experiment(cfg: dict) -> ReportBundle:
     exp = cfg["experiment"]
+    spec = EXPERIMENTS[exp]
     model = builtin_model(cfg["model"]["name"], cfg["model"].get("params", {}))
     test_fn = builtin_test_function(cfg.get("psi", "identity"))
-    v = {key: val for _, key, _, val in _fields(exp, cfg)}
+    values = {key: val for _, key, _, val in _fields(exp, cfg)}
     seed = int(cfg["seed"])
     t0 = time.perf_counter()
-
-    fits: list[dict] = []
-    flags: list[str] = []
-    summary: dict = {}
-
-    if exp == "coupled-variance":
-        lo, hi = v["levels"]
-        rows_data = coupled_variance_study(model, list(range(lo, hi + 1)), v["refinement_n"],
-                                           v["m_particles"], v["replications"], test_fn, seed)
-        columns = ["level", "h_coarse", "var_diff", "ci_lo", "ci_hi", "rng_cost", "samples"]
-        rows = [[r.level, r.h_coarse, r.var_diff, r.var_diff - r.ci_halfwidth,
-                 r.var_diff + r.ci_halfwidth, r.rng_cost, r.samples] for r in rows_data]
-        fits += _safe_fit("var_diff_vs_h_coarse", [(r.h_coarse, r.var_diff) for r in rows_data])
-        summary["max_var_diff"] = max(r.var_diff for r in rows_data)
-
-    elif exp == "second-moment":
-        lo, hi = v["levels"]
-        rows_data = second_moment_study(model, list(range(lo, hi + 1)), v["refinement_n"],
-                                        v["m_particles"], v["replications"], seed)
-        columns = ["level", "h_coarse", "second_moment", "rng_cost", "samples"]
-        rows = [[r.level, r.h_coarse, r.second_moment, r.rng_cost, r.samples]
-                for r in rows_data]
-        ratios = []
-        for a, b in zip(rows_data, rows_data[1:]):
-            if a.second_moment > 0 and b.second_moment > 0:
-                ratios.append(float(np.log2(a.second_moment / b.second_moment)))
-        summary["log2_ratios"] = ratios
-        fits += _safe_fit("second_moment_vs_h_coarse",
-                          [(r.h_coarse, r.second_moment) for r in rows_data])
-
-    elif exp == "strong-error":
-        curve = strong_error_curve(model, v["h_list"], v["m_particles"], v["replications"],
-                                   seed, v["ref_factor"], test_fn)
-        columns = ["h", "mse", "replications"]
-        rows = [[h, mse, v["replications"]] for h, mse in curve]
-        fits += _safe_fit("mse_vs_h", curve)
-
-    elif exp == "mlmc":
-        report = mlmc_estimate(model, test_fn, v["delta"], v["refinement_n"], v["m_particles"],
-                               v["pilot_samples"], v["max_level"], seed)
-        columns = ["level", "samples", "mean_diff", "var_diff", "rng_cost"]
-        rows = [[r.level, r.samples, r.mean_diff, r.var_diff, r.rng_cost]
-                for r in report.per_level]
-        flags += report.flags
-        summary = {
-            "estimate": report.estimate,
-            "total_cost": report.total_cost,
-            "target_delta": report.target_delta,
-            "allocation": report.allocation,
-        }
-
-    elif exp == "cost-compare":
-        rows_data = cost_compare(model, test_fn, v["delta_list"], v["epsilon_list"],
-                                 v["refinement_n"], v["m_particles"], v["pilot_samples"],
-                                 v["max_level"], seed)
-        columns = ["delta", "epsilon", "mc_cost", "mlmc_cost", "mc_steps", "mlmc_levels"]
-        rows = [[r.delta, r.epsilon, r.mc_cost, r.mlmc_cost, r.mc_steps, r.mlmc_levels]
-                for r in rows_data]
-        for eps in v["epsilon_list"]:
-            pts = [(r.delta, float(r.mlmc_cost)) for r in rows_data if r.epsilon == eps]
-            fits += _safe_fit(f"mlmc_cost_vs_delta_eps_{eps}", pts)
-
-    elif exp == "chaos":
-        rows_data = chaos_study(model, v["m_list"], v["reference_m"], v["replications"], seed,
-                                test_fn, v["steps"], v["pathwise"])
-        columns = ["m_particles", "mse_vs_reference", "replications"]
-        rows = [[r.m_particles, r.mse_vs_reference, r.replications] for r in rows_data]
-        fits += _safe_fit("mse_vs_m", [(float(r.m_particles), r.mse_vs_reference)
-                                       for r in rows_data])
-
-    elif exp == "small-noise-deviation":
-        sim_grid = SimulationGrid.from_step_size(model.horizon, v["h"])
-        curve = small_noise_curve(model, v["epsilon_list"], sim_grid, v["m_particles"],
-                                  v["replications"], seed)
-        columns = ["epsilon", "mean_sup_sq", "replications"]
-        rows = [[eps, dev, v["replications"]] for eps, dev in curve]
-        fits += _safe_fit("deviation_vs_epsilon", curve)
-
+    records, fits, flags, summary = spec.run(model, test_fn, values, seed)
     metadata = {
         "experiment": exp,
         "artifact_version": __version__,
@@ -344,8 +337,8 @@ def run_experiment(cfg: dict) -> ReportBundle:
         "config": cfg,
         "wall_time_s": time.perf_counter() - t0,
     }
-    return ReportBundle(metadata=metadata, columns=columns, rows=rows,
-                        fits=fits, flags=flags, summary=summary)
+    rows = [[record[col] for col in spec.columns] for record in records]
+    return ReportBundle(metadata, list(spec.columns), rows, fits, flags, summary)
 
 
 def _fmt_cell(value, digits: int = 17) -> str:

@@ -16,11 +16,9 @@ import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, ShapeError
 from .measure import ParticleCloud, sorted_mean
-from .model import ModelSpec, TestFunction, _check_finite, builtin_test_function, coefficients
+from .model import (DIVERGENCE_LIMIT, ModelSpec, TestFunction, _check_finite,
+                    builtin_test_function, coefficients)
 from .rng import DOMAIN_PATH, DOMAIN_SMALL_NOISE, DOMAIN_STRONG_ERROR, stream
-
-#: any state beyond this magnitude aborts the run instead of propagating infs
-DIVERGENCE_LIMIT = 1e12
 
 #: reference grid is finer than the smallest requested step by this factor
 DEFAULT_REF_FACTOR = 8

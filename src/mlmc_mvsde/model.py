@@ -53,6 +53,8 @@ _MODEL_PARAMS = {
     "measure_diffusion": {**_COMMON, "a": 1.0, "sigma": REQUIRED},
 }
 BUILTIN_MODELS = tuple(_MODEL_PARAMS)
+#: any state beyond this magnitude aborts the run; a model's x0 lies within it
+DIVERGENCE_LIMIT = 1e12
 #: the other spellings of a parameter
 _ALIASES = {"σ": "sigma", "ε": "epsilon", "eps": "epsilon", "κ": "kappa"}
 
@@ -107,6 +109,9 @@ class ModelSpec:
             raise ShapeError(f"x0 has shape {x0.shape}, expected ({self.d},)")
         if not np.all(np.isfinite(x0)):
             raise NumericError("x0 must be finite")
+        if np.abs(x0).max() > DIVERGENCE_LIMIT:
+            raise ConfigurationError(f"x0 must lie in the trust region |x0| <= "
+                                     f"{DIVERGENCE_LIMIT:g}, got {x0.tolist()}")
         x0.setflags(write=False)
         object.__setattr__(self, "x0", x0)
 
@@ -285,7 +290,8 @@ def builtin_model(name: str, params: Mapping) -> ModelSpec:
     given under two spellings or one of the wrong type is a
     ``ConfigurationError`` that names it, and so is a finite parameter
     whose derived constants overflow a float (the message names the model
-    and the formula).
+    and the formula). So is an ``x0`` outside the trust region that the
+    steppers check, ``|x0| <= 1e12`` (``DIVERGENCE_LIMIT``) per component.
 
     - ``zero`` (no others): f = 0, g = 0.
     - ``constant_drift`` (``c``, ``sigma`` = 1): f = c, g = σ.

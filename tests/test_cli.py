@@ -18,6 +18,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 #: SHA-256 of the CSV each shipped config writes at its own seed
 SHIPPED_CSV_SHA256 = {
     "chaos": "edeb9879054612816ec3425f4b57fcfae26bbb39016173e58e30d6e037b1c02e",
+    "cost_compare": "091486e7ec040283f1149ec178c364eb1aa1c5e808d62261a8ccec018c262d16",
     "coupled_variance": "498f4b539d3767711f38cd2022a7234b6f5beaed5fdbaf146fd14ddcf0b16df4",
     "mlmc": "0e319e2c24b900730a74f592ffad88db2de1b37490a952ca51f7466c4cbf9456",
     "second_moment": "c85952be3c75ada33544bd983930d3dd7b4723cb104682f3a676ceb02929af41",
@@ -115,29 +116,15 @@ def test_run_divergence_exits_3(tmp_path, capsys):
     assert "divergence" in capsys.readouterr().err
 
 
-def test_run_nonfinite_coefficient_exits_3(tmp_path, capsys):
-    # validate accepts it, but the drift -a x0 overflows at the start state
-    cfg = {"experiment": "strong-error", "seed": 0, "output_dir": str(tmp_path / "out"),
-           "model": {"name": "meanfield_ou",
-                     "params": {"a": 1e150, "b": 0.5, "x0": 1e300, "T": 1.0, "epsilon": 0.1}},
-           "grid": {"h_list": [0.5, 0.25], "m_particles": 4, "replications": 2}}
-    path = write_config(tmp_path, "nonfinite.json", cfg)
-    assert main(["validate", str(path)]) == 0
-    capsys.readouterr()
-    assert main(["run", str(path)]) == 3
-    assert capsys.readouterr().err.splitlines() == [
-        "divergence: drift produced a non-finite value at component (0, 0)"]
-
-
 def run_overflow_probe(tmp_path, *python_flags) -> subprocess.CompletedProcess:
     """``run`` in a fresh interpreter on an mlmc config whose first level-0
-    step overflows: x0 + h a x0 with a = -1 and one particle (with more,
-    the particle mean that the diffusion reads overflows first)."""
+    step overflows: x0 + h a x0 with x0 = 1e12 at the edge of the trust
+    region, a = -1e150 and h = T = 1e300."""
     cfg = {"experiment": "mlmc", "seed": 0, "output_dir": str(tmp_path / "out"),
            "model": {"name": "measure_diffusion",
-                     "params": {"a": -1.0, "sigma": 1.0, "x0": 1.5e308, "T": 1.0,
+                     "params": {"a": -1e150, "sigma": 1.0, "x0": 1e12, "T": 1e300,
                                 "epsilon": 0.1}},
-           "grid": {"refinement_n": 2, "m_particles": 1}, "targets": {"delta": 0.1}}
+           "grid": {"refinement_n": 2, "m_particles": 4}, "targets": {"delta": 0.1}}
     path = write_config(tmp_path, "overflow.json", cfg)
     src = Path(__file__).resolve().parent.parent / "src"
     return subprocess.run(
@@ -477,6 +464,24 @@ def test_validate_and_run_reject_an_overflowing_model_parameter(tmp_path, capsys
     assert_rejected(tmp_path, capsys, cfg, "model.params", f"{name} parameters overflow {formula}")
 
 
+#: starts outside the trust region, at M = 4: the particle mean of the first
+#: overflows before any state is checked, and so does the drift -a x0 of the second
+OUTSIDE = [("mlmc", {"name": "measure_diffusion",
+                     "params": {"a": -1.0, "sigma": 1.0, "x0": 1.5e308, "T": 1.0,
+                                "epsilon": 0.1}}),
+           ("strong-error", {"name": "meanfield_ou",
+                             "params": {"a": 1e150, "b": 0.5, "x0": 1e300, "T": 1.0,
+                                        "epsilon": 0.1}})]
+
+
+@pytest.mark.parametrize("exp,model", OUTSIDE, ids=[model["name"] for _, model in OUTSIDE])
+def test_validate_and_run_refuse_a_start_outside_the_trust_region(tmp_path, capsys, exp, model):
+    cfg = typed_config(exp, str(tmp_path / "out"))
+    cfg["model"] = model
+    cfg["grid"]["m_particles"] = 4
+    assert_rejected(tmp_path, capsys, cfg, "model.params", "x0", "1e+12")
+
+
 def assert_rejected(tmp_path, capsys, cfg, *names):
     """``validate`` and ``run`` both exit 2 on ``cfg`` with a message holding
     every one of ``names``, and nothing is written."""
@@ -551,13 +556,19 @@ def test_shipped_config_validates_clean(path):
 
 
 def test_readme_documents_every_experiment_field_and_assertion():
+    # the schema table has 4 cells per experiment, the CSV columns table 2
     readme = (CONFIGS.parent / "README.md").read_text()
-    documented = {}
+    documented, columns = {}, {}
     for line in readme.splitlines():
         cells = line.split("|")[1:-1]
-        if len(cells) == 4 and (exp := cells[0].strip().strip("`")) in EXPERIMENTS:
+        if not (cells and (exp := cells[0].strip().strip("`")) in EXPERIMENTS):
+            continue
+        if len(cells) == 4:
             names = [set(re.findall(r"`(\w+)`", cell)) for cell in cells[1:]]
             documented[exp] = ({f"grid.{key}" for key in names[0]}
                                | {f"targets.{key}" for key in names[1]}, names[2])
+        elif len(cells) == 2:
+            columns[exp] = tuple(cells[1].strip().strip("`").split(", "))
     assert documented == {exp: (set(spec.fields), set(spec.assertions))
                           for exp, spec in EXPERIMENTS.items()}
+    assert columns == {exp: spec.columns for exp, spec in EXPERIMENTS.items()}

@@ -146,18 +146,18 @@ def test_em_step_errors_under_raising_errstate():
 def test_em_step_errors_under_warnings_as_errors():
     # numpy's overflow warning is an exception here; the caller must still
     # get the library's errors, with a step index from the path loop
-    # x0 + h a x0 overflows; one particle, since with more the particle mean
-    # that the diffusion reads overflows first
-    model = builtin_model("measure_diffusion", {"a": -1.0, "sigma": 1.0, "x0": 1.5e308,
-                                                "T": 1.0, "epsilon": 0.1})
+    # x0 + h a x0 overflows from x0 = 1e12, at the edge of the trust region
+    model = builtin_model("measure_diffusion", {"a": -1e150, "sigma": 1.0, "x0": 1e12,
+                                                "T": 1e300, "epsilon": 0.1})
     with pytest.raises(DivergenceError):
-        em_step(model, model.start(1), 1.0, np.zeros((1, 1)))
+        em_step(model, model.start(4), 1e300, np.zeros((4, 1)))
     with pytest.raises(DivergenceError) as err:
-        simulate_path(model, SimulationGrid.from_steps(1.0, 1), 1, 0)
+        simulate_path(model, SimulationGrid.from_steps(1e300, 1), 4, 0)
     assert err.value.step_index == 0
-    # the drift -a x0 itself overflows, in the start state's coefficients
-    model = builtin_model("meanfield_ou", {"a": 1e150, "b": 0.5, "x0": 1e300, "T": 1.0,
-                                           "epsilon": 0.1})
+    # the drift itself overflows, in the start state's coefficients; no
+    # builtin with a start inside the trust region can do that
+    model = _custom(lambda x, mu: (x + 1e300) * 1e300,
+                    lambda x, mu: np.ones(x.shape[:-1] + (1, 1)))
     with pytest.raises(NumericError, match=r"^drift .* \(0, 0\)$"):
         em_step(model, model.start(4), 0.5, np.zeros((4, 1)))
 
