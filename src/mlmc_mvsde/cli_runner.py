@@ -74,13 +74,70 @@ _LEVEL_STUDY = {"grid.refinement_n": (_integer(2), REQUIRED), "grid.levels": (_L
 _ESTIMATOR = {"grid.refinement_n": (_integer(2), REQUIRED), **_M,
               "grid.pilot_samples": (_integer(2), DEFAULT_PILOT_SAMPLES),
               "grid.max_level": (_integer(1), DEFAULT_MAX_LEVEL)}
+#: the output formats, in the order ``cmd_run`` writes them
+_FORMATS = ("csv", "json")
+#: the top-level fields every experiment shares
+_TOP = {"psi": (lambda v: None if v in BUILTIN_TEST_FUNCTIONS else
+                f"must be one of {BUILTIN_TEST_FUNCTIONS}, got {v!r}", "identity"),
+        "seed": (_check(lambda v: _is_int(v) and 0 <= v < 2**64,
+                        "must be an integer in [0, 2**64)"), REQUIRED),
+        "output_dir": (_check(lambda v: isinstance(v, str), "must be a string"), "."),
+        "formats": (_entries(lambda f: f in _FORMATS, " or ".join(map(repr, _FORMATS))),
+                    list(_FORMATS))}
+#: the structural keys besides the sections, as (section, key); "" is the top level
+_KEYS = {("", "experiment"), ("", "model"), ("model", "name"), ("model", "params")}
+
+
+def _none(*_) -> list:
+    """No cross-field problems, or no assertion failures."""
+    return []
+
+
+def _bounds(labelled: Callable, *keys: str) -> dict:
+    """Assertion rules on each (label, value) of ``labelled(bundle)``: a key
+    ending in ``_min`` is a lower bound, every other key an upper bound."""
+    def rule(lower: bool) -> Callable:
+        return lambda bound, checks, bundle: [
+            f"{label} {value:.4g} {'<' if lower else '>'} {bound}"
+            for label, value in labelled(bundle) if (value < bound if lower else value > bound)]
+    return {key: rule(key.endswith("_min")) for key in keys}
+
+
 #: assertions on every rate fit an experiment produces
-_FIT = ("slope_min", "slope_max", "r2_min")
-#: every key a config may hold besides its experiment's fields and assertions,
-#: as (section, key) with section "" at the top level
-_KEYS = {("", key) for key in ("experiment", "model", "psi", "seed", "grid", "targets",
-                               "assertions", "output_dir", "formats")}
-_KEYS |= {("model", "name"), ("model", "params")}
+_FIT = {**_bounds(lambda b: [(f"{f['name']}: slope", f["slope"]) for f in b.fits],
+                  "slope_min", "slope_max"),
+        **_bounds(lambda b: [(f"{f['name']}: r^2", f["r_squared"]) for f in b.fits], "r2_min")}
+
+
+def _near_expected(expected, checks, bundle) -> list[str]:
+    """The mlmc estimate lies within ``tolerance`` (default 0) of ``expected``."""
+    est, tol = bundle.summary["estimate"], checks.get("tolerance", 0.0)
+    return ([f"estimate {est:.6g} differs from {expected:.6g} by more than {tol:.3g}"]
+            if abs(est - expected) > tol else [])
+
+
+def _raised(key: str, check: Callable, *args) -> list[str]:
+    """The message of the ConfigurationError ``check(*args)`` raises, if any."""
+    try:
+        check(*args)
+    except ConfigurationError as err:
+        return [f"grid.{key}: {err}"]
+    return []
+
+
+def _strong_error_rules(v, checks, model) -> list[str]:
+    """The ``h_list`` steps are nested and each divides T."""
+    return _raised("h_list", check_nested_steps, v["h_list"]) + [
+        problem for h in v["h_list"]
+        for problem in _raised("h_list", SimulationGrid.from_step_size, model.horizon, h)]
+
+
+def _mlmc_rules(v, checks, model) -> list[str]:
+    """``tolerance`` is a bound of at least 0 and needs ``expected``."""
+    if "tolerance" not in checks:
+        return []
+    problems = [] if "expected" in checks else ["assertions.tolerance needs assertions.expected"]
+    return problems + ([] if checks["tolerance"] >= 0 else ["assertions.tolerance must be >= 0"])
 
 
 def _safe_fit(name: str, points: list[tuple[float, float]]) -> list[dict]:
@@ -161,14 +218,17 @@ def _small_noise(model, test_fn, v, seed):
 class Experiment(NamedTuple):
     #: ``"section.key"`` -> (check, default or REQUIRED)
     fields: dict
-    #: the assertion keys the experiment's results can evaluate
-    assertions: tuple[str, ...]
+    #: assertion key -> ``rule(bound, checks, bundle)``, the failures of its
+    #: ``bound`` on ``bundle``; ``checks`` is the whole assertion block
+    assertions: dict
     #: the CSV header: the order in which each record's cells are written
     columns: tuple[str, ...]
-    #: ``run(model, test_fn, values, seed)`` -> (records, fits, flags, summary),
-    #: with ``values`` the fields by key and each record mapping every column
-    #: to its cell
+    #: ``run(model, test_fn, values, seed)`` -> (records, fits, flags, summary), with
+    #: ``values`` the fields by key and each record mapping every column to its cell
     run: Callable
+    #: ``check(values, checks, model)`` -> the cross-field problems of a config
+    #: whose fields, assertion values and model each passed on their own
+    check: Callable = _none
 
 
 EXPERIMENTS = {
@@ -176,17 +236,22 @@ EXPERIMENTS = {
         "grid.h_list": (_entries(_positive, "positive numbers"), REQUIRED),
         "grid.ref_factor": (_integer(2), DEFAULT_REF_FACTOR), **_M,
         "grid.replications": (_integer(2), REQUIRED)}, _FIT,
-        ("h", "mse", "replications"), _strong_error),
+        ("h", "mse", "replications"), _strong_error, _strong_error_rules),
     "coupled-variance": Experiment(
-        _LEVEL_STUDY, _FIT + ("max_var_diff",),
+        _LEVEL_STUDY,
+        {**_FIT, **_bounds(lambda b: [("max var_diff", b.summary["max_var_diff"])],
+                           "max_var_diff")},
         ("level", "h_coarse", "var_diff", "ci_lo", "ci_hi", "rng_cost", "samples"),
         _coupled_variance),
     "second-moment": Experiment(
-        _LEVEL_STUDY, _FIT + ("ratio_min", "ratio_max"),
+        _LEVEL_STUDY, {**_FIT, **_bounds(lambda b: [(f"log2 ratio[{i}]", r) for i, r in
+                                                    enumerate(b.summary["log2_ratios"])],
+                                         "ratio_min", "ratio_max")},
         ("level", "h_coarse", "second_moment", "rng_cost", "samples"), _second_moment),
     "mlmc": Experiment(
-        {**_ESTIMATOR, "targets.delta": (_POSITIVE, REQUIRED)}, ("expected", "tolerance"),
-        ("level", "samples", "mean_diff", "var_diff", "rng_cost"), _mlmc),
+        {**_ESTIMATOR, "targets.delta": (_POSITIVE, REQUIRED)},
+        {"expected": _near_expected, "tolerance": _none},  # expected reads tolerance
+        ("level", "samples", "mean_diff", "var_diff", "rng_cost"), _mlmc, _mlmc_rules),
     "cost-compare": Experiment({
         **_ESTIMATOR, "targets.delta_list": (_entries(_positive, "positive numbers"), REQUIRED),
         "targets.epsilon_list": (_EPSILONS, REQUIRED)}, _FIT,
@@ -197,11 +262,15 @@ EXPERIMENTS = {
         "grid.replications": (_integer(1), REQUIRED),
         "grid.steps": (_integer(1), DEFAULT_CHAOS_STEPS),
         "grid.pathwise": (_check(lambda v: isinstance(v, bool), "must be true or false"), False)},
-        _FIT, ("m_particles", "mse_vs_reference", "replications"), _chaos),
+        _FIT, ("m_particles", "mse_vs_reference", "replications"), _chaos,
+        lambda v, checks, model: [] if v["reference_m"] > max(v["m_list"]) else
+        ["grid.reference_m must exceed every entry of grid.m_list"]),
     "small-noise-deviation": Experiment({
         "grid.h": (_POSITIVE, REQUIRED), **_M, "grid.replications": (_integer(1), REQUIRED),
         "targets.epsilon_list": (_EPSILONS, REQUIRED)}, _FIT,
-        ("epsilon", "mean_sup_sq", "replications"), _small_noise),
+        ("epsilon", "mean_sup_sq", "replications"), _small_noise,
+        lambda v, checks, model: _raised("h", SimulationGrid.from_step_size, model.horizon,
+                                         v["h"])),
 }
 
 
@@ -230,22 +299,27 @@ def load_config(path: str | Path) -> dict:
     return cfg
 
 
-def _fields(exp: str, sections: dict):
-    """Yield (name, key, check, value) for each field of ``exp``; the value is
-    the table's default where the config leaves the field out."""
-    for name, (check, default) in EXPERIMENTS[exp].fields.items():
-        section, key = name.split(".")
-        yield name, key, check, (sections.get(section) or {}).get(key, default)
+def _fields(exp: str, cfg: dict):
+    """Yield (name, key, check, value) for each top-level field and each field of
+    ``exp``; the value is the table's default where the config leaves it out."""
+    for name, (check, default) in {**_TOP, **EXPERIMENTS[exp].fields}.items():
+        section, _, key = name.rpartition(".")
+        part = cfg.get(section) if section else cfg
+        yield name, key, check, (part if isinstance(part, dict) else {}).get(key, default)
+
+
+def _values(cfg: dict) -> dict:
+    """A validated config's fields by key, with the defaults filled in."""
+    return {key: val for _, key, _, val in _fields(cfg["experiment"], cfg)}
 
 
 def validate_config(cfg: dict) -> list[str]:
     """Full schema and cross-field validation; returns diagnostics."""
-    diags: list[str] = []
     exp = cfg.get("experiment")
     if not isinstance(exp, str) or exp not in EXPERIMENTS:
-        diags.append(f"experiment must be one of {tuple(EXPERIMENTS)}, got {exp!r}")
-        return diags
+        return [f"experiment must be one of {tuple(EXPERIMENTS)}, got {exp!r}"]
 
+    diags: list[str] = []
     model = None
     model_cfg = cfg["model"] if isinstance(cfg.get("model"), dict) else {}
     if not isinstance(model_cfg.get("params"), dict):
@@ -258,15 +332,6 @@ def validate_config(cfg: dict) -> list[str]:
         except (ValueError, TypeError, ArithmeticError) as err:
             diags.append(f"model.params: {err}")
 
-    psi = cfg.get("psi", "identity")
-    if psi not in BUILTIN_TEST_FUNCTIONS:
-        diags.append(f"psi must be one of {BUILTIN_TEST_FUNCTIONS}, got {psi!r}")
-
-    if "seed" not in cfg:
-        diags.append("missing required field 'seed'")
-    elif not _is_int(cfg["seed"]):
-        diags.append("seed must be an integer")
-
     sections = {}
     for section in ("grid", "targets", "assertions"):
         sections[section] = {} if cfg.get(section) is None else cfg[section]
@@ -275,8 +340,10 @@ def validate_config(cfg: dict) -> list[str]:
             sections[section] = {}
 
     spec = EXPERIMENTS[exp]
-    known = {*_KEYS, *(("assertions", key) for key in spec.assertions),
-             *(tuple(name.split(".")) for name in spec.fields)}
+    fields = list(_fields(exp, cfg))
+    known = {*_KEYS, *(("", section) for section in sections),
+             *(("assertions", key) for key in spec.assertions),
+             *((name.rpartition(".")[0], key) for name, key, _, _ in fields)}
     for section, entries in {"": cfg, "model": model_cfg, **sections}.items():
         for key, val in entries.items():
             name = f"{section}.{key}" if section else key
@@ -287,56 +354,25 @@ def validate_config(cfg: dict) -> list[str]:
                 diags.append(f"{name} must be a number")
 
     values = {}
-    for name, key, check, val in _fields(exp, sections):
+    for name, key, check, val in fields:
         if val is REQUIRED:
             diags.append(f"missing required field '{name}' for {exp}")
         elif problem := check(val):
             diags.append(f"{name} {problem}")
         else:
             values[key] = val
-
-    if "h_list" in values:
-        try:
-            check_nested_steps(values["h_list"])
-        except ConfigurationError as err:
-            diags.append(f"grid.h_list: {err}")
-    step_sizes = [("h", values["h"])] if "h" in values else []
-    step_sizes += [("h_list", h) for h in values.get("h_list", [])]
-    for key, h in step_sizes if model is not None else []:
-        try:
-            SimulationGrid.from_step_size(model.horizon, h)
-        except ConfigurationError as err:
-            diags.append(f"grid.{key}: {err}")
-    if "reference_m" in values and values["reference_m"] <= max(values.get("m_list", [0])):
-        diags.append("grid.reference_m must exceed every entry of grid.m_list")
-
-    if "tolerance" in sections["assertions"] and "expected" not in sections["assertions"]:
-        diags.append("assertions.tolerance needs assertions.expected")
-
-    formats = cfg.get("formats", ["csv", "json"])
-    if (not isinstance(formats, list) or not formats
-            or any(f not in ("csv", "json") for f in formats)):
-        diags.append("formats must be a non-empty subset of ['csv', 'json']")
-
-    return diags
+    return diags or spec.check(values, sections["assertions"], model)
 
 
 def run_experiment(cfg: dict) -> ReportBundle:
-    exp = cfg["experiment"]
-    spec = EXPERIMENTS[exp]
+    spec = EXPERIMENTS[cfg["experiment"]]
     model = builtin_model(cfg["model"]["name"], cfg["model"].get("params", {}))
-    test_fn = builtin_test_function(cfg.get("psi", "identity"))
-    values = {key: val for _, key, _, val in _fields(exp, cfg)}
-    seed = int(cfg["seed"])
+    values = _values(cfg)
+    test_fn = builtin_test_function(values["psi"])
     t0 = time.perf_counter()
-    records, fits, flags, summary = spec.run(model, test_fn, values, seed)
-    metadata = {
-        "experiment": exp,
-        "artifact_version": __version__,
-        "seed": seed,
-        "config": cfg,
-        "wall_time_s": time.perf_counter() - t0,
-    }
+    records, fits, flags, summary = spec.run(model, test_fn, values, values["seed"])
+    metadata = {"experiment": cfg["experiment"], "artifact_version": __version__,
+                "seed": values["seed"], "config": cfg, "wall_time_s": time.perf_counter() - t0}
     rows = [[record[col] for col in spec.columns] for record in records]
     return ReportBundle(metadata, list(spec.columns), rows, fits, flags, summary)
 
@@ -352,52 +388,27 @@ def _fmt_cell(value, digits: int = 17) -> str:
 
 
 def write_csv(bundle: ReportBundle, path: Path):
-    lines = [",".join(bundle.columns)]
-    for row in bundle.rows:
-        lines.append(",".join(_fmt_cell(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("".join(",".join(map(_fmt_cell, row)) + "\n"
+                            for row in [bundle.columns, *bundle.rows]))
 
 
 def write_json(bundle: ReportBundle, path: Path):
-    doc = {
-        "metadata": bundle.metadata,
-        "table": {"columns": bundle.columns, "rows": bundle.rows},
-        "rate_fits": bundle.fits,
-        "flags": bundle.flags,
-        "summary": bundle.summary,
-    }
+    doc = {"metadata": bundle.metadata, "table": {"columns": bundle.columns, "rows": bundle.rows},
+           "rate_fits": bundle.fits, "flags": bundle.flags, "summary": bundle.summary}
     path.write_text(json.dumps(doc, indent=2) + "\n")
 
 
 def check_assertions(cfg: dict, bundle: ReportBundle) -> list[str]:
     """Evaluate a validated config's assertion block; returns failure messages.
-    ``validate_config`` admits only the keys the experiment can evaluate. A
-    ``*_min`` key is a lower bound on each value it names, every other
-    bound key an upper bound."""
+    ``validate_config`` admits only the keys whose rules the experiment's
+    entry holds."""
     checks = cfg.get("assertions") or {}
+    rules = EXPERIMENTS[cfg["experiment"]].assertions
     failures: list[str] = []
-    if checks.keys() & _FIT and not bundle.fits:
+    if checks.keys() & _FIT.keys() and not bundle.fits:
         failures.append("slope assertion configured but no rate fit was produced")
-
-    slopes = [(f"{fit['name']}: slope", fit["slope"]) for fit in bundle.fits]
-    ratios = [(f"log2 ratio[{i}]", r) for i, r in enumerate(bundle.summary.get("log2_ratios", []))]
-    bounded = {"slope_min": slopes, "slope_max": slopes, "ratio_min": ratios, "ratio_max": ratios,
-               "r2_min": [(f"{fit['name']}: r^2", fit["r_squared"]) for fit in bundle.fits],
-               "max_var_diff": [("max var_diff", bundle.summary.get("max_var_diff"))]}
     for key, bound in checks.items():
-        lower = key.endswith("_min")
-        failures += [f"{label} {value:.4g} {'<' if lower else '>'} {bound}"
-                     for label, value in bounded.get(key, [])
-                     if (value < bound if lower else value > bound)]
-
-    if "expected" in checks:
-        est = bundle.summary["estimate"]
-        tol = checks.get("tolerance", 0.0)
-        if abs(est - checks["expected"]) > tol:
-            failures.append(
-                f"estimate {est:.6g} differs from {checks['expected']:.6g} by more than {tol:.3g}"
-            )
-
+        failures += rules[key](bound, checks, bundle)
     return failures
 
 
@@ -422,10 +433,8 @@ def cmd_run(args) -> int:
         cfg["seed"] = args.seed
     if args.out is not None:
         cfg["output_dir"] = args.out
-    diags = validate_config(cfg)
-    if diags:
-        for d in diags:
-            print(f"invalid config: {d}", file=sys.stderr)
+    if diags := validate_config(cfg):
+        print("\n".join(f"invalid config: {d}" for d in diags), file=sys.stderr)
         return EXIT_CONFIG
 
     try:
@@ -442,21 +451,17 @@ def cmd_run(args) -> int:
         print(f"divergence: {err}", file=sys.stderr)
         return EXIT_DIVERGENCE
 
-    out_dir = Path(cfg.get("output_dir", "."))
+    values = _values(cfg)
+    out_dir = Path(values["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    formats = cfg.get("formats", ["csv", "json"])
-    exp = cfg["experiment"]
-    if "csv" in formats:
-        write_csv(bundle, out_dir / f"{exp}.csv")
-    if "json" in formats:
-        write_json(bundle, out_dir / f"{exp}.json")
+    for fmt, write in zip(_FORMATS, (write_csv, write_json)):
+        if fmt in values["formats"]:
+            write(bundle, out_dir / f"{cfg['experiment']}.{fmt}")
     _print_summary(bundle)
 
     if args.assert_checks:
-        failures = check_assertions(cfg, bundle)
-        if failures:
-            for f in failures:
-                print(f"assertion failed: {f}", file=sys.stderr)
+        if failures := check_assertions(cfg, bundle):
+            print("\n".join(f"assertion failed: {f}" for f in failures), file=sys.stderr)
             return EXIT_ASSERTION
         print("assertions: all passed" if cfg.get("assertions") else
               "assertions: none configured")
@@ -465,19 +470,13 @@ def cmd_run(args) -> int:
 
 def cmd_validate(args) -> int:
     diags = validate_config(load_config(args.config))
-    if not diags:
-        print("config ok")
-        return EXIT_OK
-    for d in diags:
-        print(d)
-    return EXIT_CONFIG
+    print("\n".join(diags) or "config ok")
+    return EXIT_CONFIG if diags else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mlmc-mvsde",
-        description="Run multilevel particle-system experiments from a JSON config.",
-    )
+    parser = argparse.ArgumentParser(prog="mlmc-mvsde", description=(
+        "Run multilevel particle-system experiments from a JSON config."))
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run the experiment described by a config file")

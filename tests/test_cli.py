@@ -415,6 +415,12 @@ REJECTED = [
     ("strong-error", "assertions", "max_var_diff", 1e-9),
     ("mlmc", "assertions", "slope_min", 1.0),
     ("mlmc", "assertions", "tolerance", 0.1),
+    # run crashed on a non-string output_dir with a TypeError
+    *[("mlmc", None, "output_dir", out) for out in (5, ["a"])],
+    # rng keys a seed modulo 2**64, so -1 drew the bits of 2**64 - 1 and 2**64 those of 0
+    *[("mlmc", None, "seed", seed) for seed in (-1, 2**64)],
+    # run --assert failed on every estimate
+    ("mlmc", None, "assertions", {"expected": 0.37, "tolerance": -1}),
 ]
 
 
@@ -425,6 +431,14 @@ def test_validate_and_run_reject_the_same_config(tmp_path, capsys, exp, section,
     cfg = typed_config(exp, str(tmp_path / "out"))
     (cfg.setdefault(section, {}) if section else cfg)[key] = value
     assert_rejected(tmp_path, capsys, cfg, f"{section}.{key}" if section else key)
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_run_refuses_a_seed_override_outside_the_stream_keys(tmp_path, capsys, seed):
+    path = write_config(tmp_path, "ok.json", typed_config("mlmc", str(tmp_path / "out")))
+    assert main(["run", str(path), "--seed", seed]) == 2
+    assert "seed must be an integer in [0, 2**64)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 #: meanfield_ou parameters that ``validate`` passed: ``run`` read the first
