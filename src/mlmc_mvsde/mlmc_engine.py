@@ -34,6 +34,8 @@ from .rng import (
     DOMAIN_LEVEL_PAIR,
     DOMAIN_LEVEL_ZERO,
     DOMAIN_PSI_VARIANCE,
+    keys,
+    rekey,
     stream,
 )
 
@@ -167,18 +169,20 @@ def _level_pairs(model: ModelSpec, cfg: LevelConfig, m_particles: int, seed: int
     first+count-1``, chunk by chunk, in index order; at level 0 the coarse
     stack is None.
 
-    A chunk holds as many samples as fit ``CHUNK_NOISE_BYTES`` of noise
-    (at least one). Each sample draws its whole block from its own stream in
+    A chunk holds as many samples as fit ``CHUNK_NOISE_BYTES`` of noise (at
+    least one). The range's keys are mixed in one pass; each sample re-keys
+    one ``stream`` generator to its own stream and draws its whole block in
     one call, so the bits do not depend on the chunk size.
     """
     domain = DOMAIN_LEVEL_PAIR if cfg.level else DOMAIN_LEVEL_ZERO
     shape = (cfg.fine_steps, m_particles, model.d_bar)
     size = max(1, CHUNK_NOISE_BYTES // (8 * math.prod(shape)))
-    for lo in range(first, first + count, size):
-        hi = min(lo + size, first + count)
-        xi = np.empty((hi - lo,) + shape)
-        for j in range(hi - lo):
-            stream(seed, domain, cfg.level, lo + j).standard_normal(out=xi[j])
+    sample_keys = keys(seed, domain, cfg.level, first, count=count)
+    gen = stream(seed, domain, cfg.level, first)
+    for lo in range(0, count, size):
+        xi = np.empty((min(size, count - lo),) + shape)
+        for j, key in enumerate(sample_keys[lo:lo + size]):
+            rekey(gen, key).standard_normal(out=xi[j])
         yield _coupled_pairs(model, cfg, xi)
 
 

@@ -15,9 +15,9 @@ The Philox key of a stream equals the one numpy derives from
 ``SeedSequence(entropy=seed, spawn_key=key)`` with ``generate_state(2,
 np.uint64)``; ``tests/test_rng.py`` checks this against numpy itself. The
 entropy mixing is reimplemented here because building a ``SeedSequence``
-per sample costs more than simulating a small sample. The last key word
-(the sample or replication index) is mixed for 256 consecutive indices in
-one array pass, and the keys of the 64 latest such blocks are cached.
+per sample costs more than simulating a small sample. ``keys`` mixes a
+range of indices in one array pass, for ``rekey`` to move a generator onto;
+seeds outside ``[0, 2**64)`` and key words outside ``[0, 2**32)`` are refused.
 
 ``stream`` resets and returns one module-level generator, so a returned
 generator is valid only until the next ``stream`` call: draw what a stream
@@ -44,7 +44,6 @@ DOMAIN_LEVEL_ZERO = 5
 DOMAIN_CHAOS = 6
 DOMAIN_PSI_VARIANCE = 7
 
-_MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
 
 # numpy's SeedSequence mixing constants (pool size 4)
@@ -56,12 +55,6 @@ _MULT_B = 0x58F38DED
 _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 _XSHIFT = 16
-
-#: last-key-word indices mixed per array pass, and the passes kept
-_BLOCK = 256
-_CACHED_BLOCKS = 64
-#: Philox's counter and buffer after a reset
-_ZEROS = (0, 0, 0, 0)
 
 
 def _hasher(const: int, mult: int):
@@ -87,30 +80,48 @@ def _mix(x, y):
     return result ^ result >> _XSHIFT
 
 
-@lru_cache(maxsize=_CACHED_BLOCKS)
-def _key_block(seed: int, prefix: tuple[int, ...], block: int) -> np.ndarray:
-    """Philox keys, shape (_BLOCK, 2), for last key words ``block * _BLOCK + j``.
+def _word(value, bits: int, what: str) -> int:
+    """``value`` as an int, refused unless it is an integer in ``[0, 2**bits)``."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or not 0 <= value < 1 << bits):
+        raise ConfigurationError(f"{what} must be an integer in [0, 2**{bits}), got {value!r}")
+    return int(value)
 
-    This is numpy's ``mix_entropy`` and ``generate_state(2, np.uint64)``
-    step for step, with the last key word as the block's indices. With a
-    spawn key, numpy pads the run entropy to the pool size, so a 64-bit
-    seed always fills the pool as ``(low, high, 0, 0)``.
+
+def keys(seed: int, *key: int, count: int) -> np.ndarray:
+    """Philox keys, shape (count, 2), of the streams ``(seed, *key[:-1], key[-1] + j)``.
+
+    This is numpy's ``mix_entropy`` and ``generate_state(2, np.uint64)`` step
+    for step, with the last key word an array over the range. With a spawn
+    key, numpy pads a 64-bit seed to the pool as ``(low, high, 0, 0)``.
     """
+    if not key:
+        raise ConfigurationError("a stream needs at least one key word (its domain)")
+    seed = _word(seed, 64, "seed")
+    *prefix, first = (_word(w, 32, "key word") for w in key)
+    if not 0 <= count <= (1 << 32) - first:
+        raise ConfigurationError(f"{count} key words from {first} leave [0, 2**32)")
     hashmix = _hasher(_INIT_A, _MULT_A)
     pool = [hashmix(w) for w in (seed & _MASK32, seed >> 32, 0, 0)]
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
                 pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    last = np.arange(block * _BLOCK, (block + 1) * _BLOCK, dtype=np.uint64)
-    for word in (*(int(w) & _MASK32 for w in prefix), last):
+    for word in (*prefix, np.arange(first, first + count, dtype=np.uint64)):
         pool = [_mix(p, hashmix(word)) for p in pool]
     # generate_state: hash each pool word afresh, pair them little-endian
     hashmix = _hasher(_INIT_B, _MULT_B)
     w = [hashmix(p) for p in pool]
-    keys = np.stack([w[0] | w[1] << 32, w[2] | w[3] << 32], axis=1)
-    keys.flags.writeable = False
-    return keys
+    return np.stack([w[0] | w[1] << 32, w[2] | w[3] << 32], axis=1)
+
+
+def rekey(gen: np.random.Generator, key) -> np.random.Generator:
+    """Reset ``gen`` to the start of the Philox stream keyed ``key`` and return it."""
+    zeros = (0, 0, 0, 0)  # Philox's counter and buffer after a reset
+    gen.bit_generator.state = {"bit_generator": "Philox",
+                               "state": {"counter": zeros, "key": key}, "buffer": zeros,
+                               "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return gen
 
 
 @lru_cache(maxsize=1)
@@ -120,17 +131,5 @@ def _shared_generator() -> np.random.Generator:
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
-    """Generator for the Gaussian stream identified by ``(seed, *key)``.
-
-    The same generator object is reset and returned on every call; it is
-    valid until the next call.
-    """
-    if not key:
-        raise ConfigurationError("stream needs at least one key word (its domain)")
-    block, j = divmod(int(key[-1]) & _MASK32, _BLOCK)
-    keys = _key_block(int(seed) & _MASK64, key[:-1], block)
-    gen = _shared_generator()
-    gen.bit_generator.state = {"bit_generator": "Philox",
-                               "state": {"counter": _ZEROS, "key": keys[j]}, "buffer": _ZEROS,
-                               "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    return gen
+    """The shared generator, reset to the stream ``(seed, *key)``; valid until the next call."""
+    return rekey(_shared_generator(), keys(seed, *key, count=1)[0])

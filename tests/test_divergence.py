@@ -25,10 +25,11 @@ STEP = 5
 
 
 class _SpikeAt:
-    """Stand-in for ``rng.stream``: every variate is zero except the noise of
-    step ``step`` of each system, which is ``value``. Fills are step-major
-    blocks of shape (..., M, d_bar); steps are counted from the last
-    ``stream`` call, so per-step fills and whole-path fills agree."""
+    """Stand-in for ``rng.stream`` and for the per-sample ``rng.rekey``: every
+    variate is zero except the noise of step ``step`` of each system, which
+    is ``value``. Fills are step-major blocks of shape (..., M, d_bar); steps
+    are counted from the last ``stream`` or ``rekey`` call, so per-step fills
+    and whole-path fills agree."""
 
     def __init__(self, step, value=1e14):
         self.step, self.value, self.done = step, value, 0
@@ -36,6 +37,9 @@ class _SpikeAt:
     def __call__(self, *key):
         self.done = 0
         return self
+
+    def rekey(self, gen, key):
+        return self()
 
     def standard_normal(self, size=None, out=None):
         out = np.zeros(size) if out is None else out
@@ -52,6 +56,7 @@ def spike(monkeypatch):
     fake = _SpikeAt(STEP)
     monkeypatch.setattr(em_engine, "stream", fake)
     monkeypatch.setattr(mlmc_engine, "stream", fake)
+    monkeypatch.setattr(mlmc_engine, "rekey", fake.rekey)
     return fake
 
 

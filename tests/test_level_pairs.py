@@ -72,17 +72,19 @@ def test_chunked_pairs_equal_looped_intervals(args, level, n_ref, m, count,
 @settings(max_examples=40, deadline=None)
 @given(args=builtin_args(), psi=st.sampled_from(BUILTIN_TEST_FUNCTIONS),
        m=st.integers(1, 5), count=st.integers(0, 6), seed=st.integers(0, 2**32 - 1),
+       start=st.builds(lambda block, offset: max(0, 256 * block + offset),
+                       st.integers(0, 4), st.integers(-6, 6)),
        data=st.data())
-def test_level0_samples_equal_one_step_per_sample(args, psi, m, count, seed, data):
+def test_level0_samples_equal_one_step_per_sample(args, psi, m, count, seed, start, data):
     model = builtin_model(*args)
     test_fn = builtin_test_function(psi)
     want = []
-    for index in range(count):
+    for index in range(start, start + count):
         xi = stream(seed, DOMAIN_LEVEL_ZERO, 0, index).standard_normal((m, model.d_bar))
         cloud = em_step(model, model.start(m), model.horizon, xi)
         want.append(sorted_mean(test_fn.psi(cloud.positions)))
-    cuts = sorted(data.draw(st.lists(st.integers(0, count), max_size=3)))
-    bounds = [0, *cuts, count]
+    cuts = sorted(data.draw(st.lists(st.integers(start, start + count), max_size=3)))
+    bounds = [start, *cuts, start + count]
     cfg = LevelConfig(2, 0, model.horizon)
     got = np.concatenate([_level_samples(model, cfg, m, test_fn, seed, lo, hi - lo)
                           for lo, hi in zip(bounds, bounds[1:])])
@@ -133,16 +135,23 @@ def test_level_samples_do_not_depend_on_the_chunk_budget(args, level, m, count, 
 
 
 class _Blocks:
-    """Stand-in for ``rng.stream``: sample ``bad`` gets ``value`` on its first
-    coarse interval (its first N = 2 fine blocks), every other variate is
-    zero."""
+    """Stand-in for the per-sample seam ``rng.keys`` / ``rng.rekey``: sample
+    ``bad`` gets ``value`` on its first coarse interval (its first N = 2 fine
+    blocks), every other variate is zero. Its keys are the sample indices."""
 
     def __init__(self, bad, value):
         self.bad, self.value, self.index = bad, value, None
 
-    def __call__(self, seed, domain, level, index):
+    def keys(self, seed, domain, level, first, count):
+        return range(first, first + count)
+
+    def rekey(self, gen, index):
         self.index = index
         return self
+
+    def install(self, monkeypatch):
+        monkeypatch.setattr(mlmc_engine, "keys", self.keys)
+        monkeypatch.setattr(mlmc_engine, "rekey", self.rekey)
 
     def standard_normal(self, out):
         out.fill(0.0)
@@ -164,10 +173,10 @@ def test_one_diverging_coarse_path_in_a_chunk_raises(monkeypatch):
     model = _linear_model(lambda x, mu: -4.0 * x)
     cfg = LevelConfig(2, 1, model.horizon)
     c = np.sqrt(0.5)
-    monkeypatch.setattr(mlmc_engine, "stream", _Blocks(bad=2, value=0.75e12 / c))
+    _Blocks(bad=2, value=0.75e12 / c).install(monkeypatch)
     with pytest.raises(DivergenceError):
         _level_samples(model, cfg, 3, IDENT, 0, 0, 4)
-    monkeypatch.setattr(mlmc_engine, "stream", _Blocks(bad=2, value=0.4e12 / c))
+    _Blocks(bad=2, value=0.4e12 / c).install(monkeypatch)
     assert np.all(_level_samples(model, cfg, 3, IDENT, 0, 0, 4)[[0, 1, 3]] == 0.0)
 
 
@@ -176,7 +185,7 @@ def test_a_nan_coarse_drift_in_a_chunk_is_named(monkeypatch):
     # ends its first interval at 0, its coarse path ends it at 3
     model = _linear_model(lambda x, mu: np.where(np.abs(x) < 2.0, -4.0 * x, np.nan))
     model = replace(model, horizon=2.0)
-    monkeypatch.setattr(mlmc_engine, "stream", _Blocks(bad=1, value=1.5 / np.sqrt(0.5)))
+    _Blocks(bad=1, value=1.5 / np.sqrt(0.5)).install(monkeypatch)
     with pytest.raises(NumericError, match="drift"):
         _level_samples(model, LevelConfig(2, 2, model.horizon), 3, IDENT, 0, 0, 3)
 
