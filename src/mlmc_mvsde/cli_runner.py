@@ -126,7 +126,7 @@ def _raised(key: str, check: Callable, *args) -> list[str]:
 
 
 def _strong_error_rules(v, checks, model) -> list[str]:
-    """The ``h_list`` steps are nested and each divides T."""
+    """The ``h_list`` steps are nested, distinct, and each divides T."""
     return _raised("h_list", check_nested_steps, v["h_list"]) + [
         problem for h in v["h_list"]
         for problem in _raised("h_list", SimulationGrid.from_step_size, model.horizon, h)]

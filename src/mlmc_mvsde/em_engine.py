@@ -89,22 +89,23 @@ def advance(model: ModelSpec, x: np.ndarray, h_drift: float, sqrt_dt: float,
     system or a (..., M, d) stack of independent ones, each moved against
     its own measure; ``xi`` is a float (..., M, d_bar) array of the same
     stacking. Returns the new states, a fresh array of the shape of ``x``.
+
+    This is the library's one quiet retry: where numpy raises inside the
+    coefficients or the update (``np.errstate(all="raise")`` or warnings as
+    errors), both are evaluated again with numpy's errors ignored, so an
+    overflow fails the checks below and an underflow does not.
     """
     expected = x.shape[:-1] + (model.d_bar,)
     if xi.shape != expected:
         raise ShapeError(f"gaussians have shape {xi.shape}, expected {expected}")
     if x.shape[-1] != model.d:
         raise ShapeError(f"state dimension {x.shape[-1]} does not match model d={model.d}")
-    f, g = coefficients(model, x)
     scale = model.epsilon * sqrt_dt
     try:
-        new, ok = _update(x, f, g, xi, h_drift, scale)
+        f, g, new, ok = _update(model, x, xi, h_drift, scale)
     except (FloatingPointError, RuntimeWarning):
-        # numpy raised on the arithmetic (np.errstate(all="raise") or warnings
-        # as errors): the same arithmetic, quietly, so an overflow fails the
-        # scan below and an underflow does not
         with np.errstate(all="ignore"):
-            new, ok = _update(x, f, g, xi, h_drift, scale)
+            f, g, new, ok = _update(model, x, xi, h_drift, scale)
     # Every coefficient entry enters the new state, so a non-finite one
     # always fails the scan: the coefficients need checking, drift first,
     # only when it fails.
@@ -115,10 +116,12 @@ def advance(model: ModelSpec, x: np.ndarray, h_drift: float, sqrt_dt: float,
     return new
 
 
-def _update(x, f, g, xi, h_drift, scale):
-    """The new state and whether it passes one scan, which NaN fails too."""
+def _update(model, x, xi, h_drift, scale):
+    """The coefficients at ``x``, the new state, and whether it passes one
+    scan, which NaN fails too."""
+    f, g = coefficients(model, x)
     new = x + f * h_drift + scale * np.einsum("...ij,...j->...i", g, xi)
-    return new, np.abs(new).max() <= DIVERGENCE_LIMIT
+    return f, g, new, np.abs(new).max() <= DIVERGENCE_LIMIT
 
 
 def _walk(model: ModelSpec, cloud: ParticleCloud, h: float, blocks):
@@ -172,14 +175,17 @@ def ode_limit(model: ModelSpec, grid: SimulationGrid) -> np.ndarray:
 
 def check_nested_steps(h_list: list[float]):
     """Require the step family to be nested: each step an integer multiple
-    of every finer one (that is what lets them share increments)."""
-    ordered = sorted(set(h_list), reverse=True)
+    of every finer one (that is what lets them share increments), and no
+    step given twice."""
+    ordered = sorted(h_list, reverse=True)
     for coarse, fine in zip(ordered, ordered[1:]):
         ratio = coarse / fine
         if abs(ratio - round(ratio)) > 1e-9:
             raise ConfigurationError(
                 f"h list not nested: steps {coarse} and {fine} are not integer multiples"
             )
+        if round(ratio) == 1:
+            raise ConfigurationError(f"h list repeats the step {fine}")
 
 
 def strong_error_curve(model: ModelSpec, h_list: list[float], m_particles: int,

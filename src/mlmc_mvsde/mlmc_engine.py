@@ -51,7 +51,10 @@ DEFAULT_CHAOS_STEPS = 64
 
 @dataclass(frozen=True)
 class LevelConfig:
-    """Geometry of one level pair; step counts are integers by construction."""
+    """Geometry of one level pair; step counts are integers by construction.
+
+    Level 0 has no coarse path, so its coarse geometry is a ``ConfigurationError``.
+    """
 
     refinement_n: int
     level: int
@@ -71,6 +74,8 @@ class LevelConfig:
 
     @property
     def coarse_steps(self) -> int:
+        if self.level == 0:
+            raise ConfigurationError("level 0 has no coarse path")
         return self.refinement_n ** (self.level - 1)
 
     @property
@@ -116,7 +121,9 @@ def coupled_coarse_interval(model: ModelSpec, fine: ParticleCloud, coarse: Parti
     system consumes their sum, scaled by sqrt(h_fine), in a single step
     with drift and diffusion frozen at the interval start. Both start from
     ``model.start(M)`` on the first interval; returns the new (fine, coarse).
+    Level 0, which has no coarse path, is a ``ConfigurationError``.
     """
+    h_coarse = cfg.h_coarse
     n_ref = cfg.refinement_n
     xi = np.asarray(gaussians, dtype=float)
     m = fine.m
@@ -125,7 +132,7 @@ def coupled_coarse_interval(model: ModelSpec, fine: ParticleCloud, coarse: Parti
             f"gaussians have shape {xi.shape}, expected {(n_ref, m, model.d_bar)}"
         )
     fine = _last(_walk(model, fine, cfg.h_fine, xi))
-    coarse = advance(model, coarse.positions, cfg.h_coarse, math.sqrt(cfg.h_fine), xi.sum(axis=0))
+    coarse = advance(model, coarse.positions, h_coarse, math.sqrt(cfg.h_fine), xi.sum(axis=0))
     return fine, ParticleCloud._wrap(coarse)
 
 

@@ -124,12 +124,14 @@ class ModelSpec:
 
         Built once per M, together with its drift and diffusion, which
         ``coefficients`` returns whenever it is given this cloud's very
-        ``positions`` array.
+        ``positions`` array. They are evaluated quietly: a non-finite one
+        fails the first step's checks, which name it.
         """
         entry = self._start.get(m)
         if entry is None:
             cloud = ParticleCloud.at(self.x0, m)
-            f, g = (a.view() for a in coefficients(self, cloud.positions))
+            with np.errstate(all="ignore"):
+                f, g = (a.view() for a in coefficients(self, cloud.positions))
             f.setflags(write=False)
             g.setflags(write=False)
             entry = self._start.setdefault(m, (cloud, f, g))
@@ -181,24 +183,14 @@ def coefficients(model: ModelSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
     (..., M, d) stack of them.
 
     The model is called once on the whole stack and its outputs
-    shape-checked. At the states of ``model.start(M)`` themselves the pair
-    evaluated when that cloud was built is returned.
+    shape-checked, under the caller's numpy error settings: ``advance``
+    re-runs it quietly where numpy raises. At the states of
+    ``model.start(M)`` themselves the pair evaluated when that cloud was
+    built is returned.
     """
     entry = model._start.get(x.shape[-2])
     if entry is not None and entry[0].positions is x:
         return entry[1], entry[2]
-    try:
-        return _evaluate(model, x)
-    except (FloatingPointError, RuntimeWarning):
-        # numpy raised on an overflow inside a coefficient (np.errstate(all=
-        # "raise") or warnings as errors): the same pure evaluation, quietly,
-        # so the finiteness checks name the coefficient that left the floats
-        with np.errstate(all="ignore"):
-            return _evaluate(model, x)
-
-
-def _evaluate(model: ModelSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``coefficients`` evaluated, past its start-state lookup."""
     f = np.asarray(model.drift(x, x), dtype=float)
     if f.shape != x.shape:
         raise ShapeError(f"drift returned shape {f.shape}, expected {x.shape}")

@@ -1,9 +1,8 @@
 """The per-sample loop, in index order.
 
-Sampling is single-threaded by design: ``rng.stream`` resets and returns
-one shared generator, and a thread pool over samples was slower than one
-thread. The loop keeps its own name because ``perfbench`` traces it as the
-``parallel.ordered_map`` layer.
+Sampling is single-threaded by design: a thread pool over samples was
+slower than one thread. The loop keeps its own name because ``perfbench``
+traces it as the ``parallel.ordered_map`` layer.
 """
 
 from __future__ import annotations

@@ -19,16 +19,14 @@ per sample costs more than simulating a small sample. ``keys`` mixes a
 range of indices in one array pass, for ``rekey`` to move a generator onto;
 seeds outside ``[0, 2**64)`` and key words outside ``[0, 2**32)`` are refused.
 
-``stream`` resets and returns one module-level generator, so a returned
-generator is valid only until the next ``stream`` call: draw what a stream
-provides before opening the next one. Sampling is single-threaded by
-design; a thread pool over samples was slower than one thread (2.6 s
-against 1.8 s on the shipped ``coupled_variance`` config).
+``stream`` returns a new generator; a caller that draws many streams in
+turn re-keys it with ``rekey``, which is cheaper than building another.
+Sampling is single-threaded by design; a thread pool over samples was
+slower than one thread (2.6 s against 1.8 s on the shipped
+``coupled_variance`` config).
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -124,12 +122,6 @@ def rekey(gen: np.random.Generator, key) -> np.random.Generator:
     return gen
 
 
-@lru_cache(maxsize=1)
-def _shared_generator() -> np.random.Generator:
-    """The one generator ``stream`` resets, built on first use (which imports numpy.random)."""
-    return np.random.Generator(np.random.Philox(0))
-
-
 def stream(seed: int, *key: int) -> np.random.Generator:
-    """The shared generator, reset to the stream ``(seed, *key)``; valid until the next call."""
-    return rekey(_shared_generator(), keys(seed, *key, count=1)[0])
+    """A new generator at the start of the stream ``(seed, *key)``."""
+    return np.random.Generator(np.random.Philox(key=keys(seed, *key, count=1)[0]))

@@ -400,6 +400,8 @@ REJECTED = [
     ("mlmc", "model", "description", "OU"),
     *[("strong-error", "grid", "h_list", h)
       for h in ([0.25, "a"], [0.25, 0], ["a"], [-0.25], [0.3])],
+    # strong_error_curve summed a repeated step's MSE once per repeat
+    ("strong-error", "grid", "h_list", [0.5, 0.5]),
     ("strong-error", "grid", "ref_factor", 1),
     ("strong-error", "grid", "replications", 1),
     ("mlmc", "grid", "pilot_samples", 1),

@@ -126,12 +126,16 @@ def test_em_step_errors_under_raising_errstate():
     nan_f = lambda x, mu: np.full(x.shape, np.nan)
     finite_g = lambda x, mu: np.ones(x.shape[:-1] + (1, 1))
     xi = np.ones((3, 1))
+    # the start state's drift overflows where its coefficients are cached
+    overflow = _custom(lambda x, mu: (x + 1e300) * 1e300, finite_g)
     with np.errstate(all="raise"):
         with pytest.raises(DivergenceError):
             em_step(_custom(lambda x, mu: np.full(x.shape, 1e308), finite_g),
                     ParticleCloud([1e308, 1.0, 0.0]), 1.0, xi)
         with pytest.raises(NumericError, match="^drift "):
             em_step(_custom(nan_f, finite_g), ParticleCloud([1e308, 1.0, 0.0]), 1.0, xi)
+        with pytest.raises(NumericError, match=r"^drift .* \(0, 0\)$"):
+            em_step(overflow, overflow.start(4), 0.5, np.zeros((4, 1)))
     # an underflow is no divergence: same bits as under the default settings
     tiny = _custom(lambda x, mu: np.full(x.shape, 1e-300),
                    lambda x, mu: np.zeros(x.shape[:-1] + (1, 1)))
@@ -308,7 +312,9 @@ def test_strong_error_rejects_non_nested_steps():
         strong_error_curve(model, [0.25, 0.2], 8, 4, seed=1)
 
 
-@pytest.mark.parametrize("h_list", [[0.5, 0.2], [0.5, 0.25, 0.1], [0.25, 0.125, 0.1]])
+@pytest.mark.parametrize("h_list", [[0.5, 0.2], [0.5, 0.25, 0.1], [0.25, 0.125, 0.1],
+                                    # a repeated step's MSE was summed once per repeat
+                                    [0.25, 0.25], [0.5, 0.25, 0.5]])
 def test_strong_error_raises_on_every_list_the_nesting_check_rejects(h_list):
     with pytest.raises(ConfigurationError):
         check_nested_steps(h_list)

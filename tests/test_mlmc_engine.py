@@ -35,6 +35,12 @@ def test_level_config_geometry():
         LevelConfig(refinement_n=1, level=3, horizon=1.0)
     with pytest.raises(ConfigurationError):
         LevelConfig(refinement_n=2, level=-1, horizon=1.0)
+    # level 0 is one fine step and no coarse path: no half step, no 2T
+    level0 = LevelConfig(refinement_n=2, level=0, horizon=1.0)
+    assert level0.fine_steps == 1 and level0.h_fine == 1.0
+    for coarse in ("coarse_steps", "h_coarse"):
+        with pytest.raises(ConfigurationError, match="level 0"):
+            getattr(level0, coarse)
 
 
 def test_coupled_state_initialization():
@@ -60,6 +66,16 @@ def test_coupled_interval_ou_deterministic_oracle():
     fine, coarse = coupled_coarse_interval(model, start, start, cfg, np.zeros((2, 4, 1)))
     assert np.all(fine.positions == 0.25)
     assert np.all(coarse.positions == 0.0)
+
+
+def test_coupled_interval_refuses_level_zero():
+    # it stepped the coarse system by 2T: from x0 = 1 to -1 on zero-noise OU
+    model = builtin_model("meanfield_ou", {"a": 1.0, "b": 0.0, "x0": 1.0, "T": 1.0,
+                                           "epsilon": 0.0})
+    start = model.start(4)
+    with pytest.raises(ConfigurationError, match="level 0"):
+        coupled_coarse_interval(model, start, start, LevelConfig(2, 0, 1.0),
+                                np.zeros((2, 4, 1)))
 
 
 def test_coarse_increment_variance_law():

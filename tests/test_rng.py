@@ -1,8 +1,8 @@
 """``rng.stream`` draws the bits of numpy's own SeedSequence-keyed Philox
 stream, ``rng.keys`` derives numpy's keys for a whole range of indices,
-opening a stream resets whatever the previous one left behind, and a seed or
-key word outside the key space is refused instead of masked onto another
-stream."""
+a stream starts at its beginning whatever was drawn before and keeps its
+place when another opens, and a seed or key word outside the key space is
+refused instead of masked onto another stream."""
 
 import numpy as np
 import pytest
@@ -56,6 +56,13 @@ def test_a_new_stream_is_reset_after_any_use(seed, used, key, method, size):
     else:
         getattr(gen, method)(size)
     assert probe(stream(seed, *key)) == probe(reference(seed, *key))
+
+
+def test_a_stream_keeps_its_place_when_another_opens():
+    gen = stream(3, 1, 2)
+    head = gen.standard_normal(3).tolist()
+    stream(3, 5)
+    assert head + gen.standard_normal(4).tolist() == reference(3, 1, 2).standard_normal(7).tolist()
 
 
 def test_consecutive_indices_across_a_block_edge_match():
