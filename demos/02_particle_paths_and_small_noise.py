@@ -9,7 +9,6 @@ increments across noise scales, so the fitted slope is exact up to rounding.
 import numpy as np
 
 from mlmc_mvsde import (
-    SimulationGrid,
     builtin_model,
     loglog_fit,
     ode_limit,
@@ -19,18 +18,18 @@ from mlmc_mvsde import (
 
 model = builtin_model("meanfield_ou",
                       {"a": 1.0, "b": 0.5, "sigma": 1.0, "x0": 1.0, "T": 1.0, "epsilon": 0.2})
-grid = SimulationGrid.from_step_size(1.0, 2.0**-6)
+h = 2.0**-6
 
-rec = simulate_path(model, grid, m_particles=64, seed=7)
-z = ode_limit(model, grid)
+rec = simulate_path(model, h, m_particles=64, seed=7)
+z = ode_limit(model, h)
 print("time    particle mean   zero-noise flow")
-for n in range(0, grid.steps + 1, 16):
+for n in range(0, len(rec.clouds), 16):
     mean = rec.clouds[n].positions.mean()
     print(f"{rec.times[n]:.3f}   {mean:+.6f}       {z[n, 0]:+.6f}")
 print(f"\nrng draws consumed: {rec.rng_draws} (= M * dbar * steps)")
 
 eps_list = [0.4, 0.2, 0.1, 0.05]
-curve = small_noise_curve(model, eps_list, grid, m_particles=64, replications=50, seed=7)
+curve = small_noise_curve(model, eps_list, h, m_particles=64, replications=50, seed=7)
 print("\nnoise scale   E[max_n |Y - z|^2]")
 for eps, dev in curve:
     print(f"{eps:>10}   {dev:.6e}")

@@ -29,7 +29,6 @@ from .model import (
 )
 from .em_engine import (
     PathRecord,
-    SimulationGrid,
     em_step,
     ode_limit,
     simulate_path,
@@ -68,7 +67,6 @@ __all__ = [
     "builtin_test_function",
     "drift_eval",
     "diffusion_eval",
-    "SimulationGrid",
     "PathRecord",
     "em_step",
     "simulate_path",

@@ -3,8 +3,8 @@
 One JSON document describes one experiment; ``run`` executes it and writes
 ``<output_dir>/<experiment>.csv`` and/or ``.json``, ``validate`` reports
 schema and cross-field problems without simulating. Exit codes: 0 success,
-2 validation error, 3 divergence or a non-finite coefficient, 4 failed
-assertion under ``--assert``.
+2 validation error or an output that cannot be written, 3 divergence or a
+non-finite coefficient, 4 failed assertion under ``--assert``.
 Float cells are serialized with 17 significant digits so identical runs
 produce byte-identical tables; the only volatile field (wall time) lives in
 the JSON metadata block.
@@ -26,8 +26,8 @@ from . import __version__
 from .errors import ConfigurationError, DivergenceError, NumericError
 from .model import (BUILTIN_MODELS, BUILTIN_TEST_FUNCTIONS, REQUIRED, builtin_model,
                     builtin_test_function, is_number)
-from .em_engine import (DEFAULT_REF_FACTOR, SimulationGrid, check_nested_steps,
-                        small_noise_curve, strong_error_curve)
+from .em_engine import (DEFAULT_REF_FACTOR, check_nested_steps, small_noise_curve, step_count,
+                        strong_error_curve)
 from .mlmc_engine import (DEFAULT_CHAOS_STEPS, DEFAULT_MAX_LEVEL, DEFAULT_PILOT_SAMPLES,
                           chaos_study, cost_compare, coupled_variance_study, mlmc_estimate,
                           second_moment_study)
@@ -129,7 +129,7 @@ def _strong_error_rules(v, checks, model) -> list[str]:
     """The ``h_list`` steps are nested, distinct, and each divides T."""
     return _raised("h_list", check_nested_steps, v["h_list"]) + [
         problem for h in v["h_list"]
-        for problem in _raised("h_list", SimulationGrid.from_step_size, model.horizon, h)]
+        for problem in _raised("h_list", step_count, model.horizon, h)]
 
 
 def _mlmc_rules(v, checks, model) -> list[str]:
@@ -209,8 +209,8 @@ def _chaos(model, test_fn, v, seed):
 
 
 def _small_noise(model, test_fn, v, seed):
-    curve = small_noise_curve(model, v["epsilon_list"], SimulationGrid.from_step_size(
-        model.horizon, v["h"]), v["m_particles"], v["replications"], seed)
+    curve = small_noise_curve(model, v["epsilon_list"], v["h"], v["m_particles"],
+                              v["replications"], seed)
     return ([{"epsilon": eps, "mean_sup_sq": dev, "replications": v["replications"]}
              for eps, dev in curve], _safe_fit("deviation_vs_epsilon", curve), [], {})
 
@@ -269,8 +269,7 @@ EXPERIMENTS = {
         "grid.h": (_POSITIVE, REQUIRED), **_M, "grid.replications": (_integer(1), REQUIRED),
         "targets.epsilon_list": (_EPSILONS, REQUIRED)}, _FIT,
         ("epsilon", "mean_sup_sq", "replications"), _small_noise,
-        lambda v, checks, model: _raised("h", SimulationGrid.from_step_size, model.horizon,
-                                         v["h"])),
+        lambda v, checks, model: _raised("h", step_count, model.horizon, v["h"])),
 }
 
 
@@ -284,12 +283,20 @@ class ReportBundle:
     summary: dict = field(default_factory=dict)
 
 
+def _object(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object; a key given twice, at any depth, is refused, not last-wins."""
+    keys = [key for key, _ in pairs]
+    if repeated := [key for i, key in enumerate(keys) if key in keys[:i]]:
+        raise ConfigurationError(f"config repeats the key {repeated[0]!r}")
+    return dict(pairs)
+
+
 def load_config(path: str | Path) -> dict:
     p = Path(path)
     if not p.exists():
         raise ConfigurationError(f"config file not found: {p}")
     try:
-        cfg = json.loads(p.read_text(encoding="utf-8"))
+        cfg = json.loads(p.read_text(encoding="utf-8"), object_pairs_hook=_object)
     except json.JSONDecodeError as err:
         raise ConfigurationError(f"config is not valid JSON: {err}") from None
     except (OSError, UnicodeDecodeError) as err:
@@ -436,6 +443,12 @@ def cmd_run(args) -> int:
     if diags := validate_config(cfg):
         print("\n".join(f"invalid config: {d}" for d in diags), file=sys.stderr)
         return EXIT_CONFIG
+    values = _values(cfg)
+    out_dir = Path(values["output_dir"])
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigurationError(f"cannot create output directory {out_dir}: {err}") from None
 
     try:
         # an overflow shows as a non-finite state, which the divergence
@@ -451,12 +464,12 @@ def cmd_run(args) -> int:
         print(f"divergence: {err}", file=sys.stderr)
         return EXIT_DIVERGENCE
 
-    values = _values(cfg)
-    out_dir = Path(values["output_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     for fmt, write in zip(_FORMATS, (write_csv, write_json)):
         if fmt in values["formats"]:
-            write(bundle, out_dir / f"{cfg['experiment']}.{fmt}")
+            try:
+                write(bundle, out_dir / f"{cfg['experiment']}.{fmt}")
+            except OSError as err:
+                raise ConfigurationError(f"cannot write output: {err}") from None
     _print_summary(bundle)
 
     if args.assert_checks:

@@ -17,44 +17,22 @@ import numpy as np
 from .errors import ConfigurationError, DivergenceError, ShapeError
 from .measure import ParticleCloud, sorted_mean
 from .model import (DIVERGENCE_LIMIT, ModelSpec, TestFunction, _check_finite,
-                    builtin_test_function, coefficients)
+                    builtin_test_function, coefficients, is_number)
 from .rng import DOMAIN_PATH, DOMAIN_SMALL_NOISE, DOMAIN_STRONG_ERROR, stream
 
 #: reference grid is finer than the smallest requested step by this factor
 DEFAULT_REF_FACTOR = 8
 
 
-@dataclass(frozen=True)
-class SimulationGrid:
-    """Uniform grid with step h = horizon / steps, divisibility enforced."""
-
-    h: float
-    steps: int
-    horizon: float
-
-    def __post_init__(self):
-        if self.steps < 1:
-            raise ConfigurationError(f"steps must be >= 1, got {self.steps}")
-        if not self.horizon > 0:
-            raise ConfigurationError(f"horizon must be positive, got {self.horizon}")
-        if abs(self.h * self.steps - self.horizon) > 1e-12 * self.horizon:
-            raise ConfigurationError(
-                f"step size {self.h} times {self.steps} steps misses horizon {self.horizon}"
-            )
-
-    @classmethod
-    def from_steps(cls, horizon: float, steps: int) -> "SimulationGrid":
-        return cls(h=horizon / steps, steps=steps, horizon=horizon)
-
-    @classmethod
-    def from_step_size(cls, horizon: float, h: float) -> "SimulationGrid":
-        steps = round(horizon / h)
-        if steps < 1 or abs(h * steps - horizon) > 1e-12 * horizon:
-            raise ConfigurationError(f"step size {h} does not divide horizon {horizon}")
-        return cls(h=h, steps=steps, horizon=horizon)
-
-    def times(self) -> np.ndarray:
-        return self.h * np.arange(self.steps + 1)
+def step_count(horizon: float, h: float) -> int:
+    """The number of steps of size h to the horizon; a ``ConfigurationError``
+    unless h is a positive finite number that divides it."""
+    if not (is_number(h) and h > 0):
+        raise ConfigurationError(f"step size must be a positive finite number, got {h!r}")
+    steps = round(horizon / h) if horizon / h < math.inf else 0
+    if steps < 1 or abs(h * steps - horizon) > 1e-12 * horizon:
+        raise ConfigurationError(f"step size {h} does not divide horizon {horizon}")
+    return steps
 
 
 @dataclass
@@ -145,22 +123,22 @@ def _last(clouds):
     return cloud
 
 
-def simulate_path(model: ModelSpec, grid: SimulationGrid, m_particles: int,
-                  seed: int) -> PathRecord:
-    """Simulate one particle system from the all-x0 cloud over the full grid.
+def simulate_path(model: ModelSpec, h: float, m_particles: int, seed: int) -> PathRecord:
+    """Simulate one particle system from the all-x0 cloud to the model's horizon.
 
-    Deterministic in (model, grid, m_particles, seed).
+    Deterministic in (model, h, m_particles, seed).
     """
+    steps = step_count(model.horizon, h)
     if m_particles < 1:
         raise ConfigurationError("m_particles must be >= 1")
-    xi = stream(seed, DOMAIN_PATH, 0).standard_normal((grid.steps, m_particles, model.d_bar))
+    xi = stream(seed, DOMAIN_PATH, 0).standard_normal((steps, m_particles, model.d_bar))
     start = model.start(m_particles)
-    return PathRecord(times=grid.times(), clouds=[start, *_walk(model, start, grid.h, xi)],
-                      rng_draws=m_particles * model.d_bar * grid.steps)
+    return PathRecord(times=h * np.arange(steps + 1), clouds=[start, *_walk(model, start, h, xi)],
+                      rng_draws=m_particles * model.d_bar * steps)
 
 
-def ode_limit(model: ModelSpec, grid: SimulationGrid) -> np.ndarray:
-    """Explicit Euler iterates of the zero-noise flow, on the same grid.
+def ode_limit(model: ModelSpec, h: float) -> np.ndarray:
+    """Explicit Euler iterates of the zero-noise flow, to the model's horizon.
 
     This is the one-particle path of the model at epsilon = 0: each step
     evaluates the drift at the current iterate against the point mass
@@ -168,8 +146,8 @@ def ode_limit(model: ModelSpec, grid: SimulationGrid) -> np.ndarray:
     (steps + 1, d).
     """
     flow = model.with_epsilon(0.0)
-    noise = np.zeros((grid.steps, 1, model.d_bar))
-    path = _walk(flow, flow.start(1), grid.h, noise)
+    noise = np.zeros((step_count(model.horizon, h), 1, model.d_bar))
+    path = _walk(flow, flow.start(1), h, noise)
     return np.stack([model.x0, *(cloud.positions[0] for cloud in path)])
 
 
@@ -204,17 +182,17 @@ def strong_error_curve(model: ModelSpec, h_list: list[float], m_particles: int,
     if ref_factor != int(ref_factor) or ref_factor < 2:
         raise ConfigurationError(f"ref_factor must be an integer >= 2, got {ref_factor}")
     psi = (test_fn or builtin_test_function("identity")).psi
+    for h in h_list:
+        step_count(model.horizon, h)
     # nested steps and an integer ref_factor make every h a multiple of h_ref
     check_nested_steps(h_list)
     h_ref = min(h_list) / ref_factor
-    grid_ref = SimulationGrid.from_step_size(model.horizon, h_ref)
-    for h in h_list:
-        SimulationGrid.from_step_size(model.horizon, h)
+    steps_ref = step_count(model.horizon, h_ref)
     start = model.start(m_particles)
     acc = {h: 0.0 for h in h_list}
     for rep in range(replications):
         gen = stream(seed, DOMAIN_STRONG_ERROR, rep)
-        xi_ref = gen.standard_normal((grid_ref.steps, m_particles, model.d_bar))
+        xi_ref = gen.standard_normal((steps_ref, m_particles, model.d_bar))
         psi_ref = psi(_last(_walk(model, start, h_ref, xi_ref)).positions)
         for h in h_list:
             # the step-h path takes the scaled sums of r reference increments
@@ -226,7 +204,7 @@ def strong_error_curve(model: ModelSpec, h_list: list[float], m_particles: int,
     return [(h, acc[h] / replications) for h in h_list]
 
 
-def small_noise_curve(model: ModelSpec, epsilon_list: list[float], grid: SimulationGrid,
+def small_noise_curve(model: ModelSpec, epsilon_list: list[float], h: float,
                       m_particles: int, replications: int, seed: int) -> list[tuple[float, float]]:
     """Pathwise mean-square deviation from the zero-noise Euler flow per epsilon.
 
@@ -236,15 +214,15 @@ def small_noise_curve(model: ModelSpec, epsilon_list: list[float], grid: Simulat
     block once, so for models whose deviation is linear in the noise the
     fitted slope is exact.
     """
-    z_path = ode_limit(model, grid)
+    z_path = ode_limit(model, h)
     models = [model.with_epsilon(eps) for eps in epsilon_list]
     totals = [0.0] * len(models)
     for rep in range(replications):
         xi = stream(seed, DOMAIN_SMALL_NOISE, rep).standard_normal(
-            (grid.steps, m_particles, model.d_bar))
+            (len(z_path) - 1, m_particles, model.d_bar))
         for i, model_eps in enumerate(models):
             sup = np.zeros(m_particles)
-            for cloud, z in zip(_walk(model_eps, model_eps.start(m_particles), grid.h, xi),
+            for cloud, z in zip(_walk(model_eps, model_eps.start(m_particles), h, xi),
                                 z_path[1:]):
                 dev = np.sum((cloud.positions - z) ** 2, axis=1)
                 np.maximum(sup, dev, out=sup)

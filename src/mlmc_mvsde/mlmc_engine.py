@@ -26,7 +26,7 @@ from .errors import ConfigurationError, DivergenceError, ShapeError
 from .measure import ParticleCloud, sorted_mean
 from .model import ModelSpec, TestFunction, builtin_test_function
 # em_step stays bound here: the benchmark's absent-layer check deletes it from this module
-from .em_engine import (advance, em_step, SimulationGrid, strong_error_curve,  # noqa: F401
+from .em_engine import (advance, em_step, strong_error_curve,  # noqa: F401
                         _last, _walk)
 from .parallel import ordered_map
 from .rng import (
@@ -384,13 +384,13 @@ class CostCompareRow:
 def _psi_system_variance(model: ModelSpec, steps: int, m_particles: int,
                          test_fn: TestFunction, seed: int, replications: int) -> float:
     """Variance of the system-averaged observable for plain fixed-step runs."""
-    grid = SimulationGrid.from_steps(model.horizon, steps)
+    h = model.horizon / steps
     start = model.start(m_particles)
     vals = []
     for rep in range(replications):
         xi = stream(seed, DOMAIN_PSI_VARIANCE, rep).standard_normal(
-            (grid.steps, m_particles, model.d_bar))
-        cloud = _last(_walk(model, start, grid.h, xi))
+            (steps, m_particles, model.d_bar))
+        cloud = _last(_walk(model, start, h, xi))
         vals.append(float(sorted_mean(test_fn.psi(cloud.positions))))
     return float(np.var(np.array(vals), ddof=1))
 
@@ -463,22 +463,24 @@ def chaos_study(model: ModelSpec, m_list: list[int], reference_m: int, replicati
     """
     if reference_m <= max(m_list):
         raise ConfigurationError("reference_m must exceed every entry of m_list")
+    if steps < 1:
+        raise ConfigurationError(f"steps must be >= 1, got {steps}")
     test_fn = test_fn or builtin_test_function("identity")
-    grid = SimulationGrid.from_steps(model.horizon, steps)
+    h = model.horizon / steps
 
     def one(rep: int) -> list[float]:
         xi_ref = stream(seed, DOMAIN_CHAOS, rep, 0).standard_normal(
-            (grid.steps, reference_m, model.d_bar))
+            (steps, reference_m, model.d_bar))
         if pathwise:
             # shared leading streams couple particle i across both systems
             xis = [xi_ref[:, :m] for m in m_list]
         else:
             # every M draws the head of one stream, independent of the reference
-            xis = [stream(seed, DOMAIN_CHAOS, rep, 1).standard_normal((grid.steps, m, model.d_bar))
+            xis = [stream(seed, DOMAIN_CHAOS, rep, 1).standard_normal((steps, m, model.d_bar))
                    for m in m_list]
-        paths = [_walk(model, model.start(m), grid.h, xi) for m, xi in zip(m_list, xis)]
+        paths = [_walk(model, model.start(m), h, xi) for m, xi in zip(m_list, xis)]
         sups = [np.zeros(m) for m in m_list]
-        for ref, *smalls in zip(_walk(model, model.start(reference_m), grid.h, xi_ref), *paths):
+        for ref, *smalls in zip(_walk(model, model.start(reference_m), h, xi_ref), *paths):
             if pathwise:
                 for sup, small in zip(sups, smalls):
                     gap = np.sum((small.positions - ref.positions[:len(sup)]) ** 2, axis=1)

@@ -27,7 +27,6 @@ from scipy.stats import chi2
 
 from mlmc_mvsde import (
     ParticleCloud,
-    SimulationGrid,
     coupled_variance_study,
     loglog_fit,
     mlmc_estimate,
@@ -211,8 +210,7 @@ def test_c05_strong_error_rates():
 
 def test_c06_small_noise_deviation():
     t0 = time.time()
-    grid = SimulationGrid.from_step_size(1.0, 2.0**-6)
-    curve = small_noise_curve(ou(0.1), [0.4, 0.2, 0.1, 0.05], grid, 64, 50, seed=0)
+    curve = small_noise_curve(ou(0.1), [0.4, 0.2, 0.1, 0.05], 2.0**-6, 64, 50, seed=0)
     fit = loglog_fit(curve)
     ok = 1.7 <= fit.slope <= 2.3
     report("06 small-noise deviation", f"slope={fit.slope:.4f}, {time.time()-t0:.1f}s", ok)

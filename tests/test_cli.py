@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from mlmc_mvsde import cli_runner
 from mlmc_mvsde.cli_runner import (EXPERIMENTS, ReportBundle, _print_summary, main,
                                    load_config, validate_config)
 
@@ -541,6 +542,46 @@ def test_an_unreadable_config_exits_2_in_one_line(tmp_path, capsys, command, cas
     assert captured.out == ""
     assert captured.err.startswith("error: cannot read config ")
     assert captured.err.count("\n") == 1 and str(path) in captured.err
+
+
+#: (key, its value in ``zero_cv_config``, a second value under the same key),
+#: at the top level, in a section and in the model parameters
+REPEATS = [("seed", 7, 8), ("replications", 12, 3), ("epsilon", 0.1, 0.5)]
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_a_repeated_key_is_refused_at_any_depth(tmp_path, capsys, command):
+    # the last of the two values was taken silently
+    text = json.dumps(zero_cv_config(str(tmp_path / "out")))
+    for key, value, again in REPEATS:
+        first = f'"{key}": {value}'
+        path = tmp_path / "repeat.json"
+        path.write_text(text.replace(first, f'{first}, "{key}": {again}'))
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err == f"error: config repeats the key '{key}'\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case", ["directory is a file", "directory under a file",
+                                  "csv is a directory"])
+def test_run_exits_2_in_one_line_on_an_output_it_cannot_write(tmp_path, capsys, monkeypatch,
+                                                              case):
+    # run simulated in full, then crashed with FileExistsError or NotADirectoryError
+    (tmp_path / "taken").write_text("")
+    out = {"directory is a file": tmp_path / "taken",
+           "directory under a file": tmp_path / "taken" / "out",
+           "csv is a directory": tmp_path / "out"}[case]
+    if case == "csv is a directory":
+        (out / "coupled-variance.csv").mkdir(parents=True)
+    runs = []
+    monkeypatch.setattr(cli_runner, "run_experiment",
+                        lambda cfg, run=cli_runner.run_experiment: runs.append(cfg) or run(cfg))
+    path = write_config(tmp_path, "cv.json", zero_cv_config(str(out)))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot ") and err.count("\n") == 1, err
+    # the directory is made before anything is simulated
+    assert len(runs) == (case == "csv is a directory")
 
 
 #: (shipped config, section path, key, its misspelling) that ran as if the

@@ -10,7 +10,6 @@ import pytest
 from mlmc_mvsde import (
     DivergenceError,
     LevelConfig,
-    SimulationGrid,
     builtin_model,
     builtin_test_function,
     chaos_study,
@@ -71,7 +70,7 @@ RUNS = {
     "strong_error_curve": lambda model: strong_error_curve(
         model, [0.5, 0.25], 3, 2, seed=0, ref_factor=4),
     "small_noise_curve": lambda model: small_noise_curve(
-        model, [1.0], SimulationGrid.from_steps(1.0, 8), 3, 2, seed=0),
+        model, [1.0], 0.125, 3, 2, seed=0),
     "chaos_study": lambda model: chaos_study(model, [2], 4, 2, seed=0, steps=8),
     "simulate_level_pair": lambda model: simulate_level_pair(
         model, LevelConfig(refinement_n=2, level=3, horizon=1.0), 3,

@@ -11,7 +11,6 @@ from mlmc_mvsde import (
     NumericError,
     ParticleCloud,
     ShapeError,
-    SimulationGrid,
     builtin_model,
     em_step,
     loglog_fit,
@@ -20,21 +19,19 @@ from mlmc_mvsde import (
     small_noise_curve,
     strong_error_curve,
 )
-from mlmc_mvsde.em_engine import DIVERGENCE_LIMIT, advance, check_nested_steps
+from mlmc_mvsde.em_engine import DIVERGENCE_LIMIT, advance, check_nested_steps, step_count
 from mlmc_mvsde.model import ModelSpec, drift_eval
 
 from helpers import OU, builtin_args, euler_mean, ou
 
 
-def test_grid_construction():
-    g = SimulationGrid.from_steps(1.0, 8)
-    assert g.h == 0.125 and g.steps == 8
-    g = SimulationGrid.from_step_size(1.0, 0.25)
-    assert g.steps == 4
-    with pytest.raises(ConfigurationError):
-        SimulationGrid.from_step_size(1.0, 0.3)
-    with pytest.raises(ConfigurationError):
-        SimulationGrid(h=0.1, steps=5, horizon=1.0)
+def test_step_count():
+    assert step_count(1.0, 0.125) == 8
+    assert step_count(1.0, 0.25) == 4
+    # a step that misses the horizon, and steps that are no positive finite number
+    for h in (0.3, 0.0, -0.25, math.nan, math.inf, 5e-324):
+        with pytest.raises(ConfigurationError):
+            step_count(1.0, h)
 
 
 def test_em_step_zero_model_identity():
@@ -156,7 +153,7 @@ def test_em_step_errors_under_warnings_as_errors():
     with pytest.raises(DivergenceError):
         em_step(model, model.start(4), 1e300, np.zeros((4, 1)))
     with pytest.raises(DivergenceError) as err:
-        simulate_path(model, SimulationGrid.from_steps(1e300, 1), 4, 0)
+        simulate_path(model, 1e300, 4, 0)
     assert err.value.step_index == 0
     # the drift itself overflows, in the start state's coefficients; no
     # builtin with a start inside the trust region can do that
@@ -178,8 +175,7 @@ def test_em_step_output_is_fresh_and_read_only():
 
 def test_simulate_path_zero_model():
     model = builtin_model("zero", {"x0": 1.5, "T": 1.0, "epsilon": 0.1})
-    grid = SimulationGrid.from_steps(1.0, 16)
-    rec = simulate_path(model, grid, 8, seed=3)
+    rec = simulate_path(model, 1.0 / 16, 8, seed=3)
     assert rec.rng_draws == 8 * 1 * 16
     for cloud in rec.clouds:
         assert np.all(cloud.positions == 1.5)
@@ -187,26 +183,24 @@ def test_simulate_path_zero_model():
 
 def test_simulate_path_constant_drift_exact():
     model = builtin_model("constant_drift", {"c": 2.0, "x0": 1.0, "T": 1.0, "epsilon": 0.0})
-    grid = SimulationGrid.from_step_size(1.0, 0.5)
-    rec = simulate_path(model, grid, 4, seed=0)
+    rec = simulate_path(model, 0.5, 4, seed=0)
     assert np.all(rec.clouds[-1].positions == 3.0)
 
 
 def test_simulate_path_is_deterministic_over_the_full_grid():
     model = ou(0.3)
-    grid = SimulationGrid.from_steps(1.0, 32)
-    a = simulate_path(model, grid, 16, seed=42)
-    b = simulate_path(model, grid, 16, seed=42)
+    h = 1.0 / 32
+    a = simulate_path(model, h, 16, seed=42)
+    b = simulate_path(model, h, 16, seed=42)
     assert a.rng_draws == b.rng_draws == 16 * 32
-    assert len(a.clouds) == 33 and np.array_equal(a.times, grid.times())
+    assert len(a.clouds) == 33 and np.array_equal(a.times, h * np.arange(33))
     for ca, cb in zip(a.clouds, b.clouds):
         assert np.array_equal(ca.positions, cb.positions)
 
 
 def test_simulate_path_terminal_mean_clt_band():
     model = ou(0.1)
-    grid = SimulationGrid.from_step_size(1.0, 2.0**-6)
-    rec = simulate_path(model, grid, 256, seed=9)
+    rec = simulate_path(model, 2.0**-6, 256, seed=9)
     xs = rec.clouds[-1].positions[:, 0]
     band = 3 * xs.std(ddof=1) / math.sqrt(256)
     assert abs(xs.mean() - math.exp(-1.0)) <= band + 5e-3  # CLT band plus step bias
@@ -214,25 +208,24 @@ def test_simulate_path_terminal_mean_clt_band():
 
 def test_ode_limit_examples():
     zero = builtin_model("zero", {"x0": 2.0, "T": 1.0, "epsilon": 0.1})
-    grid = SimulationGrid.from_steps(1.0, 10)
-    z = ode_limit(zero, grid)
+    z = ode_limit(zero, 1.0 / 10)
     assert np.all(z == 2.0)
 
     model = ou(0.1)
-    z = ode_limit(model, grid)
+    z = ode_limit(model, 1.0 / 10)
     assert np.allclose(z[:, 0], [0.9**n for n in range(11)], atol=1e-15)
 
     const = builtin_model("constant_drift", {"c": 2.0, "x0": 1.0, "T": 1.0, "epsilon": 0.1})
-    z = ode_limit(const, SimulationGrid.from_steps(1.0, 4))
+    z = ode_limit(const, 1.0 / 4)
     assert z[-1, 0] == 3.0
 
 
-def reference_ode_limit(model, grid):
+def reference_ode_limit(model, h):
     """The zero-noise Euler loop written out: z <- z + h f(z, delta_z)."""
     z = np.array(model.x0, dtype=float)
     out = [z]
-    for n in range(grid.steps):
-        z = z + grid.h * drift_eval(model, z, ParticleCloud.at(z, 1))
+    for n in range(step_count(model.horizon, h)):
+        z = z + h * drift_eval(model, z, ParticleCloud.at(z, 1))
         if not np.all(np.isfinite(z)) or np.max(np.abs(z)) > DIVERGENCE_LIMIT:
             raise DivergenceError("iterate left the finite trust region", step_index=n)
         out.append(z)
@@ -245,19 +238,18 @@ def reference_ode_limit(model, grid):
 def test_ode_limit_equals_the_zero_noise_euler_loop(args, horizon, steps):
     name, params = args
     model = builtin_model(name, {**params, "T": horizon})
-    grid = SimulationGrid.from_steps(horizon, steps)
-    z = ode_limit(model, grid)
+    h = horizon / steps
+    z = ode_limit(model, h)
     assert z.shape == (steps + 1, model.d)
-    assert z.tobytes() == reference_ode_limit(model, grid).tobytes()
+    assert z.tobytes() == reference_ode_limit(model, h).tobytes()
 
 
 def test_ode_limit_divergence_carries_the_step_index():
     # h c = 0.4e12 per step: the iterate passes DIVERGENCE_LIMIT at step 2
     const = builtin_model("constant_drift", {"c": 1.6e12, "x0": 0.0, "T": 1.0, "epsilon": 0.1})
-    grid = SimulationGrid.from_steps(1.0, 4)
     for run in (ode_limit, reference_ode_limit):
         with pytest.raises(DivergenceError) as err:
-            run(const, grid)
+            run(const, 1.0 / 4)
         assert err.value.step_index == 2
 
 
@@ -265,9 +257,8 @@ def test_zero_noise_collapse_to_ode_exact():
     # with epsilon = 0 every particle path coincides with the deterministic
     # iterates bit for bit (particle count a power of two keeps means exact)
     model = ou(0.0)
-    grid = SimulationGrid.from_steps(1.0, 32)
-    rec = simulate_path(model, grid, 64, seed=5)
-    z = ode_limit(model, grid)
+    rec = simulate_path(model, 1.0 / 32, 64, seed=5)
+    z = ode_limit(model, 1.0 / 32)
     for n, cloud in enumerate(rec.clouds):
         assert np.array_equal(cloud.positions, np.tile(z[n], (64, 1)))
 
@@ -280,9 +271,8 @@ def test_divergence_error_carries_step_index():
         epsilon=0.1, x0=np.array([0.0]), horizon=1.0,
         lipschitz_K=0.0, growth_beta=1e30,
     )
-    grid = SimulationGrid.from_steps(1.0, 4)
     with pytest.raises(DivergenceError) as err:
-        simulate_path(model, grid, 2, seed=0)
+        simulate_path(model, 1.0 / 4, 2, seed=0)
     assert err.value.step_index == 0
 
 
@@ -326,9 +316,11 @@ def test_strong_error_needs_an_integer_ref_factor():
     for ref_factor in (2.5, 1):
         with pytest.raises(ConfigurationError):
             strong_error_curve(ou(0.1), [0.25, 0.125], 8, 4, seed=1, ref_factor=ref_factor)
-    # an h that does not divide the horizon is still rejected
-    with pytest.raises(ConfigurationError):
-        strong_error_curve(ou(0.1), [0.4, 0.2], 8, 4, seed=1)
+    # an h that does not divide the horizon is still rejected, and so is
+    # one that is no positive finite number, before the nesting check
+    for h_list in ([0.4, 0.2], [0.5, 0.0], [0.5, math.nan]):
+        with pytest.raises(ConfigurationError):
+            strong_error_curve(ou(0.1), h_list, 8, 4, seed=1)
 
 
 def test_one_step_interpolation_gap_rates():
@@ -386,8 +378,7 @@ def test_strong_error_small_steps_with_state_dependent_diffusion():
 
 def test_small_noise_curve_quadratic_in_epsilon():
     model = ou(0.1)
-    grid = SimulationGrid.from_step_size(1.0, 2.0**-5)
-    curve = small_noise_curve(model, [0.4, 0.2, 0.1, 0.05], grid, 32, 20, seed=11)
+    curve = small_noise_curve(model, [0.4, 0.2, 0.1, 0.05], 2.0**-5, 32, 20, seed=11)
     fit = loglog_fit(curve)
     # linear dynamics with shared increments scale exactly like epsilon^2
     assert fit.slope == pytest.approx(2.0, abs=1e-3)
@@ -398,7 +389,6 @@ def test_small_noise_curve_rows_equal_single_epsilon_runs():
     # common random numbers: every epsilon sees the block its run alone draws
     model = builtin_model("kuramoto", {"kappa": 1.0, "sigma": 1.0, "x0": 0.5, "T": 1.0,
                                        "epsilon": 0.1})
-    grid = SimulationGrid.from_steps(1.0, 8)
-    curve = small_noise_curve(model, [0.3, 0.0, 0.3], grid, 5, 3, seed=4)
-    assert curve == [small_noise_curve(model, [eps], grid, 5, 3, seed=4)[0]
+    curve = small_noise_curve(model, [0.3, 0.0, 0.3], 1.0 / 8, 5, 3, seed=4)
+    assert curve == [small_noise_curve(model, [eps], 1.0 / 8, 5, 3, seed=4)[0]
                      for eps in (0.3, 0.0, 0.3)]

@@ -9,7 +9,6 @@ from mlmc_mvsde import (
     LevelConfig,
     ModelSpec,
     NumericError,
-    SimulationGrid,
     builtin_model,
     chaos_study,
     cost_compare,
@@ -205,9 +204,8 @@ def test_telescoping_identity():
         ])
         level_means.append(xs.mean()), level_vars.append(xs.var(ddof=1))
 
-    grid = SimulationGrid.from_steps(1.0, 4)
     fine = np.array([
-        sorted_mean(IDENT.psi(simulate_path(model, grid, m,
+        sorted_mean(IDENT.psi(simulate_path(model, 0.25, m,
                                             seed=7_000_000 + k).clouds[-1].positions))
         for k in range(n_samples)
     ])
@@ -362,6 +360,9 @@ def test_chaos_rows_equal_single_m_runs(pathwise):
 def test_chaos_reference_size_validated():
     with pytest.raises(ConfigurationError):
         chaos_study(ou(0.1), [16, 32], 32, 5, seed=0)
+    # a study of no steps
+    with pytest.raises(ConfigurationError):
+        chaos_study(ou(0.1), [2], 4, 2, seed=0, steps=0)
 
 
 def test_cost_per_sample_formula():

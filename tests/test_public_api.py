@@ -1,4 +1,8 @@
-"""The package's public names: every export resolves, once."""
+"""The package's public names: every export resolves, once; and no module
+imports a name it does not use."""
+
+import ast
+from pathlib import Path
 
 import mlmc_mvsde
 
@@ -16,3 +20,25 @@ def test_star_import_succeeds():
     namespace = {}
     exec("from mlmc_mvsde import *", namespace)
     assert set(mlmc_mvsde.__all__) <= set(namespace)
+
+
+#: imports a module keeps without using them, with the reason
+UNUSED_IMPORTS_ALLOWED = {
+    # the benchmark's absent-layer check deletes em_step from this module
+    ("mlmc_engine", "em_step"),
+}
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    src = Path(mlmc_mvsde.__file__).parent
+    unused = set()
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__" for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused |= {(path.stem, name) for name in imported - used}
+    assert unused == UNUSED_IMPORTS_ALLOWED
