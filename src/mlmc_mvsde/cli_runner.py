@@ -26,11 +26,11 @@ from . import __version__
 from .errors import ConfigurationError, DivergenceError, NumericError
 from .model import (BUILTIN_MODELS, BUILTIN_TEST_FUNCTIONS, REQUIRED, builtin_model,
                     builtin_test_function, is_number)
-from .em_engine import (DEFAULT_REF_FACTOR, check_nested_steps, small_noise_curve, step_count,
-                        strong_error_curve)
+from .em_engine import (DEFAULT_REF_FACTOR, check_nested_steps, check_steps, small_noise_curve,
+                        step_count, strong_error_curve)
 from .mlmc_engine import (DEFAULT_CHAOS_STEPS, DEFAULT_MAX_LEVEL, DEFAULT_PILOT_SAMPLES,
-                          chaos_study, cost_compare, coupled_variance_study, mlmc_estimate,
-                          second_moment_study)
+                          LevelConfig, chaos_study, cost_compare, coupled_variance_study,
+                          mlmc_estimate, second_moment_study)
 from .stats import loglog_fit
 
 EXIT_OK = 0
@@ -126,10 +126,18 @@ def _raised(key: str, check: Callable, *args) -> list[str]:
 
 
 def _strong_error_rules(v, checks, model) -> list[str]:
-    """The ``h_list`` steps are nested, distinct, and each divides T."""
-    return _raised("h_list", check_nested_steps, v["h_list"]) + [
+    """The ``h_list`` steps are nested, distinct, and each divides T, and
+    the reference grid, ``ref_factor`` times the finest, keeps to ``MAX_STEPS``."""
+    problems = _raised("h_list", check_nested_steps, v["h_list"]) + [
         problem for h in v["h_list"]
         for problem in _raised("h_list", step_count, model.horizon, h)]
+    return problems or _raised("ref_factor", check_steps, v["ref_factor"] * step_count(
+        model.horizon, min(v["h_list"])), "the reference grid")
+
+
+def _level_study_rules(v, checks, model) -> list[str]:
+    """The finest level of ``levels`` keeps to ``MAX_STEPS``."""
+    return _raised("levels", LevelConfig, v["refinement_n"], v["levels"][1])
 
 
 def _mlmc_rules(v, checks, model) -> list[str]:
@@ -242,12 +250,13 @@ EXPERIMENTS = {
         {**_FIT, **_bounds(lambda b: [("max var_diff", b.summary["max_var_diff"])],
                            "max_var_diff")},
         ("level", "h_coarse", "var_diff", "ci_lo", "ci_hi", "rng_cost", "samples"),
-        _coupled_variance),
+        _coupled_variance, _level_study_rules),
     "second-moment": Experiment(
         _LEVEL_STUDY, {**_FIT, **_bounds(lambda b: [(f"log2 ratio[{i}]", r) for i, r in
                                                     enumerate(b.summary["log2_ratios"])],
                                          "ratio_min", "ratio_max")},
-        ("level", "h_coarse", "second_moment", "rng_cost", "samples"), _second_moment),
+        ("level", "h_coarse", "second_moment", "rng_cost", "samples"), _second_moment,
+        _level_study_rules),
     "mlmc": Experiment(
         {**_ESTIMATOR, "targets.delta": (_POSITIVE, REQUIRED)},
         {"expected": _near_expected, "tolerance": _none},  # expected reads tolerance
@@ -255,7 +264,9 @@ EXPERIMENTS = {
     "cost-compare": Experiment({
         **_ESTIMATOR, "targets.delta_list": (_entries(_positive, "positive numbers"), REQUIRED),
         "targets.epsilon_list": (_EPSILONS, REQUIRED)}, _FIT,
-        ("delta", "epsilon", "mc_cost", "mlmc_cost", "mc_steps", "mlmc_levels"), _cost_compare),
+        ("delta", "epsilon", "mc_cost", "mlmc_cost", "mc_steps", "mlmc_levels"), _cost_compare,
+        lambda v, checks, model: _raised("refinement_n", check_steps, v["refinement_n"]**4,
+                                         "the variance pilot")),
     "chaos": Experiment({
         "grid.m_list": (_entries(lambda m: _is_int(m) and m > 0, "positive integers"), REQUIRED),
         "grid.reference_m": (_integer(1), REQUIRED),
@@ -263,8 +274,9 @@ EXPERIMENTS = {
         "grid.steps": (_integer(1), DEFAULT_CHAOS_STEPS),
         "grid.pathwise": (_check(lambda v: isinstance(v, bool), "must be true or false"), False)},
         _FIT, ("m_particles", "mse_vs_reference", "replications"), _chaos,
-        lambda v, checks, model: [] if v["reference_m"] > max(v["m_list"]) else
-        ["grid.reference_m must exceed every entry of grid.m_list"]),
+        lambda v, checks, model: _raised("steps", check_steps, v["steps"], "the grid") + (
+            [] if v["reference_m"] > max(v["m_list"]) else
+            ["grid.reference_m must exceed every entry of grid.m_list"])),
     "small-noise-deviation": Experiment({
         "grid.h": (_POSITIVE, REQUIRED), **_M, "grid.replications": (_integer(1), REQUIRED),
         "targets.epsilon_list": (_EPSILONS, REQUIRED)}, _FIT,

@@ -22,14 +22,24 @@ from .rng import DOMAIN_PATH, DOMAIN_SMALL_NOISE, DOMAIN_STRONG_ERROR, stream
 
 #: reference grid is finer than the smallest requested step by this factor
 DEFAULT_REF_FACTOR = 8
+#: the most steps one path may take: its noise is 8 M d_bar bytes a step, 128 MiB M d_bar in all
+MAX_STEPS = 2**24
+
+
+def check_steps(steps, path: str):
+    """A ``ConfigurationError`` naming ``path`` when it takes more than ``MAX_STEPS`` steps."""
+    if steps > MAX_STEPS:
+        raise ConfigurationError(f"{path} takes more than the {MAX_STEPS} steps a path may take")
 
 
 def step_count(horizon: float, h: float) -> int:
     """The number of steps of size h to the horizon; a ``ConfigurationError``
-    unless h is a positive finite number that divides it."""
+    unless h is a positive finite number that divides it in at most
+    ``MAX_STEPS`` steps."""
     if not (is_number(h) and h > 0):
         raise ConfigurationError(f"step size must be a positive finite number, got {h!r}")
-    steps = round(horizon / h) if horizon / h < math.inf else 0
+    check_steps(horizon / h, f"step size {h} on horizon {horizon}")
+    steps = round(horizon / h)
     if steps < 1 or abs(h * steps - horizon) > 1e-12 * horizon:
         raise ConfigurationError(f"step size {h} does not divide horizon {horizon}")
     return steps

@@ -26,8 +26,8 @@ from .errors import ConfigurationError, DivergenceError, ShapeError
 from .measure import ParticleCloud, sorted_mean
 from .model import ModelSpec, TestFunction, builtin_test_function
 # em_step stays bound here: the benchmark's absent-layer check deletes it from this module
-from .em_engine import (advance, em_step, strong_error_curve,  # noqa: F401
-                        _last, _walk)
+from .em_engine import (MAX_STEPS, advance, check_steps, em_step,  # noqa: F401
+                        strong_error_curve, _last, _walk)
 from .parallel import ordered_map
 from .rng import (
     DOMAIN_CHAOS,
@@ -51,22 +51,23 @@ DEFAULT_CHAOS_STEPS = 64
 
 @dataclass(frozen=True)
 class LevelConfig:
-    """Geometry of one level pair; step counts are integers by construction.
+    """Step counts of one level pair on the model's horizon T: N^level fine
+    steps of T N^-level and N^(level-1) coarse steps of T N^-(level-1).
 
-    Level 0 has no coarse path, so its coarse geometry is a ``ConfigurationError``.
+    Level 0 has no coarse path, so its coarse step count is a ``ConfigurationError``.
     """
 
     refinement_n: int
     level: int
-    horizon: float
 
     def __post_init__(self):
         if self.refinement_n < 2:
             raise ConfigurationError(f"refinement_n must be >= 2, got {self.refinement_n}")
         if self.level < 0:
             raise ConfigurationError(f"level must be >= 0, got {self.level}")
-        if not self.horizon > 0:
-            raise ConfigurationError(f"horizon must be positive, got {self.horizon}")
+        # N^level > MAX_STEPS past MAX_STEPS.bit_length() levels: a huge level builds no power
+        check_steps(self.refinement_n ** min(self.level, MAX_STEPS.bit_length()),
+                    f"level {self.level} at refinement_n {self.refinement_n}")
 
     @property
     def fine_steps(self) -> int:
@@ -77,14 +78,6 @@ class LevelConfig:
         if self.level == 0:
             raise ConfigurationError("level 0 has no coarse path")
         return self.refinement_n ** (self.level - 1)
-
-    @property
-    def h_fine(self) -> float:
-        return self.horizon / self.fine_steps
-
-    @property
-    def h_coarse(self) -> float:
-        return self.horizon / self.coarse_steps
 
 
 @dataclass
@@ -123,7 +116,7 @@ def coupled_coarse_interval(model: ModelSpec, fine: ParticleCloud, coarse: Parti
     ``model.start(M)`` on the first interval; returns the new (fine, coarse).
     Level 0, which has no coarse path, is a ``ConfigurationError``.
     """
-    h_coarse = cfg.h_coarse
+    h_fine, h_coarse = model.horizon / cfg.fine_steps, model.horizon / cfg.coarse_steps
     n_ref = cfg.refinement_n
     xi = np.asarray(gaussians, dtype=float)
     m = fine.m
@@ -131,8 +124,8 @@ def coupled_coarse_interval(model: ModelSpec, fine: ParticleCloud, coarse: Parti
         raise ShapeError(
             f"gaussians have shape {xi.shape}, expected {(n_ref, m, model.d_bar)}"
         )
-    fine = _last(_walk(model, fine, cfg.h_fine, xi))
-    coarse = advance(model, coarse.positions, h_coarse, math.sqrt(cfg.h_fine), xi.sum(axis=0))
+    fine = _last(_walk(model, fine, h_fine, xi))
+    coarse = advance(model, coarse.positions, h_coarse, math.sqrt(h_fine), xi.sum(axis=0))
     return fine, ParticleCloud._wrap(coarse)
 
 
@@ -149,22 +142,23 @@ def _coupled_pairs(model: ModelSpec, cfg: LevelConfig,
     raised it and names that path.
     """
     k, m = xi.shape[0], xi.shape[-2]
+    h_fine = model.horizon / cfg.fine_steps
     start = model.start(m)
     fine = np.empty((k, m, model.d))
     try:
         for j in range(k):
             blocks = xi[j].reshape(-1, m, model.d_bar)
-            fine[j] = _last(_walk(model, start, cfg.h_fine, blocks)).positions
+            fine[j] = _last(_walk(model, start, h_fine, blocks)).positions
     except DivergenceError as err:
         raise DivergenceError(str(err), err.step_index, "fine") from None
     if cfg.level == 0:
         return fine, None
     coarse = np.broadcast_to(start.positions, (k, m, model.d))
     increments = xi.reshape(k, cfg.coarse_steps, cfg.refinement_n, m, model.d_bar).sum(axis=2)
-    sqrt_h = math.sqrt(cfg.h_fine)
+    h_coarse, sqrt_h = model.horizon / cfg.coarse_steps, math.sqrt(h_fine)
     for n in range(cfg.coarse_steps):
         try:
-            coarse = advance(model, coarse, cfg.h_coarse, sqrt_h, increments[:, n])
+            coarse = advance(model, coarse, h_coarse, sqrt_h, increments[:, n])
         except DivergenceError as err:
             raise DivergenceError(str(err), n, "coarse") from None
     return fine, coarse
@@ -234,8 +228,9 @@ def _level_rows(study: str, row: type, model: ModelSpec, levels: list[int], refi
         raise ConfigurationError(f"{study} requires levels >= 1")
     rows = []
     for level in levels:
-        cfg = LevelConfig(refinement_n, level, model.horizon)
-        rows.append(row(level=level, h_coarse=cfg.h_coarse, samples=replications,
+        cfg = LevelConfig(refinement_n, level)
+        rows.append(row(level=level, h_coarse=model.horizon / cfg.coarse_steps,
+                        samples=replications,
                         rng_cost=replications * cost_per_sample(cfg, m_particles, model.d_bar),
                         **stat(cfg)))
     return rows
@@ -327,7 +322,7 @@ def mlmc_estimate(model: ModelSpec, test_fn: TestFunction, target_delta: float,
     samples: list[np.ndarray] = []
 
     def pilot():
-        cfgs.append(LevelConfig(refinement_n, len(cfgs), model.horizon))
+        cfgs.append(LevelConfig(refinement_n, len(cfgs)))
         samples.append(_level_samples(model, cfgs[-1], m_particles, test_fn, seed,
                                       0, pilot_samples))
 
@@ -409,6 +404,7 @@ def cost_compare(model: ModelSpec, test_fn: TestFunction, delta_list: list[float
     whose sample count is ceil(Var(Psi) / delta^2). Nothing beyond the
     calibration pilots is simulated for the comparator.
     """
+    check_steps(refinement_n**4, f"the variance pilot at refinement_n {refinement_n}")
     rows = []
     for eps in epsilon_list:
         m_eps = model.with_epsilon(eps)
@@ -465,6 +461,7 @@ def chaos_study(model: ModelSpec, m_list: list[int], reference_m: int, replicati
         raise ConfigurationError("reference_m must exceed every entry of m_list")
     if steps < 1:
         raise ConfigurationError(f"steps must be >= 1, got {steps}")
+    check_steps(steps, f"a chaos grid of {steps} steps")
     test_fn = test_fn or builtin_test_function("identity")
     h = model.horizon / steps
 

@@ -100,8 +100,9 @@ class ModelSpec:
         # epsilon = 0 is admitted as the deterministic limit of the family
         if not (0.0 <= self.epsilon <= 1.0):
             raise ConfigurationError(f"epsilon must lie in [0, 1], got {self.epsilon}")
-        if not self.horizon > 0:
-            raise ConfigurationError(f"horizon must be positive, got {self.horizon}")
+        if not (is_number(self.horizon) and self.horizon > 0):
+            raise ConfigurationError(f"horizon must be a positive finite number, "
+                                     f"got {self.horizon!r}")
         if self.lipschitz_K < 0 or self.growth_beta < 0:
             raise ConfigurationError("regularity constants must be nonnegative")
         x0 = np.atleast_1d(np.asarray(self.x0, dtype=float)).copy()

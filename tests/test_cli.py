@@ -424,6 +424,14 @@ REJECTED = [
     *[("mlmc", None, "seed", seed) for seed in (-1, 2**64)],
     # run --assert failed on every estimate
     ("mlmc", None, "assertions", {"expected": 0.37, "tolerance": -1}),
+    # run failed in numpy on a path of more than MAX_STEPS steps: 2**60 fine
+    # steps, 1e300 steps, a 28.4 PiB noise array
+    ("coupled-variance", "grid", "levels", [60, 60]),
+    ("small-noise-deviation", "grid", "h", 1e-300),
+    ("chaos", "grid", "steps", 10**15),
+    # a reference grid of 2 * 2**24 steps, and a variance pilot of 65**4
+    ("strong-error", "grid", "ref_factor", 2**24),
+    ("cost-compare", "grid", "refinement_n", 65),
 ]
 
 

@@ -73,7 +73,7 @@ RUNS = {
         model, [1.0], 0.125, 3, 2, seed=0),
     "chaos_study": lambda model: chaos_study(model, [2], 4, 2, seed=0, steps=8),
     "simulate_level_pair": lambda model: simulate_level_pair(
-        model, LevelConfig(refinement_n=2, level=3, horizon=1.0), 3,
+        model, LevelConfig(refinement_n=2, level=3), 3,
         builtin_test_function("identity"), seed=0),
 }
 
@@ -111,7 +111,7 @@ def coarse_only_params():
 
 def test_a_coarse_divergence_carries_the_coarse_step_index():
     model = builtin_model("meanfield_ou", coarse_only_params())
-    cfg = LevelConfig(refinement_n=2, level=1, horizon=1.0)
+    cfg = LevelConfig(refinement_n=2, level=1)
     with pytest.raises(DivergenceError) as err:
         simulate_level_pair(model, cfg, 3, builtin_test_function("identity"), seed=0)
     assert err.value.step_index == 0

@@ -19,7 +19,8 @@ from mlmc_mvsde import (
     small_noise_curve,
     strong_error_curve,
 )
-from mlmc_mvsde.em_engine import DIVERGENCE_LIMIT, advance, check_nested_steps, step_count
+from mlmc_mvsde.em_engine import (DIVERGENCE_LIMIT, MAX_STEPS, advance, check_nested_steps,
+                                  step_count)
 from mlmc_mvsde.model import ModelSpec, drift_eval
 
 from helpers import OU, builtin_args, euler_mean, ou
@@ -31,6 +32,11 @@ def test_step_count():
     # a step that misses the horizon, and steps that are no positive finite number
     for h in (0.3, 0.0, -0.25, math.nan, math.inf, 5e-324):
         with pytest.raises(ConfigurationError):
+            step_count(1.0, h)
+    # steps that divide the horizon, up to MAX_STEPS of them and past it
+    assert step_count(2.0, 2.0**-23) == MAX_STEPS
+    for h in (2.0**-25, 1e-300):
+        with pytest.raises(ConfigurationError, match=f"more than the {MAX_STEPS} steps"):
             step_count(1.0, h)
 
 

@@ -54,7 +54,7 @@ def looped(model, cfg, xi):
 def test_chunked_pairs_equal_looped_intervals(args, level, n_ref, m, count,
                                               seed, data):
     model = builtin_model(*args)
-    cfg = LevelConfig(refinement_n=n_ref, level=level, horizon=model.horizon)
+    cfg = LevelConfig(refinement_n=n_ref, level=level)
     xi = np.random.default_rng(seed).standard_normal(
         (count, cfg.coarse_steps, n_ref, m, model.d_bar))
     want_fine, want_coarse = looped(model, cfg, xi)
@@ -85,7 +85,7 @@ def test_level0_samples_equal_one_step_per_sample(args, psi, m, count, seed, sta
         want.append(sorted_mean(test_fn.psi(cloud.positions)))
     cuts = sorted(data.draw(st.lists(st.integers(start, start + count), max_size=3)))
     bounds = [start, *cuts, start + count]
-    cfg = LevelConfig(2, 0, model.horizon)
+    cfg = LevelConfig(2, 0)
     got = np.concatenate([_level_samples(model, cfg, m, test_fn, seed, lo, hi - lo)
                           for lo, hi in zip(bounds, bounds[1:])])
     assert got.tobytes() == np.array(want, dtype=float).tobytes()
@@ -98,7 +98,7 @@ def test_level0_pair_equals_the_level0_sample(args, psi, m, seed, index):
     # level 0 has no coarse term: the difference is the fine value itself
     model = builtin_model(*args)
     test_fn = builtin_test_function(psi)
-    cfg = LevelConfig(refinement_n=2, level=0, horizon=model.horizon)
+    cfg = LevelConfig(refinement_n=2, level=0)
     diff, fine, cost = simulate_level_pair(model, cfg, m, test_fn, seed, index)
     want = _level_samples(model, cfg, m, test_fn, seed, index, 1)
     assert np.array([diff]).tobytes() == np.array([fine]).tobytes() == want.tobytes()
@@ -110,7 +110,7 @@ def test_level0_pair_equals_the_level0_sample(args, psi, m, seed, index):
        m=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
 def test_relabelled_particles_move_to_the_same_bits(args, level, m, seed):
     model = builtin_model(*args)
-    cfg = LevelConfig(refinement_n=2, level=level, horizon=model.horizon)
+    cfg = LevelConfig(refinement_n=2, level=level)
     rng = np.random.default_rng(seed)
     xi = rng.standard_normal((2, cfg.coarse_steps, 2, m, model.d_bar))
     perm = rng.permutation(m)
@@ -126,7 +126,7 @@ def test_relabelled_particles_move_to_the_same_bits(args, level, m, seed):
 def test_level_samples_do_not_depend_on_the_chunk_budget(args, level, m, count, seed, data):
     model = builtin_model(*args)
     sample_bytes = 8 * 2**level * m * model.d_bar
-    cfg = LevelConfig(2, level, model.horizon)
+    cfg = LevelConfig(2, level)
     whole = _level_samples(model, cfg, m, IDENT, seed, 0, count)
     for per_chunk in (1, data.draw(st.integers(1, count))):
         with patch.object(mlmc_engine, "CHUNK_NOISE_BYTES", per_chunk * sample_bytes):
@@ -171,7 +171,7 @@ def test_one_diverging_coarse_path_in_a_chunk_raises(monkeypatch):
     # h_fine = 1/2: the fine path goes to c*xi and back to 0, while the coarse
     # path takes the summed noise 2*c*xi in one step, past DIVERGENCE_LIMIT
     model = _linear_model(lambda x, mu: -4.0 * x)
-    cfg = LevelConfig(2, 1, model.horizon)
+    cfg = LevelConfig(2, 1)
     c = np.sqrt(0.5)
     _Blocks(bad=2, value=0.75e12 / c).install(monkeypatch)
     with pytest.raises(DivergenceError):
@@ -187,7 +187,7 @@ def test_a_nan_coarse_drift_in_a_chunk_is_named(monkeypatch):
     model = replace(model, horizon=2.0)
     _Blocks(bad=1, value=1.5 / np.sqrt(0.5)).install(monkeypatch)
     with pytest.raises(NumericError, match="drift"):
-        _level_samples(model, LevelConfig(2, 2, model.horizon), 3, IDENT, 0, 0, 3)
+        _level_samples(model, LevelConfig(2, 2), 3, IDENT, 0, 0, 3)
 
 
 def test_coefficients_take_the_state_array_as_their_measure():
@@ -207,7 +207,7 @@ def test_coefficients_take_the_state_array_as_their_measure():
                       epsilon=0.5, x0=np.array([1.0, -1.0]), horizon=1.0,
                       lipschitz_K=1.0, growth_beta=2.0)
     m, k = 3, 4
-    cfg = LevelConfig(2, 2, model.horizon)
+    cfg = LevelConfig(2, 2)
     for run, stack in ((lambda: simulate_level_pair(model, cfg, m, IDENT, 5, 1), 1),
                        (lambda: _level_samples(model, cfg, m, IDENT, 5, 0, k), k)):
         calls.clear()
@@ -223,7 +223,7 @@ def test_zero_noise_level_samples_are_identical(args, level, m, seed):
     # bit-identical samples: zero sample variance (numpy's ``var`` may still
     # read about 1e-33, since the rounded mean need not equal the samples)
     model = builtin_model(*args)
-    xs = _level_samples(model, LevelConfig(2, level, model.horizon), m, IDENT, seed, 0, 5)
+    xs = _level_samples(model, LevelConfig(2, level), m, IDENT, seed, 0, 5)
     assert xs.tobytes() == np.full(5, xs[0]).tobytes()
 
 

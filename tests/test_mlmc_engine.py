@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from mlmc_mvsde import (
     simulate_level_pair,
     simulate_path,
 )
+from mlmc_mvsde.em_engine import MAX_STEPS
 from mlmc_mvsde.mlmc_engine import _coupled_pairs, cost_per_sample
 from mlmc_mvsde.measure import sorted_mean
 
@@ -27,19 +29,28 @@ from helpers import IDENT, euler_mean, ou
 
 
 def test_level_config_geometry():
-    cfg = LevelConfig(refinement_n=2, level=3, horizon=1.0)
+    cfg = LevelConfig(refinement_n=2, level=3)
     assert cfg.fine_steps == 8 and cfg.coarse_steps == 4
-    assert cfg.h_fine * cfg.refinement_n == cfg.h_coarse
+    # the step sizes are the model's T / steps: on zero-noise OU at T = 2 the
+    # fine path takes 8 steps of 1/4, the coarse path 4 steps of 1/2
+    model = replace(ou(0.0), horizon=2.0)
+    diff, fine, _ = simulate_level_pair(model, cfg, 3, IDENT, seed=0)
+    assert fine == euler_mean(1.0, 1.0, 0.25, 8)
+    assert diff == fine - euler_mean(1.0, 1.0, 0.5, 4)
     with pytest.raises(ConfigurationError):
-        LevelConfig(refinement_n=1, level=3, horizon=1.0)
+        LevelConfig(refinement_n=1, level=3)
     with pytest.raises(ConfigurationError):
-        LevelConfig(refinement_n=2, level=-1, horizon=1.0)
+        LevelConfig(refinement_n=2, level=-1)
     # level 0 is one fine step and no coarse path: no half step, no 2T
-    level0 = LevelConfig(refinement_n=2, level=0, horizon=1.0)
-    assert level0.fine_steps == 1 and level0.h_fine == 1.0
-    for coarse in ("coarse_steps", "h_coarse"):
-        with pytest.raises(ConfigurationError, match="level 0"):
-            getattr(level0, coarse)
+    level0 = LevelConfig(refinement_n=2, level=0)
+    assert level0.fine_steps == 1
+    with pytest.raises(ConfigurationError, match="level 0"):
+        level0.coarse_steps
+    # a fine path of up to MAX_STEPS steps, and none longer, even at a huge level
+    assert LevelConfig(2, 24).fine_steps == LevelConfig(2**24, 1).fine_steps == MAX_STEPS
+    for n_ref, level in ((2, 25), (2, 10**12), (3, 16), (2**24 + 1, 1)):
+        with pytest.raises(ConfigurationError, match=f"more than the {MAX_STEPS} steps"):
+            LevelConfig(n_ref, level)
 
 
 def test_coupled_state_initialization():
@@ -49,7 +60,7 @@ def test_coupled_state_initialization():
 
 def test_coupled_interval_constant_drift_zero_noise():
     model = builtin_model("constant_drift", {"c": 2.0, "x0": 0.0, "T": 1.0, "epsilon": 0.0})
-    cfg = LevelConfig(refinement_n=2, level=1, horizon=1.0)
+    cfg = LevelConfig(refinement_n=2, level=1)
     start = model.start(4)
     xi = np.random.default_rng(0).normal(size=(2, 4, 1))
     fine, coarse = coupled_coarse_interval(model, start, start, cfg, xi)
@@ -60,7 +71,7 @@ def test_coupled_interval_constant_drift_zero_noise():
 def test_coupled_interval_ou_deterministic_oracle():
     # one coarse interval of the zero-noise flow: (1 - h_l)^N vs 1 - h_{l-1}
     model = ou(0.0)
-    cfg = LevelConfig(refinement_n=2, level=1, horizon=1.0)
+    cfg = LevelConfig(refinement_n=2, level=1)
     start = model.start(4)
     fine, coarse = coupled_coarse_interval(model, start, start, cfg, np.zeros((2, 4, 1)))
     assert np.all(fine.positions == 0.25)
@@ -73,17 +84,17 @@ def test_coupled_interval_refuses_level_zero():
                                            "epsilon": 0.0})
     start = model.start(4)
     with pytest.raises(ConfigurationError, match="level 0"):
-        coupled_coarse_interval(model, start, start, LevelConfig(2, 0, 1.0),
+        coupled_coarse_interval(model, start, start, LevelConfig(2, 0),
                                 np.zeros((2, 4, 1)))
 
 
 def test_coarse_increment_variance_law():
     # the effective coarse increment sqrt(h_l) sum_k xi_k has variance h_{l-1}
-    cfg = LevelConfig(refinement_n=4, level=2, horizon=1.0)
+    cfg = LevelConfig(refinement_n=4, level=2)
     rng = np.random.default_rng(3)
     draws = rng.standard_normal((4, 20000))
-    eff = math.sqrt(cfg.h_fine) * draws.sum(axis=0)
-    assert eff.var() == pytest.approx(cfg.h_coarse, rel=0.05)
+    eff = math.sqrt(1.0 / cfg.fine_steps) * draws.sum(axis=0)
+    assert eff.var() == pytest.approx(1.0 / cfg.coarse_steps, rel=0.05)
 
 
 def test_coarse_step_divergence_is_flagged():
@@ -91,7 +102,7 @@ def test_coarse_step_divergence_is_flagged():
     # triples the coarse state past DIVERGENCE_LIMIT
     model = builtin_model("meanfield_ou", {"a": 4.0, "b": 0.0, "x0": 5e11, "T": 1.0,
                                            "epsilon": 0.0})
-    cfg = LevelConfig(refinement_n=2, level=1, horizon=1.0)
+    cfg = LevelConfig(refinement_n=2, level=1)
     start = model.start(4)
     with pytest.raises(DivergenceError):
         coupled_coarse_interval(model, start, start, cfg, np.zeros((2, 4, 1)))
@@ -107,7 +118,7 @@ def test_coarse_step_non_finite_drift_is_named():
         epsilon=0.0, x0=np.array([1.0]), horizon=2.0,
         lipschitz_K=16.0, growth_beta=32.0,
     )
-    cfg = LevelConfig(refinement_n=2, level=2, horizon=2.0)
+    cfg = LevelConfig(refinement_n=2, level=2)
     start = model.start(3)
     fine, coarse = coupled_coarse_interval(model, start, start, cfg, np.zeros((2, 3, 1)))
     assert np.all(fine.positions == 1.0) and np.all(coarse.positions == -3.0)
@@ -117,7 +128,7 @@ def test_coarse_step_non_finite_drift_is_named():
 
 def test_coupled_interval_outputs_are_fresh_read_only():
     model = ou(0.5)
-    cfg = LevelConfig(refinement_n=2, level=1, horizon=1.0)
+    cfg = LevelConfig(refinement_n=2, level=1)
     start = model.start(4)
     xi = np.random.default_rng(0).normal(size=(2, 4, 1))
     for cloud in coupled_coarse_interval(model, start, start, cfg, xi):
@@ -129,10 +140,10 @@ def test_coupled_interval_outputs_are_fresh_read_only():
 def test_simulate_level_pair_deterministic_oracle():
     model = ou(0.0)
     for level in (1, 2, 3):
-        cfg = LevelConfig(refinement_n=2, level=level, horizon=1.0)
+        cfg = LevelConfig(refinement_n=2, level=level)
         diff, fine, cost = simulate_level_pair(model, cfg, 8, IDENT, seed=1)
-        f = euler_mean(1.0, 1.0, cfg.h_fine, cfg.fine_steps)
-        c = euler_mean(1.0, 1.0, cfg.h_coarse, cfg.coarse_steps)
+        f = euler_mean(1.0, 1.0, 1.0 / cfg.fine_steps, cfg.fine_steps)
+        c = euler_mean(1.0, 1.0, 1.0 / cfg.coarse_steps, cfg.coarse_steps)
         assert diff == f - c
         assert fine == f
         assert cost == 8 * 1 * 2**level
@@ -140,7 +151,7 @@ def test_simulate_level_pair_deterministic_oracle():
 
 def test_simulate_level_pair_zero_model():
     model = builtin_model("zero", {"x0": 1.0, "T": 1.0, "epsilon": 0.1})
-    cfg = LevelConfig(refinement_n=2, level=2, horizon=1.0)
+    cfg = LevelConfig(refinement_n=2, level=2)
     diff, fine, cost = simulate_level_pair(model, cfg, 8, IDENT, seed=1)
     assert diff == 0.0
     assert fine == 1.0
@@ -152,13 +163,25 @@ def test_simulate_level_pair_constant_drift_cancellation():
     # only summation-order rounding survives
     model = builtin_model("constant_drift", {"c": 2.0, "x0": 0.0, "T": 1.0, "epsilon": 0.7})
     for level in (1, 3):
-        cfg = LevelConfig(refinement_n=2, level=level, horizon=1.0)
+        cfg = LevelConfig(refinement_n=2, level=level)
         diff, _, _ = simulate_level_pair(model, cfg, 16, IDENT, seed=5)
         assert abs(diff) < 1e-13
 
 
+@pytest.mark.parametrize("n_ref", [2, 3])
+def test_a_level_pair_walks_the_model_horizon(n_ref):
+    # zero-noise constant drift ends both paths at x0 + c T, here on T = 2
+    model = builtin_model("constant_drift", {"c": 2.0, "x0": 0.5, "T": 2.0, "epsilon": 0.0})
+    levels = [1, 2, 3]
+    for level in levels:
+        diff, fine, _ = simulate_level_pair(model, LevelConfig(n_ref, level), 4, IDENT, seed=0)
+        assert fine == pytest.approx(4.5, abs=1e-13) and diff == pytest.approx(0.0, abs=1e-13)
+    rows = coupled_variance_study(model, levels, n_ref, 4, 2, IDENT, seed=0)
+    assert [row.h_coarse for row in rows] == [2 / n_ref ** (level - 1) for level in levels]
+
+
 def test_level0_examples():
-    cfg = LevelConfig(refinement_n=2, level=0, horizon=1.0)
+    cfg = LevelConfig(refinement_n=2, level=0)
     zero = builtin_model("zero", {"x0": 1.0, "T": 1.0, "epsilon": 0.1})
     val, fine, cost = simulate_level_pair(zero, cfg, 8, IDENT, seed=0)
     assert val == fine == 1.0 and cost == 8
@@ -174,7 +197,7 @@ def test_level0_examples():
 
 def test_diff_sample_exchangeability_under_relabeling():
     model = ou(0.4)
-    cfg = LevelConfig(refinement_n=2, level=2, horizon=1.0)
+    cfg = LevelConfig(refinement_n=2, level=2)
     rng = np.random.default_rng(9)
     blocks = [rng.standard_normal((2, 16, 1)) for _ in range(cfg.coarse_steps)]
     perm = rng.permutation(16)
@@ -193,12 +216,12 @@ def test_telescoping_identity():
     n_samples = 400
     m = 16
     level_means, level_vars = [], []
-    cfg0 = LevelConfig(refinement_n=2, level=0, horizon=1.0)
+    cfg0 = LevelConfig(refinement_n=2, level=0)
     xs = np.array([simulate_level_pair(model, cfg0, m, IDENT, 100, k)[0]
                    for k in range(n_samples)])
     level_means.append(xs.mean()), level_vars.append(xs.var(ddof=1))
     for level in (1, 2):
-        cfg = LevelConfig(refinement_n=2, level=level, horizon=1.0)
+        cfg = LevelConfig(refinement_n=2, level=level)
         xs = np.array([
             simulate_level_pair(model, cfg, m, IDENT, 100, k)[0] for k in range(n_samples)
         ])
@@ -296,6 +319,12 @@ def test_cost_compare_zero_noise_degenerates_to_pilot_cost():
     assert row.mlmc_cost == expected
 
 
+def test_cost_compare_refuses_a_variance_pilot_past_max_steps():
+    # its plain-MC variance pilot walks N^4 steps: 65^4 > MAX_STEPS >= 64^4
+    with pytest.raises(ConfigurationError, match="refinement_n 65"):
+        cost_compare(ou(0.25), IDENT, [4e-3], [0.1], 65, 2)
+
+
 def test_cost_compare_monotone_in_epsilon():
     rows = cost_compare(ou(0.25), IDENT, [4e-3, 2e-3], [0.4, 0.2, 0.1], 2, 16,
                         pilot_samples=16, max_level=6, seed=0)
@@ -360,13 +389,14 @@ def test_chaos_rows_equal_single_m_runs(pathwise):
 def test_chaos_reference_size_validated():
     with pytest.raises(ConfigurationError):
         chaos_study(ou(0.1), [16, 32], 32, 5, seed=0)
-    # a study of no steps
-    with pytest.raises(ConfigurationError):
-        chaos_study(ou(0.1), [2], 4, 2, seed=0, steps=0)
+    # a study of no steps, and one of more than a path may take
+    for steps in (0, MAX_STEPS + 1, 10**15):
+        with pytest.raises(ConfigurationError):
+            chaos_study(ou(0.1), [2], 4, 2, seed=0, steps=steps)
 
 
 def test_cost_per_sample_formula():
     for level in range(5):
-        cfg = LevelConfig(refinement_n=3, level=level, horizon=2.0)
+        cfg = LevelConfig(refinement_n=3, level=level)
         assert cost_per_sample(cfg, 7, 2) == 7 * 2 * 3**level
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -218,6 +219,10 @@ def test_epsilon_range():
     builtin_model("zero", {**BASE, "epsilon": 1.0})
     with pytest.raises(ConfigurationError):
         builtin_model("zero", {**BASE, "epsilon": 1.5})
+    # the model's horizon is the only one a run walks: a positive finite number
+    for horizon in (math.inf, math.nan, 0.0, -1.0, "1"):
+        with pytest.raises(ConfigurationError, match="horizon must be a positive finite number"):
+            replace(builtin_model("zero", BASE), horizon=horizon)
 
 
 def test_coefficient_purity():

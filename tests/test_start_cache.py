@@ -44,7 +44,7 @@ def test_warm_start_cache_changes_no_bits(args, m, seed):
         fresh = builtin_model(*args)
         warm = builtin_model(*args)
         warm.start(m)
-        cfg = LevelConfig(2, level, fresh.horizon)
+        cfg = LevelConfig(2, level)
         got = [_level_samples(model, cfg, m, IDENT, seed, 0, 3)
                for model in (fresh, warm, uncached(fresh))]
         assert got[0].tobytes() == got[1].tobytes() == got[2].tobytes()
@@ -56,7 +56,7 @@ def test_warm_start_cache_changes_no_bits(args, m, seed):
 def test_sample_extension_is_prefix_stable(args, m, seed, level, n, data):
     k = data.draw(st.integers(0, n))
     model = builtin_model(*args)
-    cfg = LevelConfig(2, level, model.horizon)
+    cfg = LevelConfig(2, level)
     whole = _level_samples(model, cfg, m, IDENT, seed, 0, n)
     head = _level_samples(model, cfg, m, IDENT, seed, 0, k)
     tail = _level_samples(model, cfg, m, IDENT, seed, k, n - k)

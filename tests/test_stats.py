@@ -47,7 +47,7 @@ def test_normal_ci_coverage():
     # base-level runs of the constant-drift model have known mean x0 + c T
     model = builtin_model("constant_drift", {"c": 2.0, "x0": 0.0, "T": 1.0, "epsilon": 0.5})
     psi = builtin_test_function("identity")
-    cfg = LevelConfig(refinement_n=2, level=0, horizon=1.0)
+    cfg = LevelConfig(refinement_n=2, level=0)
     truth = 2.0
     covered = 0
     n_sims, n_samples = 1000, 30
