@@ -26,8 +26,8 @@ from . import __version__
 from .errors import ConfigurationError, DivergenceError, NumericError
 from .model import (BUILTIN_MODELS, BUILTIN_TEST_FUNCTIONS, REQUIRED, builtin_model,
                     builtin_test_function, is_number)
-from .em_engine import (DEFAULT_REF_FACTOR, check_nested_steps, check_steps, small_noise_curve,
-                        step_count, strong_error_curve)
+from .em_engine import (DEFAULT_REF_FACTOR, check_nested_steps, check_steps, noise_block,
+                        reference_steps, small_noise_curve, step_count, strong_error_curve)
 from .mlmc_engine import (DEFAULT_CHAOS_STEPS, DEFAULT_MAX_LEVEL, DEFAULT_PILOT_SAMPLES,
                           LevelConfig, chaos_study, cost_compare, coupled_variance_study,
                           mlmc_estimate, second_moment_study)
@@ -125,19 +125,51 @@ def _raised(key: str, check: Callable, *args) -> list[str]:
     return []
 
 
+def _block(steps: int, v, model, path: str) -> list[str]:
+    """The noise block of ``path``, ``steps`` by ``m_particles`` by d_bar,
+    keeps to ``MAX_NOISE_FLOATS``."""
+    return _raised("m_particles", noise_block, steps, v["m_particles"], model.d_bar, path)
+
+
 def _strong_error_rules(v, checks, model) -> list[str]:
     """The ``h_list`` steps are nested, distinct, and each divides T, and
-    the reference grid, ``ref_factor`` times the finest, keeps to ``MAX_STEPS``."""
+    the reference grid keeps to ``reference_steps`` and its noise block to
+    ``MAX_NOISE_FLOATS``."""
     problems = _raised("h_list", check_nested_steps, v["h_list"]) + [
         problem for h in v["h_list"]
         for problem in _raised("h_list", step_count, model.horizon, h)]
-    return problems or _raised("ref_factor", check_steps, v["ref_factor"] * step_count(
-        model.horizon, min(v["h_list"])), "the reference grid")
+    grid = (model.horizon, v["h_list"], v["ref_factor"])
+    return (problems or _raised("ref_factor", reference_steps, *grid)
+            or _block(reference_steps(*grid), v, model, "the reference grid"))
 
 
 def _level_study_rules(v, checks, model) -> list[str]:
-    """The finest level of ``levels`` keeps to ``MAX_STEPS``."""
-    return _raised("levels", LevelConfig, v["refinement_n"], v["levels"][1])
+    """The finest level of ``levels`` keeps to ``MAX_STEPS``, and its noise
+    block to ``MAX_NOISE_FLOATS``."""
+    n, level = v["refinement_n"], v["levels"][1]
+    return (_raised("levels", LevelConfig, n, level)
+            or _block(n**level, v, model, f"a level-{level} sample"))
+
+
+def _cost_compare_rules(v, checks, model) -> list[str]:
+    """The N^4 steps of the variance pilot keep to ``MAX_STEPS``, and its noise
+    block and that of the calibration sweep's reference grid, ``h_cal = T N^-3``,
+    to ``MAX_NOISE_FLOATS``. The mlmc levels are checked if the run reaches them."""
+    n = v["refinement_n"]
+    return (_raised("refinement_n", check_steps, n**4, "the variance pilot")
+            or _block(n**4, v, model, "the variance pilot")
+            or _block(reference_steps(model.horizon, [model.horizon / n**3], DEFAULT_REF_FACTOR),
+                      v, model, "the reference grid"))
+
+
+def _chaos_rules(v, checks, model) -> list[str]:
+    """The grid keeps to ``MAX_STEPS``, the reference system's noise block to
+    ``MAX_NOISE_FLOATS``, and ``reference_m`` exceeds every ``m_list`` entry."""
+    problems = (_raised("steps", check_steps, v["steps"], "the grid")
+                or _raised("reference_m", noise_block, v["steps"], v["reference_m"],
+                           model.d_bar, "the reference system"))
+    return problems + ([] if v["reference_m"] > max(v["m_list"]) else
+                       ["grid.reference_m must exceed every entry of grid.m_list"])
 
 
 def _mlmc_rules(v, checks, model) -> list[str]:
@@ -265,23 +297,20 @@ EXPERIMENTS = {
         **_ESTIMATOR, "targets.delta_list": (_entries(_positive, "positive numbers"), REQUIRED),
         "targets.epsilon_list": (_EPSILONS, REQUIRED)}, _FIT,
         ("delta", "epsilon", "mc_cost", "mlmc_cost", "mc_steps", "mlmc_levels"), _cost_compare,
-        lambda v, checks, model: _raised("refinement_n", check_steps, v["refinement_n"]**4,
-                                         "the variance pilot")),
+        _cost_compare_rules),
     "chaos": Experiment({
         "grid.m_list": (_entries(lambda m: _is_int(m) and m > 0, "positive integers"), REQUIRED),
         "grid.reference_m": (_integer(1), REQUIRED),
         "grid.replications": (_integer(1), REQUIRED),
         "grid.steps": (_integer(1), DEFAULT_CHAOS_STEPS),
         "grid.pathwise": (_check(lambda v: isinstance(v, bool), "must be true or false"), False)},
-        _FIT, ("m_particles", "mse_vs_reference", "replications"), _chaos,
-        lambda v, checks, model: _raised("steps", check_steps, v["steps"], "the grid") + (
-            [] if v["reference_m"] > max(v["m_list"]) else
-            ["grid.reference_m must exceed every entry of grid.m_list"])),
+        _FIT, ("m_particles", "mse_vs_reference", "replications"), _chaos, _chaos_rules),
     "small-noise-deviation": Experiment({
         "grid.h": (_POSITIVE, REQUIRED), **_M, "grid.replications": (_integer(1), REQUIRED),
         "targets.epsilon_list": (_EPSILONS, REQUIRED)}, _FIT,
         ("epsilon", "mean_sup_sq", "replications"), _small_noise,
-        lambda v, checks, model: _raised("h", step_count, model.horizon, v["h"])),
+        lambda v, checks, model: _raised("h", step_count, model.horizon, v["h"]) or _block(
+            step_count(model.horizon, v["h"]), v, model, "a replication")),
 }
 
 

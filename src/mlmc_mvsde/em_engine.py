@@ -18,18 +18,30 @@ from .errors import ConfigurationError, DivergenceError, ShapeError
 from .measure import ParticleCloud, sorted_mean
 from .model import (DIVERGENCE_LIMIT, ModelSpec, TestFunction, _check_finite,
                     builtin_test_function, coefficients, is_number)
-from .rng import DOMAIN_PATH, DOMAIN_SMALL_NOISE, DOMAIN_STRONG_ERROR, stream
+from .rng import DOMAIN_PATH, DOMAIN_SMALL_NOISE, DOMAIN_STRONG_ERROR, stream, streams
 
 #: reference grid is finer than the smallest requested step by this factor
 DEFAULT_REF_FACTOR = 8
-#: the most steps one path may take: its noise is 8 M d_bar bytes a step, 128 MiB M d_bar in all
+#: the most steps one path may take
 MAX_STEPS = 2**24
+#: the most floats one (steps, M, d_bar) noise block may hold, 1 GiB of float64
+MAX_NOISE_FLOATS = 2**27
 
 
 def check_steps(steps, path: str):
     """A ``ConfigurationError`` naming ``path`` when it takes more than ``MAX_STEPS`` steps."""
     if steps > MAX_STEPS:
         raise ConfigurationError(f"{path} takes more than the {MAX_STEPS} steps a path may take")
+
+
+def noise_block(steps: int, m_particles: int, d_bar: int, path: str) -> tuple[int, int, int]:
+    """The shape (steps, M, d_bar) of the noise ``path`` draws in one call; a
+    ``ConfigurationError`` naming it when that holds more than ``MAX_NOISE_FLOATS`` floats."""
+    if steps * m_particles * d_bar > MAX_NOISE_FLOATS:
+        raise ConfigurationError(
+            f"the noise block of {path}, {steps} x {m_particles} x {d_bar} floats, holds more "
+            f"than the {MAX_NOISE_FLOATS} floats a block may hold")
+    return steps, m_particles, d_bar
 
 
 def step_count(horizon: float, h: float) -> int:
@@ -141,7 +153,8 @@ def simulate_path(model: ModelSpec, h: float, m_particles: int, seed: int) -> Pa
     steps = step_count(model.horizon, h)
     if m_particles < 1:
         raise ConfigurationError("m_particles must be >= 1")
-    xi = stream(seed, DOMAIN_PATH, 0).standard_normal((steps, m_particles, model.d_bar))
+    xi = stream(seed, DOMAIN_PATH, 0).standard_normal(
+        noise_block(steps, m_particles, model.d_bar, "the path"))
     start = model.start(m_particles)
     return PathRecord(times=h * np.arange(steps + 1), clouds=[start, *_walk(model, start, h, xi)],
                       rng_draws=m_particles * model.d_bar * steps)
@@ -176,6 +189,18 @@ def check_nested_steps(h_list: list[float]):
             raise ConfigurationError(f"h list repeats the step {fine}")
 
 
+def reference_steps(horizon: float, h_list: list[float], ref_factor: int) -> int:
+    """The steps of the strong-error reference grid, ``ref_factor`` times those
+    of the finest step of ``h_list``; a ``ConfigurationError`` unless
+    ``ref_factor`` is an integer >= 2 and the grid keeps to ``MAX_STEPS``. The
+    count is checked as an integer, before any reference step is formed."""
+    if ref_factor % 1 != 0 or ref_factor < 2:
+        raise ConfigurationError(f"ref_factor must be an integer >= 2, got {ref_factor}")
+    steps = int(ref_factor) * step_count(horizon, min(h_list))
+    check_steps(steps, "the reference grid")
+    return steps
+
+
 def strong_error_curve(model: ModelSpec, h_list: list[float], m_particles: int,
                        replications: int, seed: int, ref_factor: int = DEFAULT_REF_FACTOR,
                        test_fn: TestFunction | None = None) -> list[tuple[float, float]]:
@@ -189,20 +214,18 @@ def strong_error_curve(model: ModelSpec, h_list: list[float], m_particles: int,
     """
     if replications < 2:
         raise ConfigurationError("strong_error_curve needs replications >= 2")
-    if ref_factor != int(ref_factor) or ref_factor < 2:
-        raise ConfigurationError(f"ref_factor must be an integer >= 2, got {ref_factor}")
     psi = (test_fn or builtin_test_function("identity")).psi
     for h in h_list:
         step_count(model.horizon, h)
     # nested steps and an integer ref_factor make every h a multiple of h_ref
     check_nested_steps(h_list)
+    shape = noise_block(reference_steps(model.horizon, h_list, ref_factor), m_particles,
+                        model.d_bar, "the reference grid")
     h_ref = min(h_list) / ref_factor
-    steps_ref = step_count(model.horizon, h_ref)
     start = model.start(m_particles)
     acc = {h: 0.0 for h in h_list}
-    for rep in range(replications):
-        gen = stream(seed, DOMAIN_STRONG_ERROR, rep)
-        xi_ref = gen.standard_normal((steps_ref, m_particles, model.d_bar))
+    for gen in streams(seed, DOMAIN_STRONG_ERROR, 0, count=replications):
+        xi_ref = gen.standard_normal(shape)
         psi_ref = psi(_last(_walk(model, start, h_ref, xi_ref)).positions)
         for h in h_list:
             # the step-h path takes the scaled sums of r reference increments
@@ -224,12 +247,12 @@ def small_noise_curve(model: ModelSpec, epsilon_list: list[float], h: float,
     block once, so for models whose deviation is linear in the noise the
     fitted slope is exact.
     """
+    shape = noise_block(step_count(model.horizon, h), m_particles, model.d_bar, "a replication")
     z_path = ode_limit(model, h)
     models = [model.with_epsilon(eps) for eps in epsilon_list]
     totals = [0.0] * len(models)
-    for rep in range(replications):
-        xi = stream(seed, DOMAIN_SMALL_NOISE, rep).standard_normal(
-            (len(z_path) - 1, m_particles, model.d_bar))
+    for gen in streams(seed, DOMAIN_SMALL_NOISE, 0, count=replications):
+        xi = gen.standard_normal(shape)
         for i, model_eps in enumerate(models):
             sup = np.zeros(m_particles)
             for cloud, z in zip(_walk(model_eps, model_eps.start(m_particles), h, xi),

@@ -27,16 +27,15 @@ from .measure import ParticleCloud, sorted_mean
 from .model import ModelSpec, TestFunction, builtin_test_function
 # em_step stays bound here: the benchmark's absent-layer check deletes it from this module
 from .em_engine import (MAX_STEPS, advance, check_steps, em_step,  # noqa: F401
-                        strong_error_curve, _last, _walk)
+                        noise_block, strong_error_curve, _last, _walk)
 from .parallel import ordered_map
 from .rng import (
     DOMAIN_CHAOS,
     DOMAIN_LEVEL_PAIR,
     DOMAIN_LEVEL_ZERO,
     DOMAIN_PSI_VARIANCE,
-    keys,
-    rekey,
     stream,
+    streams,
 )
 
 #: default depth cap for the adaptive estimator
@@ -171,19 +170,18 @@ def _level_pairs(model: ModelSpec, cfg: LevelConfig, m_particles: int, seed: int
     stack is None.
 
     A chunk holds as many samples as fit ``CHUNK_NOISE_BYTES`` of noise (at
-    least one). The range's keys are mixed in one pass; each sample re-keys
-    one ``stream`` generator to its own stream and draws its whole block in
-    one call, so the bits do not depend on the chunk size.
+    least one). Each sample draws its whole block in one call from its own
+    stream of the range's ``streams``, so the bits do not depend on the
+    chunk size.
     """
     domain = DOMAIN_LEVEL_PAIR if cfg.level else DOMAIN_LEVEL_ZERO
-    shape = (cfg.fine_steps, m_particles, model.d_bar)
+    shape = noise_block(cfg.fine_steps, m_particles, model.d_bar, f"a level-{cfg.level} sample")
     size = max(1, CHUNK_NOISE_BYTES // (8 * math.prod(shape)))
-    sample_keys = keys(seed, domain, cfg.level, first, count=count)
-    gen = stream(seed, domain, cfg.level, first)
+    gens = streams(seed, domain, cfg.level, first, count=count)
     for lo in range(0, count, size):
         xi = np.empty((min(size, count - lo),) + shape)
-        for j, key in enumerate(sample_keys[lo:lo + size]):
-            rekey(gen, key).standard_normal(out=xi[j])
+        for block in xi:
+            next(gens).standard_normal(out=block)
         yield _coupled_pairs(model, cfg, xi)
 
 
@@ -381,10 +379,10 @@ def _psi_system_variance(model: ModelSpec, steps: int, m_particles: int,
     """Variance of the system-averaged observable for plain fixed-step runs."""
     h = model.horizon / steps
     start = model.start(m_particles)
+    shape = noise_block(steps, m_particles, model.d_bar, "the variance pilot")
     vals = []
-    for rep in range(replications):
-        xi = stream(seed, DOMAIN_PSI_VARIANCE, rep).standard_normal(
-            (steps, m_particles, model.d_bar))
+    for gen in streams(seed, DOMAIN_PSI_VARIANCE, 0, count=replications):
+        xi = gen.standard_normal(shape)
         cloud = _last(_walk(model, start, h, xi))
         vals.append(float(sorted_mean(test_fn.psi(cloud.positions))))
     return float(np.var(np.array(vals), ddof=1))
@@ -462,12 +460,13 @@ def chaos_study(model: ModelSpec, m_list: list[int], reference_m: int, replicati
     if steps < 1:
         raise ConfigurationError(f"steps must be >= 1, got {steps}")
     check_steps(steps, f"a chaos grid of {steps} steps")
+    # every small system draws less: each M is below reference_m
+    shape = noise_block(steps, reference_m, model.d_bar, "the reference system")
     test_fn = test_fn or builtin_test_function("identity")
     h = model.horizon / steps
 
     def one(rep: int) -> list[float]:
-        xi_ref = stream(seed, DOMAIN_CHAOS, rep, 0).standard_normal(
-            (steps, reference_m, model.d_bar))
+        xi_ref = stream(seed, DOMAIN_CHAOS, rep, 0).standard_normal(shape)
         if pathwise:
             # shared leading streams couple particle i across both systems
             xis = [xi_ref[:, :m] for m in m_list]

@@ -16,11 +16,12 @@ The Philox key of a stream equals the one numpy derives from
 np.uint64)``; ``tests/test_rng.py`` checks this against numpy itself. The
 entropy mixing is reimplemented here because building a ``SeedSequence``
 per sample costs more than simulating a small sample. ``keys`` mixes a
-range of indices in one array pass, for ``rekey`` to move a generator onto;
-seeds outside ``[0, 2**64)`` and key words outside ``[0, 2**32)`` are refused.
+range of indices in one array pass; seeds outside ``[0, 2**64)`` and key
+words outside ``[0, 2**32)`` are refused.
 
-``stream`` returns a new generator; a caller that draws many streams in
-turn re-keys it with ``rekey``, which is cheaper than building another.
+``stream`` returns a new generator. ``streams`` yields a family of them,
+one per sample or replication, as one generator reset to each in turn,
+which is cheaper than building a generator per stream.
 Sampling is single-threaded by design; a thread pool over samples was
 slower than one thread (2.6 s against 1.8 s on the shipped
 ``coupled_variance`` config).
@@ -113,15 +114,18 @@ def keys(seed: int, *key: int, count: int) -> np.ndarray:
     return np.stack([w[0] | w[1] << 32, w[2] | w[3] << 32], axis=1)
 
 
-def rekey(gen: np.random.Generator, key) -> np.random.Generator:
-    """Reset ``gen`` to the start of the Philox stream keyed ``key`` and return it."""
-    zeros = (0, 0, 0, 0)  # Philox's counter and buffer after a reset
-    gen.bit_generator.state = {"bit_generator": "Philox",
-                               "state": {"counter": zeros, "key": key}, "buffer": zeros,
-                               "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    return gen
-
-
 def stream(seed: int, *key: int) -> np.random.Generator:
     """A new generator at the start of the stream ``(seed, *key)``."""
     return np.random.Generator(np.random.Philox(key=keys(seed, *key, count=1)[0]))
+
+
+def streams(seed: int, *key: int, count: int):
+    """Yield one ``stream`` generator reset to the start of each stream
+    ``(seed, *key[:-1], key[-1] + j)``, j < ``count``, in turn."""
+    zeros = (0, 0, 0, 0)  # Philox's counter and buffer after a reset
+    gen = stream(seed, *key)
+    for k in keys(seed, *key, count=count):
+        gen.bit_generator.state = {"bit_generator": "Philox",
+                                   "state": {"counter": zeros, "key": k}, "buffer": zeros,
+                                   "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        yield gen

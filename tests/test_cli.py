@@ -432,6 +432,11 @@ REJECTED = [
     # a reference grid of 2 * 2**24 steps, and a variance pilot of 65**4
     ("strong-error", "grid", "ref_factor", 2**24),
     ("cost-compare", "grid", "refinement_n", 65),
+    # noise blocks past MAX_NOISE_FLOATS; run failed in numpy on the first, 2 * 10**12 floats
+    ("small-noise-deviation", "grid", "m_particles", 10**12),
+    *[(exp, "grid", "m_particles", 10**9) for exp in ("strong-error", "coupled-variance",
+                                                        "cost-compare")],
+    ("chaos", "grid", "reference_m", 10**9),
 ]
 
 
@@ -442,6 +447,17 @@ def test_validate_and_run_reject_the_same_config(tmp_path, capsys, exp, section,
     cfg = typed_config(exp, str(tmp_path / "out"))
     (cfg.setdefault(section, {}) if section else cfg)[key] = value
     assert_rejected(tmp_path, capsys, cfg, f"{section}.{key}" if section else key)
+
+
+def test_an_mlmc_level_past_the_noise_bound_is_refused_once_the_run_reaches_it(tmp_path, capsys):
+    # the levels an mlmc run reaches depend on its samples, so validate passes it
+    cfg = typed_config("mlmc", str(tmp_path / "out"))
+    cfg["grid"]["m_particles"] = 10**12
+    path = write_config(tmp_path, "big.json", cfg)
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["run", str(path)]) == 2
+    assert "the noise block of a level-0 sample" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])

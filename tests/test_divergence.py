@@ -24,11 +24,11 @@ STEP = 5
 
 
 class _SpikeAt:
-    """Stand-in for ``rng.stream`` and for the per-sample ``rng.rekey``: every
-    variate is zero except the noise of step ``step`` of each system, which
-    is ``value``. Fills are step-major blocks of shape (..., M, d_bar); steps
-    are counted from the last ``stream`` or ``rekey`` call, so per-step fills
-    and whole-path fills agree."""
+    """Stand-in for ``rng.stream`` and ``rng.streams``: every variate is zero
+    except the noise of step ``step`` of each system, which is ``value``.
+    Fills are step-major blocks of shape (..., M, d_bar); steps are counted
+    from the last stream opened or yielded, so per-step fills and whole-path
+    fills agree."""
 
     def __init__(self, step, value=1e14):
         self.step, self.value, self.done = step, value, 0
@@ -37,8 +37,9 @@ class _SpikeAt:
         self.done = 0
         return self
 
-    def rekey(self, gen, key):
-        return self()
+    def streams(self, *key, count):
+        for _ in range(count):
+            yield self()
 
     def standard_normal(self, size=None, out=None):
         out = np.zeros(size) if out is None else out
@@ -53,9 +54,9 @@ class _SpikeAt:
 @pytest.fixture
 def spike(monkeypatch):
     fake = _SpikeAt(STEP)
-    monkeypatch.setattr(em_engine, "stream", fake)
-    monkeypatch.setattr(mlmc_engine, "stream", fake)
-    monkeypatch.setattr(mlmc_engine, "rekey", fake.rekey)
+    for module in (em_engine, mlmc_engine):
+        monkeypatch.setattr(module, "stream", fake)
+        monkeypatch.setattr(module, "streams", fake.streams)
     return fake
 
 

@@ -19,8 +19,8 @@ from mlmc_mvsde import (
     small_noise_curve,
     strong_error_curve,
 )
-from mlmc_mvsde.em_engine import (DIVERGENCE_LIMIT, MAX_STEPS, advance, check_nested_steps,
-                                  step_count)
+from mlmc_mvsde.em_engine import (DIVERGENCE_LIMIT, MAX_NOISE_FLOATS, MAX_STEPS, advance,
+                                  check_nested_steps, step_count)
 from mlmc_mvsde.model import ModelSpec, drift_eval
 
 from helpers import OU, builtin_args, euler_mean, ou
@@ -319,7 +319,8 @@ def test_strong_error_raises_on_every_list_the_nesting_check_rejects(h_list):
 
 
 def test_strong_error_needs_an_integer_ref_factor():
-    for ref_factor in (2.5, 1):
+    # int() of the last two raised OverflowError and ValueError
+    for ref_factor in (2.5, 1, math.inf, math.nan):
         with pytest.raises(ConfigurationError):
             strong_error_curve(ou(0.1), [0.25, 0.125], 8, 4, seed=1, ref_factor=ref_factor)
     # an h that does not divide the horizon is still rejected, and so is
@@ -327,6 +328,24 @@ def test_strong_error_needs_an_integer_ref_factor():
     for h_list in ([0.4, 0.2], [0.5, 0.0], [0.5, math.nan]):
         with pytest.raises(ConfigurationError):
             strong_error_curve(ou(0.1), h_list, 8, 4, seed=1)
+
+
+def test_a_reference_grid_past_max_steps_is_refused_before_its_step_is_formed():
+    # 10**400 is no float: min(h_list) / ref_factor raised OverflowError
+    with pytest.raises(ConfigurationError, match="the reference grid takes more than"):
+        strong_error_curve(ou(0.1), [0.5], 2, 2, 0, ref_factor=10**400)
+
+
+@pytest.mark.parametrize("path, run", [
+    ("the path", lambda m: simulate_path(ou(0.1), 0.5, m, 0)),
+    ("the reference grid", lambda m: strong_error_curve(ou(0.1), [0.5], m, 2, 0)),
+    ("a replication", lambda m: small_noise_curve(ou(0.1), [0.1], 0.5, m, 2, 0)),
+])
+def test_a_noise_block_past_the_bound_is_refused_before_it_is_drawn(path, run):
+    # just past the bound, and far past it, where numpy failed to allocate
+    for m in (MAX_NOISE_FLOATS // 2 + 1, 10**12):
+        with pytest.raises(ConfigurationError, match=f"the noise block of {path}, "):
+            run(m)
 
 
 def test_one_step_interpolation_gap_rates():

@@ -135,23 +135,19 @@ def test_level_samples_do_not_depend_on_the_chunk_budget(args, level, m, count, 
 
 
 class _Blocks:
-    """Stand-in for the per-sample seam ``rng.keys`` / ``rng.rekey``: sample
-    ``bad`` gets ``value`` on its first coarse interval (its first N = 2 fine
-    blocks), every other variate is zero. Its keys are the sample indices."""
+    """Stand-in for the per-sample seam ``rng.streams``: sample ``bad`` gets
+    ``value`` on its first coarse interval (its first N = 2 fine blocks),
+    every other variate is zero."""
 
     def __init__(self, bad, value):
         self.bad, self.value, self.index = bad, value, None
 
-    def keys(self, seed, domain, level, first, count):
-        return range(first, first + count)
-
-    def rekey(self, gen, index):
-        self.index = index
-        return self
+    def streams(self, seed, domain, level, first, count):
+        for self.index in range(first, first + count):
+            yield self
 
     def install(self, monkeypatch):
-        monkeypatch.setattr(mlmc_engine, "keys", self.keys)
-        monkeypatch.setattr(mlmc_engine, "rekey", self.rekey)
+        monkeypatch.setattr(mlmc_engine, "streams", self.streams)
 
     def standard_normal(self, out):
         out.fill(0.0)

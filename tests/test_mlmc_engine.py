@@ -395,6 +395,18 @@ def test_chaos_reference_size_validated():
             chaos_study(ou(0.1), [2], 4, 2, seed=0, steps=steps)
 
 
+@pytest.mark.parametrize("path, run", [
+    ("the reference system", lambda m: chaos_study(ou(0.1), [2], m, 2, seed=0)),
+    ("a level-2 sample", lambda m: coupled_variance_study(ou(0.1), [2], 2, m, 2, IDENT, 0)),
+    ("a level-0 sample", lambda m: mlmc_estimate(ou(0.1), IDENT, 0.1, 2, m)),
+    ("a level-0 sample", lambda m: simulate_level_pair(ou(0.1), LevelConfig(2, 0), m, IDENT, 0)),
+    ("the reference grid", lambda m: cost_compare(ou(0.1), IDENT, [0.1], [0.1], 2, m)),
+])
+def test_a_noise_block_past_the_bound_is_refused_before_it_is_drawn(path, run):
+    with pytest.raises(ConfigurationError, match=f"the noise block of {path}, "):
+        run(10**12)
+
+
 def test_cost_per_sample_formula():
     for level in range(5):
         cfg = LevelConfig(refinement_n=3, level=level)

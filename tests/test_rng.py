@@ -1,8 +1,9 @@
 """``rng.stream`` draws the bits of numpy's own SeedSequence-keyed Philox
-stream, ``rng.keys`` derives numpy's keys for a whole range of indices,
-a stream starts at its beginning whatever was drawn before and keeps its
-place when another opens, and a seed or key word outside the key space is
-refused instead of masked onto another stream."""
+stream, ``rng.keys`` derives numpy's keys for a whole range of indices and
+``rng.streams`` yields those streams in turn, a stream starts at its
+beginning whatever was drawn before and keeps its place when another
+opens, and a seed or key word outside the key space is refused instead of
+masked onto another stream."""
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlmc_mvsde import ConfigurationError
-from mlmc_mvsde.rng import keys, stream
+from mlmc_mvsde.rng import keys, stream, streams
 
 MASK32 = 2**32 - 1
 
@@ -75,21 +76,37 @@ def test_stream_needs_a_domain():
         stream(0)
 
 
+def ranges(count: int):
+    """First key words of ``count`` streams: a range that starts on or straddles
+    a multiple of 256, or one that ends at the last key word."""
+    # block >= 2 keeps first >= 0, block <= 2**24 - 2 first + count <= 2**32
+    return st.one_of(st.builds(lambda block, back: 256 * block - back,
+                               st.integers(2, 2**24 - 2), st.integers(0, count - 1)),
+                     st.just(2**32 - count))
+
+
 @settings(max_examples=60, deadline=None)
 @given(seeds, st.lists(words, min_size=1, max_size=2), st.integers(1, 300), st.data())
 def test_range_keys_equal_the_seed_sequence_keys(seed, prefix, count, data):
-    first = data.draw(st.one_of(
-        # a range that starts on or straddles a multiple of 256, inside the key
-        # words: block >= 2 keeps first >= 0, block <= 2**24 - 2 first + count <= 2**32
-        st.builds(lambda block, back: 256 * block - back,
-                  st.integers(2, 2**24 - 2), st.integers(0, count - 1)),
-        # a range that ends at the last key word
-        st.just(2**32 - count),
-    ))
+    first = data.draw(ranges(count))
     got = keys(seed, *prefix, first, count=count)
     want = [np.random.SeedSequence(seed, spawn_key=(*prefix, first + j)).generate_state(
         2, np.uint64) for j in range(count)]
     assert got.dtype == np.uint64 and got.tolist() == np.array(want).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, st.lists(words, min_size=1, max_size=2), st.integers(1, 40), st.data())
+def test_streams_draw_the_seed_sequence_streams_in_turn(seed, prefix, count, data):
+    # each generator is probed before the next is asked for; a probe leaves
+    # half a word buffered, which the reset onto the next stream must drop
+    first = data.draw(ranges(count))
+    assert [probe(gen) for gen in streams(seed, *prefix, first, count=count)] == [
+        probe(reference(seed, *prefix, first + j)) for j in range(count)]
+
+
+def test_streams_of_no_count_yield_nothing():
+    assert list(streams(0, 4, 2, 7, count=0)) == []
 
 
 @pytest.mark.parametrize("seed, key", [
@@ -110,3 +127,5 @@ def test_a_seed_or_key_word_outside_the_key_space_is_refused(seed, key):
 def test_a_range_past_the_last_key_word_is_refused(first, count):
     with pytest.raises(ConfigurationError):
         keys(0, 4, 2, first, count=count)
+    with pytest.raises(ConfigurationError):
+        next(streams(0, 4, 2, first, count=count))
