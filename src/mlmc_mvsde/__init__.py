@@ -9,44 +9,16 @@ telescoped multilevel estimator with exact generator-call cost accounting.
 
 __version__ = "0.1.0"
 
-from .errors import (
-    CapabilityError,
-    ConfigurationError,
-    DegeneracyError,
-    DivergenceError,
-    DomainError,
-    NumericError,
-    ShapeError,
-)
+from .errors import (CapabilityError, ConfigurationError, DegeneracyError, DivergenceError,
+                     DomainError, NumericError, ShapeError)
 from .measure import ParticleCloud, moment_w2, w2_to_dirac, wasserstein2
-from .model import (
-    ModelSpec,
-    TestFunction,
-    builtin_model,
-    builtin_test_function,
-    diffusion_eval,
-    drift_eval,
-)
-from .em_engine import (
-    PathRecord,
-    em_step,
-    ode_limit,
-    simulate_path,
-    small_noise_curve,
-    strong_error_curve,
-)
-from .mlmc_engine import (
-    LevelConfig,
-    LevelStatistics,
-    MlmcReport,
-    chaos_study,
-    cost_compare,
-    coupled_coarse_interval,
-    coupled_variance_study,
-    mlmc_estimate,
-    second_moment_study,
-    simulate_level_pair,
-)
+from .model import (ModelSpec, TestFunction, builtin_model, builtin_test_function, diffusion_eval,
+                    drift_eval)
+from .em_engine import (PathRecord, em_step, ode_limit, simulate_path, small_noise_curve,
+                        strong_error_curve)
+from .mlmc_engine import (LevelConfig, LevelStatistics, MlmcReport, chaos_study, cost_compare,
+                          coupled_variance_study, mlmc_estimate, second_moment_study,
+                          simulate_level_pair)
 from .stats import RateFit, loglog_fit
 
 __all__ = [
@@ -76,7 +48,6 @@ __all__ = [
     "LevelConfig",
     "LevelStatistics",
     "MlmcReport",
-    "coupled_coarse_interval",
     "simulate_level_pair",
     "coupled_variance_study",
     "second_moment_study",

@@ -26,11 +26,12 @@ from . import __version__
 from .errors import ConfigurationError, DivergenceError, NumericError
 from .model import (BUILTIN_MODELS, BUILTIN_TEST_FUNCTIONS, REQUIRED, builtin_model,
                     builtin_test_function, is_number)
-from .em_engine import (DEFAULT_REF_FACTOR, check_nested_steps, check_steps, noise_block,
-                        reference_steps, small_noise_curve, step_count, strong_error_curve)
+from .em_engine import (DEFAULT_REF_FACTOR, small_noise_curve, small_noise_grid,
+                        strong_error_curve, strong_error_grid)
 from .mlmc_engine import (DEFAULT_CHAOS_STEPS, DEFAULT_MAX_LEVEL, DEFAULT_PILOT_SAMPLES,
-                          LevelConfig, chaos_study, cost_compare, coupled_variance_study,
-                          mlmc_estimate, second_moment_study)
+                          chaos_grid, chaos_study, cost_compare, cost_compare_grid,
+                          coupled_variance_study, level_study_grid, mlmc_estimate,
+                          second_moment_study)
 from .stats import loglog_fit
 
 EXIT_OK = 0
@@ -89,7 +90,7 @@ _KEYS = {("", "experiment"), ("", "model"), ("model", "name"), ("model", "params
 
 
 def _none(*_) -> list:
-    """No cross-field problems, or no assertion failures."""
+    """No assertion failures."""
     return []
 
 
@@ -116,60 +117,24 @@ def _near_expected(expected, checks, bundle) -> list[str]:
             if abs(est - expected) > tol else [])
 
 
-def _raised(key: str, check: Callable, *args) -> list[str]:
-    """The message of the ConfigurationError ``check(*args)`` raises, if any."""
-    try:
-        check(*args)
-    except ConfigurationError as err:
-        return [f"grid.{key}: {err}"]
-    return []
+def _grid(preflight: Callable, args: Callable) -> Callable:
+    """The check of an experiment's grid: its engine function's own ``preflight(model,
+    *args(values))``, whose first problem, as the run meets it, reads ``grid.<field>: ...``."""
+    def check(v, checks, model) -> list[str]:
+        try:
+            preflight(model, *args(v))
+        except ConfigurationError as err:
+            return [f"grid.{err.field}: {err}"]
+        return []
+    return check
 
 
-def _block(steps: int, v, model, path: str) -> list[str]:
-    """The noise block of ``path``, ``steps`` by ``m_particles`` by d_bar,
-    keeps to ``MAX_NOISE_FLOATS``."""
-    return _raised("m_particles", noise_block, steps, v["m_particles"], model.d_bar, path)
+def _levels(v) -> range:
+    return range(v["levels"][0], v["levels"][1] + 1)
 
 
-def _strong_error_rules(v, checks, model) -> list[str]:
-    """The ``h_list`` steps are nested, distinct, and each divides T, and
-    the reference grid keeps to ``reference_steps`` and its noise block to
-    ``MAX_NOISE_FLOATS``."""
-    problems = _raised("h_list", check_nested_steps, v["h_list"]) + [
-        problem for h in v["h_list"]
-        for problem in _raised("h_list", step_count, model.horizon, h)]
-    grid = (model.horizon, v["h_list"], v["ref_factor"])
-    return (problems or _raised("ref_factor", reference_steps, *grid)
-            or _block(reference_steps(*grid), v, model, "the reference grid"))
-
-
-def _level_study_rules(v, checks, model) -> list[str]:
-    """The finest level of ``levels`` keeps to ``MAX_STEPS``, and its noise
-    block to ``MAX_NOISE_FLOATS``."""
-    n, level = v["refinement_n"], v["levels"][1]
-    return (_raised("levels", LevelConfig, n, level)
-            or _block(n**level, v, model, f"a level-{level} sample"))
-
-
-def _cost_compare_rules(v, checks, model) -> list[str]:
-    """The N^4 steps of the variance pilot keep to ``MAX_STEPS``, and its noise
-    block and that of the calibration sweep's reference grid, ``h_cal = T N^-3``,
-    to ``MAX_NOISE_FLOATS``. The mlmc levels are checked if the run reaches them."""
-    n = v["refinement_n"]
-    return (_raised("refinement_n", check_steps, n**4, "the variance pilot")
-            or _block(n**4, v, model, "the variance pilot")
-            or _block(reference_steps(model.horizon, [model.horizon / n**3], DEFAULT_REF_FACTOR),
-                      v, model, "the reference grid"))
-
-
-def _chaos_rules(v, checks, model) -> list[str]:
-    """The grid keeps to ``MAX_STEPS``, the reference system's noise block to
-    ``MAX_NOISE_FLOATS``, and ``reference_m`` exceeds every ``m_list`` entry."""
-    problems = (_raised("steps", check_steps, v["steps"], "the grid")
-                or _raised("reference_m", noise_block, v["steps"], v["reference_m"],
-                           model.d_bar, "the reference system"))
-    return problems + ([] if v["reference_m"] > max(v["m_list"]) else
-                       ["grid.reference_m must exceed every entry of grid.m_list"])
+#: the preflight of both coupled-level studies; it reads the range level by level
+_LEVEL_GRID = _grid(level_study_grid, lambda v: (_levels(v), v["refinement_n"], v["m_particles"]))
 
 
 def _mlmc_rules(v, checks, model) -> list[str]:
@@ -195,9 +160,8 @@ def _safe_fit(name: str, points: list[tuple[float, float]]) -> list[dict]:
 
 
 def _coupled_variance(model, test_fn, v, seed):
-    lo, hi = v["levels"]
-    rows = coupled_variance_study(model, list(range(lo, hi + 1)), v["refinement_n"],
-                                  v["m_particles"], v["replications"], test_fn, seed)
+    rows = coupled_variance_study(model, list(_levels(v)), v["refinement_n"], v["m_particles"],
+                                  v["replications"], test_fn, seed)
     return ([{**asdict(r), "ci_lo": r.var_diff - r.ci_halfwidth,
               "ci_hi": r.var_diff + r.ci_halfwidth} for r in rows],
             _safe_fit("var_diff_vs_h_coarse", [(r.h_coarse, r.var_diff) for r in rows]),
@@ -205,9 +169,8 @@ def _coupled_variance(model, test_fn, v, seed):
 
 
 def _second_moment(model, test_fn, v, seed):
-    lo, hi = v["levels"]
-    rows = second_moment_study(model, list(range(lo, hi + 1)), v["refinement_n"],
-                               v["m_particles"], v["replications"], seed)
+    rows = second_moment_study(model, list(_levels(v)), v["refinement_n"], v["m_particles"],
+                               v["replications"], seed)
     moments = [r.second_moment for r in rows]
     ratios = [float(np.log2(a / b)) for a, b in zip(moments, moments[1:]) if a > 0 and b > 0]
     return (list(map(asdict, rows)),
@@ -268,7 +231,7 @@ class Experiment(NamedTuple):
     run: Callable
     #: ``check(values, checks, model)`` -> the cross-field problems of a config
     #: whose fields, assertion values and model each passed on their own
-    check: Callable = _none
+    check: Callable
 
 
 EXPERIMENTS = {
@@ -276,19 +239,21 @@ EXPERIMENTS = {
         "grid.h_list": (_entries(_positive, "positive numbers"), REQUIRED),
         "grid.ref_factor": (_integer(2), DEFAULT_REF_FACTOR), **_M,
         "grid.replications": (_integer(2), REQUIRED)}, _FIT,
-        ("h", "mse", "replications"), _strong_error, _strong_error_rules),
+        ("h", "mse", "replications"), _strong_error,
+        _grid(strong_error_grid,
+              lambda v: (v["h_list"], v["m_particles"], v["replications"], v["ref_factor"]))),
     "coupled-variance": Experiment(
         _LEVEL_STUDY,
         {**_FIT, **_bounds(lambda b: [("max var_diff", b.summary["max_var_diff"])],
                            "max_var_diff")},
         ("level", "h_coarse", "var_diff", "ci_lo", "ci_hi", "rng_cost", "samples"),
-        _coupled_variance, _level_study_rules),
+        _coupled_variance, _LEVEL_GRID),
     "second-moment": Experiment(
         _LEVEL_STUDY, {**_FIT, **_bounds(lambda b: [(f"log2 ratio[{i}]", r) for i, r in
                                                     enumerate(b.summary["log2_ratios"])],
                                          "ratio_min", "ratio_max")},
         ("level", "h_coarse", "second_moment", "rng_cost", "samples"), _second_moment,
-        _level_study_rules),
+        _LEVEL_GRID),
     "mlmc": Experiment(
         {**_ESTIMATOR, "targets.delta": (_POSITIVE, REQUIRED)},
         {"expected": _near_expected, "tolerance": _none},  # expected reads tolerance
@@ -297,20 +262,21 @@ EXPERIMENTS = {
         **_ESTIMATOR, "targets.delta_list": (_entries(_positive, "positive numbers"), REQUIRED),
         "targets.epsilon_list": (_EPSILONS, REQUIRED)}, _FIT,
         ("delta", "epsilon", "mc_cost", "mlmc_cost", "mc_steps", "mlmc_levels"), _cost_compare,
-        _cost_compare_rules),
+        _grid(cost_compare_grid,
+              lambda v: (v["refinement_n"], v["m_particles"], v["pilot_samples"]))),
     "chaos": Experiment({
         "grid.m_list": (_entries(lambda m: _is_int(m) and m > 0, "positive integers"), REQUIRED),
         "grid.reference_m": (_integer(1), REQUIRED),
         "grid.replications": (_integer(1), REQUIRED),
         "grid.steps": (_integer(1), DEFAULT_CHAOS_STEPS),
         "grid.pathwise": (_check(lambda v: isinstance(v, bool), "must be true or false"), False)},
-        _FIT, ("m_particles", "mse_vs_reference", "replications"), _chaos, _chaos_rules),
+        _FIT, ("m_particles", "mse_vs_reference", "replications"), _chaos,
+        _grid(chaos_grid, lambda v: (v["m_list"], v["reference_m"], v["steps"]))),
     "small-noise-deviation": Experiment({
         "grid.h": (_POSITIVE, REQUIRED), **_M, "grid.replications": (_integer(1), REQUIRED),
         "targets.epsilon_list": (_EPSILONS, REQUIRED)}, _FIT,
         ("epsilon", "mean_sup_sq", "replications"), _small_noise,
-        lambda v, checks, model: _raised("h", step_count, model.horizon, v["h"]) or _block(
-            step_count(model.horizon, v["h"]), v, model, "a replication")),
+        _grid(small_noise_grid, lambda v: (v["h"], v["m_particles"]))),
 }
 
 

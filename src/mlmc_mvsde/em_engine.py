@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DivergenceError, ShapeError
+from .errors import ConfigurationError, DivergenceError, ShapeError, blame
 from .measure import ParticleCloud, sorted_mean
 from .model import (DIVERGENCE_LIMIT, ModelSpec, TestFunction, _check_finite,
                     builtin_test_function, coefficients, is_number)
@@ -189,16 +189,27 @@ def check_nested_steps(h_list: list[float]):
             raise ConfigurationError(f"h list repeats the step {fine}")
 
 
-def reference_steps(horizon: float, h_list: list[float], ref_factor: int) -> int:
-    """The steps of the strong-error reference grid, ``ref_factor`` times those
-    of the finest step of ``h_list``; a ``ConfigurationError`` unless
-    ``ref_factor`` is an integer >= 2 and the grid keeps to ``MAX_STEPS``. The
-    count is checked as an integer, before any reference step is formed."""
-    if ref_factor % 1 != 0 or ref_factor < 2:
-        raise ConfigurationError(f"ref_factor must be an integer >= 2, got {ref_factor}")
-    steps = int(ref_factor) * step_count(horizon, min(h_list))
-    check_steps(steps, "the reference grid")
-    return steps
+def strong_error_grid(model: ModelSpec, h_list: list[float], m_particles: int, replications: int,
+                      ref_factor: int = DEFAULT_REF_FACTOR) -> tuple[int, int, int]:
+    """The preflight of ``strong_error_curve``: the noise block of its reference
+    grid, ``ref_factor`` times the steps of the finest h, counted as an integer
+    before any step is formed."""
+    if replications < 2:
+        raise ConfigurationError("strong_error_curve needs replications >= 2", "replications")
+    if not h_list:
+        raise ConfigurationError("h_list must not be empty", "h_list")
+    with blame("h_list"):
+        for h in h_list:
+            step_count(model.horizon, h)
+        # nested steps and an integer ref_factor make every h a multiple of h_ref
+        check_nested_steps(h_list)
+    with blame("ref_factor"):
+        if ref_factor % 1 != 0 or ref_factor < 2:
+            raise ConfigurationError(f"ref_factor must be an integer >= 2, got {ref_factor}")
+        steps = int(ref_factor) * step_count(model.horizon, min(h_list))
+        check_steps(steps, "the reference grid")
+    with blame("m_particles"):
+        return noise_block(steps, m_particles, model.d_bar, "the reference grid")
 
 
 def strong_error_curve(model: ModelSpec, h_list: list[float], m_particles: int,
@@ -212,15 +223,8 @@ def strong_error_curve(model: ModelSpec, h_list: list[float], m_particles: int,
     order, with the squared observable gap averaged over particles and
     replications.
     """
-    if replications < 2:
-        raise ConfigurationError("strong_error_curve needs replications >= 2")
+    shape = strong_error_grid(model, h_list, m_particles, replications, ref_factor)
     psi = (test_fn or builtin_test_function("identity")).psi
-    for h in h_list:
-        step_count(model.horizon, h)
-    # nested steps and an integer ref_factor make every h a multiple of h_ref
-    check_nested_steps(h_list)
-    shape = noise_block(reference_steps(model.horizon, h_list, ref_factor), m_particles,
-                        model.d_bar, "the reference grid")
     h_ref = min(h_list) / ref_factor
     start = model.start(m_particles)
     acc = {h: 0.0 for h in h_list}
@@ -237,6 +241,14 @@ def strong_error_curve(model: ModelSpec, h_list: list[float], m_particles: int,
     return [(h, acc[h] / replications) for h in h_list]
 
 
+def small_noise_grid(model: ModelSpec, h: float, m_particles: int) -> tuple[int, int, int]:
+    """The preflight of ``small_noise_curve``: the noise block of one replication."""
+    with blame("h"):
+        steps = step_count(model.horizon, h)
+    with blame("m_particles"):
+        return noise_block(steps, m_particles, model.d_bar, "a replication")
+
+
 def small_noise_curve(model: ModelSpec, epsilon_list: list[float], h: float,
                       m_particles: int, replications: int, seed: int) -> list[tuple[float, float]]:
     """Pathwise mean-square deviation from the zero-noise Euler flow per epsilon.
@@ -247,7 +259,7 @@ def small_noise_curve(model: ModelSpec, epsilon_list: list[float], h: float,
     block once, so for models whose deviation is linear in the noise the
     fitted slope is exact.
     """
-    shape = noise_block(step_count(model.horizon, h), m_particles, model.d_bar, "a replication")
+    shape = small_noise_grid(model, h, m_particles)
     z_path = ode_limit(model, h)
     models = [model.with_epsilon(eps) for eps in epsilon_list]
     totals = [0.0] * len(models)

@@ -4,6 +4,8 @@ Each class maps onto one failure family so callers (and the CLI exit-code
 mapping) can dispatch on type instead of parsing messages.
 """
 
+from contextlib import contextmanager
+
 
 class ShapeError(ValueError):
     """Array argument has the wrong shape or dimension."""
@@ -14,7 +16,22 @@ class NumericError(ArithmeticError):
 
 
 class ConfigurationError(ValueError):
-    """Invalid, missing, or inconsistent configuration input."""
+    """Invalid, missing, or inconsistent configuration input. ``field`` names the
+    argument at fault where it is known, as in every error of a ``*_grid`` preflight."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
+
+
+@contextmanager
+def blame(field: str):
+    """Tag a ``ConfigurationError`` raised in the block with ``field`` unless it names one."""
+    try:
+        yield
+    except ConfigurationError as err:
+        err.field = err.field or field
+        raise
 
 
 class CapabilityError(RuntimeError):

@@ -22,12 +22,12 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, DivergenceError, ShapeError
+from .errors import ConfigurationError, DivergenceError, ShapeError, blame
 from .measure import ParticleCloud, sorted_mean
 from .model import ModelSpec, TestFunction, builtin_test_function
 # em_step stays bound here: the benchmark's absent-layer check deletes it from this module
 from .em_engine import (MAX_STEPS, advance, check_steps, em_step,  # noqa: F401
-                        noise_block, strong_error_curve, _last, _walk)
+                        noise_block, strong_error_curve, strong_error_grid, _last, _walk)
 from .parallel import ordered_map
 from .rng import (
     DOMAIN_CHAOS,
@@ -61,7 +61,8 @@ class LevelConfig:
 
     def __post_init__(self):
         if self.refinement_n < 2:
-            raise ConfigurationError(f"refinement_n must be >= 2, got {self.refinement_n}")
+            raise ConfigurationError(f"refinement_n must be >= 2, got {self.refinement_n}",
+                                     "refinement_n")
         if self.level < 0:
             raise ConfigurationError(f"level must be >= 0, got {self.level}")
         # N^level > MAX_STEPS past MAX_STEPS.bit_length() levels: a huge level builds no power
@@ -103,6 +104,11 @@ def cost_per_sample(cfg: LevelConfig, m_particles: int, d_bar: int) -> int:
     return m_particles * d_bar * cfg.refinement_n**cfg.level
 
 
+def _sample_block(model: ModelSpec, cfg: LevelConfig, m_particles: int) -> tuple[int, int, int]:
+    """The noise block of one level-l sample, (N^l, M, d_bar)."""
+    return noise_block(cfg.fine_steps, m_particles, model.d_bar, f"a level-{cfg.level} sample")
+
+
 def coupled_coarse_interval(model: ModelSpec, fine: ParticleCloud, coarse: ParticleCloud,
                             cfg: LevelConfig,
                             gaussians: np.ndarray) -> tuple[ParticleCloud, ParticleCloud]:
@@ -116,13 +122,10 @@ def coupled_coarse_interval(model: ModelSpec, fine: ParticleCloud, coarse: Parti
     Level 0, which has no coarse path, is a ``ConfigurationError``.
     """
     h_fine, h_coarse = model.horizon / cfg.fine_steps, model.horizon / cfg.coarse_steps
-    n_ref = cfg.refinement_n
     xi = np.asarray(gaussians, dtype=float)
-    m = fine.m
-    if xi.shape != (n_ref, m, model.d_bar):
-        raise ShapeError(
-            f"gaussians have shape {xi.shape}, expected {(n_ref, m, model.d_bar)}"
-        )
+    expected = (cfg.refinement_n, fine.m, model.d_bar)
+    if xi.shape != expected:
+        raise ShapeError(f"gaussians have shape {xi.shape}, expected {expected}")
     fine = _last(_walk(model, fine, h_fine, xi))
     coarse = advance(model, coarse.positions, h_coarse, math.sqrt(h_fine), xi.sum(axis=0))
     return fine, ParticleCloud._wrap(coarse)
@@ -175,7 +178,7 @@ def _level_pairs(model: ModelSpec, cfg: LevelConfig, m_particles: int, seed: int
     chunk size.
     """
     domain = DOMAIN_LEVEL_PAIR if cfg.level else DOMAIN_LEVEL_ZERO
-    shape = noise_block(cfg.fine_steps, m_particles, model.d_bar, f"a level-{cfg.level} sample")
+    shape = _sample_block(model, cfg, m_particles)
     size = max(1, CHUNK_NOISE_BYTES // (8 * math.prod(shape)))
     gens = streams(seed, domain, cfg.level, first, count=count)
     for lo in range(0, count, size):
@@ -216,22 +219,30 @@ def _level_samples(model: ModelSpec, cfg: LevelConfig, m_particles: int,
     return np.concatenate(chunks) if chunks else np.empty(0)
 
 
-def _level_rows(study: str, row: type, model: ModelSpec, levels: list[int], refinement_n: int,
-                m_particles: int, replications: int,
-                stat: Callable[[LevelConfig], dict]) -> list:
+def level_study_grid(model: ModelSpec, levels: list[int], refinement_n: int,
+                     m_particles: int) -> list[LevelConfig]:
+    """The preflight of the coupled-level studies: each level's ``LevelConfig``,
+    in order. It stops at the first bad level, so a long range is never read past it."""
+    cfgs = []
+    for level in levels:
+        with blame("levels"):
+            if level < 1:
+                raise ConfigurationError(f"a coupled-level study needs levels >= 1, got {level}")
+            cfgs.append(LevelConfig(refinement_n, level))
+        with blame("m_particles"):
+            _sample_block(model, cfgs[-1], m_particles)
+    return cfgs
+
+
+def _level_rows(row: type, model: ModelSpec, levels: list[int], refinement_n: int,
+                m_particles: int, replications: int, stat: Callable[[LevelConfig], dict]) -> list:
     """One ``row`` per level of a coupled-level study, in order: its level,
     coarse step, sample count and draw count, and the fields ``stat(cfg)``
-    returns for that level."""
-    if any(l < 1 for l in levels):
-        raise ConfigurationError(f"{study} requires levels >= 1")
-    rows = []
-    for level in levels:
-        cfg = LevelConfig(refinement_n, level)
-        rows.append(row(level=level, h_coarse=model.horizon / cfg.coarse_steps,
-                        samples=replications,
-                        rng_cost=replications * cost_per_sample(cfg, m_particles, model.d_bar),
-                        **stat(cfg)))
-    return rows
+    returns for that level. The study's grid is checked before any level runs."""
+    return [row(level=cfg.level, h_coarse=model.horizon / cfg.coarse_steps, samples=replications,
+                rng_cost=replications * cost_per_sample(cfg, m_particles, model.d_bar),
+                **stat(cfg))
+            for cfg in level_study_grid(model, levels, refinement_n, m_particles)]
 
 
 @dataclass
@@ -261,8 +272,8 @@ def coupled_variance_study(model: ModelSpec, levels: list[int], refinement_n: in
         hw = 1.959963984540054 * math.sqrt(max(m4 - var**2, 0.0) / replications)
         return {"var_diff": var, "ci_halfwidth": hw, "mean_diff": float(xs.mean())}
 
-    return _level_rows("coupled_variance_study", LevelVarianceRow, model, levels, refinement_n,
-                       m_particles, replications, stat)
+    return _level_rows(LevelVarianceRow, model, levels, refinement_n, m_particles, replications,
+                       stat)
 
 
 @dataclass
@@ -283,8 +294,8 @@ def second_moment_study(model: ModelSpec, levels: list[int], refinement_n: int,
             for fine, coarse in _level_pairs(model, cfg, m_particles, seed, 0, replications)])
         return {"second_moment": float(vals.mean())}
 
-    return _level_rows("second_moment_study", SecondMomentRow, model, levels, refinement_n,
-                       m_particles, replications, stat)
+    return _level_rows(SecondMomentRow, model, levels, refinement_n, m_particles, replications,
+                       stat)
 
 
 def mlmc_estimate(model: ModelSpec, test_fn: TestFunction, target_delta: float,
@@ -374,18 +385,31 @@ class CostCompareRow:
     mlmc_levels: int
 
 
-def _psi_system_variance(model: ModelSpec, steps: int, m_particles: int,
-                         test_fn: TestFunction, seed: int, replications: int) -> float:
-    """Variance of the system-averaged observable for plain fixed-step runs."""
-    h = model.horizon / steps
-    start = model.start(m_particles)
-    shape = noise_block(steps, m_particles, model.d_bar, "the variance pilot")
+def _psi_system_variance(model: ModelSpec, shape: tuple[int, int, int], test_fn: TestFunction,
+                         seed: int, replications: int) -> float:
+    """Variance of the system-averaged observable for plain fixed-step runs,
+    each driven by one (steps, M, d_bar) noise block of ``shape``."""
+    h = model.horizon / shape[0]
+    start = model.start(shape[1])
     vals = []
     for gen in streams(seed, DOMAIN_PSI_VARIANCE, 0, count=replications):
         xi = gen.standard_normal(shape)
         cloud = _last(_walk(model, start, h, xi))
         vals.append(float(sorted_mean(test_fn.psi(cloud.positions))))
     return float(np.var(np.array(vals), ddof=1))
+
+
+def cost_compare_grid(model: ModelSpec, refinement_n: int, m_particles: int, pilot_samples: int):
+    """The preflight of ``cost_compare``: the noise block of its N^4-step variance
+    pilot, checked after the calibration grid at h_cal = T N^-3, as the run draws
+    them. The mlmc levels are checked when the run reaches them."""
+    if pilot_samples < 2:
+        raise ConfigurationError("pilot_samples must be >= 2", "pilot_samples")
+    with blame("refinement_n"):
+        check_steps(refinement_n**4, f"the variance pilot at refinement_n {refinement_n}")
+    strong_error_grid(model, [model.horizon / refinement_n**3], m_particles, pilot_samples)
+    with blame("m_particles"):
+        return noise_block(refinement_n**4, m_particles, model.d_bar, "the variance pilot")
 
 
 def cost_compare(model: ModelSpec, test_fn: TestFunction, delta_list: list[float],
@@ -402,7 +426,7 @@ def cost_compare(model: ModelSpec, test_fn: TestFunction, delta_list: list[float
     whose sample count is ceil(Var(Psi) / delta^2). Nothing beyond the
     calibration pilots is simulated for the comparator.
     """
-    check_steps(refinement_n**4, f"the variance pilot at refinement_n {refinement_n}")
+    pilot = cost_compare_grid(model, refinement_n, m_particles, pilot_samples)
     rows = []
     for eps in epsilon_list:
         m_eps = model.with_epsilon(eps)
@@ -410,8 +434,7 @@ def cost_compare(model: ModelSpec, test_fn: TestFunction, delta_list: list[float
         mse_cal = strong_error_curve(m_eps, [h_cal], m_particles, pilot_samples, seed,
                                      test_fn=test_fn)[0][1]
         c_fit = mse_cal / (h_cal**2 + h_cal * eps**2) if mse_cal > 0 else 0.0
-        var_psi = _psi_system_variance(m_eps, refinement_n**4, m_particles, test_fn,
-                                       seed, max(pilot_samples, 8))
+        var_psi = _psi_system_variance(m_eps, pilot, test_fn, seed, max(pilot_samples, 8))
         for delta in delta_list:
             if c_fit > 0:
                 # solve C h^2 + C eps^2 h = delta^2 / 2 for the largest usable h
@@ -442,6 +465,21 @@ class ChaosRow:
     replications: int
 
 
+def chaos_grid(model: ModelSpec, m_list: list[int], reference_m: int, steps: int):
+    """The preflight of ``chaos_study``: the noise block of the reference system,
+    the largest it draws, since every M is below ``reference_m``."""
+    if not m_list:
+        raise ConfigurationError("m_list must not be empty", "m_list")
+    if reference_m <= max(m_list):
+        raise ConfigurationError("reference_m must exceed every entry of m_list", "reference_m")
+    if steps < 1:
+        raise ConfigurationError(f"steps must be >= 1, got {steps}", "steps")
+    with blame("steps"):
+        check_steps(steps, f"a chaos grid of {steps} steps")
+    with blame("reference_m"):
+        return noise_block(steps, reference_m, model.d_bar, "the reference system")
+
+
 def chaos_study(model: ModelSpec, m_list: list[int], reference_m: int, replications: int,
                 seed: int, test_fn: TestFunction | None = None,
                 steps: int = DEFAULT_CHAOS_STEPS, pathwise: bool = False) -> list[ChaosRow]:
@@ -455,13 +493,7 @@ def chaos_study(model: ModelSpec, m_list: list[int], reference_m: int, replicati
     Each replication walks its reference system once, in lockstep with the
     small system of every M.
     """
-    if reference_m <= max(m_list):
-        raise ConfigurationError("reference_m must exceed every entry of m_list")
-    if steps < 1:
-        raise ConfigurationError(f"steps must be >= 1, got {steps}")
-    check_steps(steps, f"a chaos grid of {steps} steps")
-    # every small system draws less: each M is below reference_m
-    shape = noise_block(steps, reference_m, model.d_bar, "the reference system")
+    shape = chaos_grid(model, m_list, reference_m, steps)
     test_fn = test_fn or builtin_test_function("identity")
     h = model.horizon / steps
 

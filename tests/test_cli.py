@@ -9,9 +9,13 @@ from pathlib import Path
 
 import pytest
 
+from mlmc_mvsde import (ConfigurationError, builtin_model, chaos_study, cost_compare,
+                        coupled_variance_study, small_noise_curve, strong_error_curve)
 from mlmc_mvsde import cli_runner
 from mlmc_mvsde.cli_runner import (EXPERIMENTS, ReportBundle, _print_summary, main,
                                    load_config, validate_config)
+
+from helpers import IDENT
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -447,6 +451,41 @@ def test_validate_and_run_reject_the_same_config(tmp_path, capsys, exp, section,
     cfg = typed_config(exp, str(tmp_path / "out"))
     (cfg.setdefault(section, {}) if section else cfg)[key] = value
     assert_rejected(tmp_path, capsys, cfg, f"{section}.{key}" if section else key)
+
+
+#: (experiment, grid key, value) past one limit of the experiment's grid
+#: preflight, and the engine call its run makes on the config's values
+PREFLIGHT_LIMITS = [
+    # validate blamed the variance pilot's noise block, the run the reference grid's
+    ("cost-compare", "m_particles", 10**9, lambda model, v: cost_compare(
+        model, IDENT, v["delta_list"], v["epsilon_list"], v["refinement_n"], v["m_particles"],
+        v["pilot_samples"], v["max_level"])),
+    # validate and the run worded these two limits differently
+    ("cost-compare", "refinement_n", 65, lambda model, v: cost_compare(
+        model, IDENT, v["delta_list"], v["epsilon_list"], v["refinement_n"], v["m_particles"],
+        v["pilot_samples"], v["max_level"])),
+    ("chaos", "steps", 2**24 + 1, lambda model, v: chaos_study(
+        model, v["m_list"], v["reference_m"], v["replications"], 0, steps=v["steps"])),
+    ("strong-error", "ref_factor", 2**24, lambda model, v: strong_error_curve(
+        model, v["h_list"], v["m_particles"], v["replications"], 0, v["ref_factor"])),
+    ("coupled-variance", "levels", [60, 60], lambda model, v: coupled_variance_study(
+        model, list(range(v["levels"][0], v["levels"][1] + 1)), v["refinement_n"],
+        v["m_particles"], v["replications"], IDENT, 0)),
+    ("small-noise-deviation", "h", 0.3, lambda model, v: small_noise_curve(
+        model, v["epsilon_list"], v["h"], v["m_particles"], v["replications"], 0)),
+]
+
+
+@pytest.mark.parametrize("exp,key,value,engine", PREFLIGHT_LIMITS,
+                         ids=[f"{exp}-{key}={json.dumps(v, separators=(',', ':'))}"
+                              for exp, key, v, _ in PREFLIGHT_LIMITS])
+def test_validate_reports_the_error_the_engine_function_raises(tmp_path, exp, key, value, engine):
+    cfg = typed_config(exp, str(tmp_path / "out"))
+    cfg["grid"][key] = value
+    model = builtin_model(cfg["model"]["name"], cfg["model"]["params"])
+    with pytest.raises(ConfigurationError) as err:
+        engine(model, {**cfg["grid"], **cfg.get("targets", {})})
+    assert validate_config(cfg) == [f"grid.{key}: {err.value}"]
 
 
 def test_an_mlmc_level_past_the_noise_bound_is_refused_once_the_run_reaches_it(tmp_path, capsys):

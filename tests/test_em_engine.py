@@ -330,6 +330,13 @@ def test_strong_error_needs_an_integer_ref_factor():
             strong_error_curve(ou(0.1), h_list, 8, 4, seed=1)
 
 
+def test_an_empty_h_list_is_refused_by_name():
+    # min() of the empty list raised a bare ValueError
+    with pytest.raises(ConfigurationError, match="h_list must not be empty") as err:
+        strong_error_curve(ou(0.1), [], 4, 2, 0)
+    assert err.value.field == "h_list"
+
+
 def test_a_reference_grid_past_max_steps_is_refused_before_its_step_is_formed():
     # 10**400 is no float: min(h_list) / ref_factor raised OverflowError
     with pytest.raises(ConfigurationError, match="the reference grid takes more than"):

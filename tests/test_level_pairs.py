@@ -21,14 +21,13 @@ from mlmc_mvsde import (
     NumericError,
     builtin_model,
     builtin_test_function,
-    coupled_coarse_interval,
     em_step,
     mlmc_estimate,
     simulate_level_pair,
 )
 from mlmc_mvsde import mlmc_engine
 from mlmc_mvsde.measure import sorted_mean
-from mlmc_mvsde.mlmc_engine import _coupled_pairs, _level_samples
+from mlmc_mvsde.mlmc_engine import _coupled_pairs, coupled_coarse_interval, _level_samples
 from mlmc_mvsde.model import BUILTIN_TEST_FUNCTIONS
 from mlmc_mvsde.rng import DOMAIN_LEVEL_ZERO, stream
 

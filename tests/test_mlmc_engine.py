@@ -13,7 +13,6 @@ from mlmc_mvsde import (
     builtin_model,
     chaos_study,
     cost_compare,
-    coupled_coarse_interval,
     coupled_variance_study,
     loglog_fit,
     mlmc_estimate,
@@ -22,7 +21,7 @@ from mlmc_mvsde import (
     simulate_path,
 )
 from mlmc_mvsde.em_engine import MAX_STEPS
-from mlmc_mvsde.mlmc_engine import _coupled_pairs, cost_per_sample
+from mlmc_mvsde.mlmc_engine import _coupled_pairs, coupled_coarse_interval, cost_per_sample
 from mlmc_mvsde.measure import sorted_mean
 
 from helpers import IDENT, euler_mean, ou
@@ -384,6 +383,14 @@ def test_chaos_rows_equal_single_m_runs(pathwise):
     alone = [chaos_study(ou(0.25), [m], 16, 4, seed=2, steps=8, pathwise=pathwise)[0]
              for m in (3, 8, 3)]
     assert rows == alone
+
+
+def test_chaos_refuses_an_empty_m_list_by_name():
+    # max() of the empty list raised a bare ValueError
+    model = builtin_model("zero", {"x0": 1.0, "T": 1.0, "epsilon": 0.1})
+    with pytest.raises(ConfigurationError, match="m_list must not be empty") as err:
+        chaos_study(model, [], 8, 2, seed=0)
+    assert err.value.field == "m_list"
 
 
 def test_chaos_reference_size_validated():
