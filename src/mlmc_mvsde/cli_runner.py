@@ -30,7 +30,7 @@ from .em_engine import (DEFAULT_REF_FACTOR, small_noise_curve, small_noise_grid,
                         strong_error_curve, strong_error_grid)
 from .mlmc_engine import (DEFAULT_CHAOS_STEPS, DEFAULT_MAX_LEVEL, DEFAULT_PILOT_SAMPLES,
                           chaos_grid, chaos_study, cost_compare, cost_compare_grid,
-                          coupled_variance_study, level_study_grid, mlmc_estimate,
+                          coupled_variance_study, level_study_grid, mlmc_estimate, mlmc_grid,
                           second_moment_study)
 from .stats import loglog_fit
 
@@ -44,47 +44,32 @@ def _is_int(val) -> bool:
     return isinstance(val, int) and not isinstance(val, bool)
 
 
-def _positive(val) -> bool:
-    return is_number(val) and val > 0
-
-
 def _check(ok: Callable, problem: str) -> Callable:
     """A field check: None when ``ok(value)`` holds, else the problem."""
     return lambda val: None if ok(val) else problem
 
 
-def _integer(lo: int) -> Callable:
-    """Check an integer (never a bool) of at least ``lo``."""
-    return lambda val: ("must be an integer" if not _is_int(val)
-                        else f"must be >= {lo}" if val < lo else None)
-
-
-def _entries(ok: Callable, what: str) -> Callable:
-    """Check a non-empty list whose every entry passes ``ok``."""
-    return _check(lambda val: isinstance(val, list) and bool(val) and all(map(ok, val)),
-                  f"must be a non-empty list of {what}")
-
-
-_POSITIVE = _check(_positive, "must be a positive number")
-_EPSILONS = _entries(lambda e: is_number(e) and 0 <= e <= 1, "numbers in [0, 1]")
-_LEVELS = _check(lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v))
-                 and 1 <= v[0] <= v[1], "must be [lo, hi] with integers 1 <= lo <= hi")
-_M = {"grid.m_particles": (_integer(1), REQUIRED)}
-_LEVEL_STUDY = {"grid.refinement_n": (_integer(2), REQUIRED), "grid.levels": (_LEVELS, REQUIRED),
-                **_M, "grid.replications": (_integer(1), REQUIRED)}
-_ESTIMATOR = {"grid.refinement_n": (_integer(2), REQUIRED), **_M,
-              "grid.pilot_samples": (_integer(2), DEFAULT_PILOT_SAMPLES),
-              "grid.max_level": (_integer(1), DEFAULT_MAX_LEVEL)}
+#: the fields of both coupled-level studies and of both estimator experiments
+_LEVEL_STUDY = {"grid.refinement_n": REQUIRED, "grid.levels": REQUIRED,
+                "grid.m_particles": REQUIRED, "grid.replications": REQUIRED}
+_ESTIMATOR = {"grid.refinement_n": REQUIRED, "grid.m_particles": REQUIRED,
+              "grid.pilot_samples": DEFAULT_PILOT_SAMPLES, "grid.max_level": DEFAULT_MAX_LEVEL}
 #: the output formats, in the order ``cmd_run`` writes them
 _FORMATS = ("csv", "json")
-#: the top-level fields every experiment shares
+#: the top-level fields every experiment shares, as (check, default); they are
+#: no engine function's arguments, so no preflight checks them
 _TOP = {"psi": (lambda v: None if v in BUILTIN_TEST_FUNCTIONS else
                 f"must be one of {BUILTIN_TEST_FUNCTIONS}, got {v!r}", "identity"),
         "seed": (_check(lambda v: _is_int(v) and 0 <= v < 2**64,
                         "must be an integer in [0, 2**64)"), REQUIRED),
         "output_dir": (_check(lambda v: isinstance(v, str), "must be a string"), "."),
-        "formats": (_entries(lambda f: f in _FORMATS, " or ".join(map(repr, _FORMATS))),
+        "formats": (_check(lambda v: isinstance(v, list) and bool(v)
+                           and all(f in _FORMATS for f in v),
+                           f"must be a non-empty list of {' or '.join(map(repr, _FORMATS))}"),
                     list(_FORMATS))}
+#: the config name of each preflight field outside ``grid``
+_NAMES = {"target_delta": "targets.delta", "delta_list": "targets.delta_list",
+          "epsilon_list": "targets.epsilon_list"}
 #: the structural keys besides the sections, as (section, key); "" is the top level
 _KEYS = {("", "experiment"), ("", "model"), ("model", "name"), ("model", "params")}
 
@@ -118,29 +103,39 @@ def _near_expected(expected, checks, bundle) -> list[str]:
 
 
 def _grid(preflight: Callable, args: Callable) -> Callable:
-    """The check of an experiment's grid: its engine function's own ``preflight(model,
-    *args(values))``, whose first problem, as the run meets it, reads ``grid.<field>: ...``."""
+    """The check of an experiment's fields: its engine function's own ``preflight(model,
+    *args(values))``, which checks the range and type of every field it is given and
+    the limits of the run's grid. Its first problem, as the run meets it, reads
+    ``<section>.<key>: ...``, with the config name of the preflight's ``field``."""
     def check(v, checks, model) -> list[str]:
         try:
             preflight(model, *args(v))
         except ConfigurationError as err:
-            return [f"grid.{err.field}: {err}"]
+            return [f"{_NAMES.get(err.field, f'grid.{err.field}')}: {err}"]
         return []
     return check
 
 
 def _levels(v) -> range:
-    return range(v["levels"][0], v["levels"][1] + 1)
+    """The levels lo to hi of a ``[lo, hi]`` pair of integers."""
+    pair = v["levels"]
+    if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_int, pair))):
+        raise ConfigurationError(f"levels must be [lo, hi], two integers, got {pair!r}", "levels")
+    return range(pair[0], pair[1] + 1)
 
 
 #: the preflight of both coupled-level studies; it reads the range level by level
-_LEVEL_GRID = _grid(level_study_grid, lambda v: (_levels(v), v["refinement_n"], v["m_particles"]))
+_LEVEL_GRID = _grid(level_study_grid, lambda v: (_levels(v), v["refinement_n"], v["m_particles"],
+                                                 v["replications"]))
+_MLMC_GRID = _grid(mlmc_grid, lambda v: (v["delta"], v["refinement_n"], v["m_particles"],
+                                         v["pilot_samples"], v["max_level"]))
 
 
 def _mlmc_rules(v, checks, model) -> list[str]:
-    """``tolerance`` is a bound of at least 0 and needs ``expected``."""
-    if "tolerance" not in checks:
-        return []
+    """The estimator's preflight; then ``tolerance`` is a bound of at least 0 and
+    needs ``expected``."""
+    if (problems := _MLMC_GRID(v, checks, model)) or "tolerance" not in checks:
+        return problems
     problems = [] if "expected" in checks else ["assertions.tolerance needs assertions.expected"]
     return problems + ([] if checks["tolerance"] >= 0 else ["assertions.tolerance must be >= 0"])
 
@@ -219,7 +214,7 @@ def _small_noise(model, test_fn, v, seed):
 
 
 class Experiment(NamedTuple):
-    #: ``"section.key"`` -> (check, default or REQUIRED)
+    #: ``"section.key"`` -> default or REQUIRED; ``check`` checks the values
     fields: dict
     #: assertion key -> ``rule(bound, checks, bundle)``, the failures of its
     #: ``bound`` on ``bundle``; ``checks`` is the whole assertion block
@@ -229,16 +224,15 @@ class Experiment(NamedTuple):
     #: ``run(model, test_fn, values, seed)`` -> (records, fits, flags, summary), with
     #: ``values`` the fields by key and each record mapping every column to its cell
     run: Callable
-    #: ``check(values, checks, model)`` -> the cross-field problems of a config
-    #: whose fields, assertion values and model each passed on their own
+    #: ``check(values, checks, model)`` -> the field problems of a config whose
+    #: top-level fields, assertion values and model each passed on their own
     check: Callable
 
 
 EXPERIMENTS = {
     "strong-error": Experiment({
-        "grid.h_list": (_entries(_positive, "positive numbers"), REQUIRED),
-        "grid.ref_factor": (_integer(2), DEFAULT_REF_FACTOR), **_M,
-        "grid.replications": (_integer(2), REQUIRED)}, _FIT,
+        "grid.h_list": REQUIRED, "grid.ref_factor": DEFAULT_REF_FACTOR,
+        "grid.m_particles": REQUIRED, "grid.replications": REQUIRED}, _FIT,
         ("h", "mse", "replications"), _strong_error,
         _grid(strong_error_grid,
               lambda v: (v["h_list"], v["m_particles"], v["replications"], v["ref_factor"]))),
@@ -255,28 +249,27 @@ EXPERIMENTS = {
         ("level", "h_coarse", "second_moment", "rng_cost", "samples"), _second_moment,
         _LEVEL_GRID),
     "mlmc": Experiment(
-        {**_ESTIMATOR, "targets.delta": (_POSITIVE, REQUIRED)},
+        {**_ESTIMATOR, "targets.delta": REQUIRED},
         {"expected": _near_expected, "tolerance": _none},  # expected reads tolerance
         ("level", "samples", "mean_diff", "var_diff", "rng_cost"), _mlmc, _mlmc_rules),
     "cost-compare": Experiment({
-        **_ESTIMATOR, "targets.delta_list": (_entries(_positive, "positive numbers"), REQUIRED),
-        "targets.epsilon_list": (_EPSILONS, REQUIRED)}, _FIT,
+        **_ESTIMATOR, "targets.delta_list": REQUIRED, "targets.epsilon_list": REQUIRED}, _FIT,
         ("delta", "epsilon", "mc_cost", "mlmc_cost", "mc_steps", "mlmc_levels"), _cost_compare,
         _grid(cost_compare_grid,
-              lambda v: (v["refinement_n"], v["m_particles"], v["pilot_samples"]))),
+              lambda v: (v["delta_list"], v["epsilon_list"], v["refinement_n"],
+                         v["m_particles"], v["pilot_samples"], v["max_level"]))),
     "chaos": Experiment({
-        "grid.m_list": (_entries(lambda m: _is_int(m) and m > 0, "positive integers"), REQUIRED),
-        "grid.reference_m": (_integer(1), REQUIRED),
-        "grid.replications": (_integer(1), REQUIRED),
-        "grid.steps": (_integer(1), DEFAULT_CHAOS_STEPS),
-        "grid.pathwise": (_check(lambda v: isinstance(v, bool), "must be true or false"), False)},
+        "grid.m_list": REQUIRED, "grid.reference_m": REQUIRED, "grid.replications": REQUIRED,
+        "grid.steps": DEFAULT_CHAOS_STEPS, "grid.pathwise": False},
         _FIT, ("m_particles", "mse_vs_reference", "replications"), _chaos,
-        _grid(chaos_grid, lambda v: (v["m_list"], v["reference_m"], v["steps"]))),
+        _grid(chaos_grid, lambda v: (v["m_list"], v["reference_m"], v["replications"],
+                                     v["steps"], v["pathwise"]))),
     "small-noise-deviation": Experiment({
-        "grid.h": (_POSITIVE, REQUIRED), **_M, "grid.replications": (_integer(1), REQUIRED),
-        "targets.epsilon_list": (_EPSILONS, REQUIRED)}, _FIT,
+        "grid.h": REQUIRED, "grid.m_particles": REQUIRED, "grid.replications": REQUIRED,
+        "targets.epsilon_list": REQUIRED}, _FIT,
         ("epsilon", "mean_sup_sq", "replications"), _small_noise,
-        _grid(small_noise_grid, lambda v: (v["h"], v["m_particles"]))),
+        _grid(small_noise_grid, lambda v: (v["epsilon_list"], v["h"], v["m_particles"],
+                                           v["replications"]))),
 }
 
 
@@ -314,17 +307,18 @@ def load_config(path: str | Path) -> dict:
 
 
 def _fields(exp: str, cfg: dict):
-    """Yield (name, key, check, value) for each top-level field and each field of
+    """Yield (name, key, value) for each top-level field and each field of
     ``exp``; the value is the table's default where the config leaves it out."""
-    for name, (check, default) in {**_TOP, **EXPERIMENTS[exp].fields}.items():
+    top = {name: default for name, (_, default) in _TOP.items()}
+    for name, default in {**top, **EXPERIMENTS[exp].fields}.items():
         section, _, key = name.rpartition(".")
         part = cfg.get(section) if section else cfg
-        yield name, key, check, (part if isinstance(part, dict) else {}).get(key, default)
+        yield name, key, (part if isinstance(part, dict) else {}).get(key, default)
 
 
 def _values(cfg: dict) -> dict:
-    """A validated config's fields by key, with the defaults filled in."""
-    return {key: val for _, key, _, val in _fields(cfg["experiment"], cfg)}
+    """A config's fields by key, with the defaults filled in."""
+    return {key: val for _, key, val in _fields(cfg["experiment"], cfg)}
 
 
 def validate_config(cfg: dict) -> list[str]:
@@ -357,7 +351,7 @@ def validate_config(cfg: dict) -> list[str]:
     fields = list(_fields(exp, cfg))
     known = {*_KEYS, *(("", section) for section in sections),
              *(("assertions", key) for key in spec.assertions),
-             *((name.rpartition(".")[0], key) for name, key, _, _ in fields)}
+             *((name.rpartition(".")[0], key) for name, key, _ in fields)}
     for section, entries in {"": cfg, "model": model_cfg, **sections}.items():
         for key, val in entries.items():
             name = f"{section}.{key}" if section else key
@@ -367,15 +361,13 @@ def validate_config(cfg: dict) -> list[str]:
             elif section == "assertions" and not is_number(val):
                 diags.append(f"{name} must be a number")
 
-    values = {}
-    for name, key, check, val in fields:
+    for name, key, val in fields:
         if val is REQUIRED:
             diags.append(f"missing required field '{name}' for {exp}")
-        elif problem := check(val):
+        elif name in _TOP and (problem := _TOP[name][0](val)):
             diags.append(f"{name} {problem}")
-        else:
-            values[key] = val
-    return diags or spec.check(values, sections["assertions"], model)
+    return diags or spec.check({key: val for _, key, val in fields}, sections["assertions"],
+                               model)
 
 
 def run_experiment(cfg: dict) -> ReportBundle:

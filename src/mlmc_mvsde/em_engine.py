@@ -17,8 +17,9 @@ import numpy as np
 from .errors import ConfigurationError, DivergenceError, ShapeError, blame
 from .measure import ParticleCloud, sorted_mean
 from .model import (DIVERGENCE_LIMIT, ModelSpec, TestFunction, _check_finite,
-                    builtin_test_function, coefficients, is_number)
-from .rng import DOMAIN_PATH, DOMAIN_SMALL_NOISE, DOMAIN_STRONG_ERROR, stream, streams
+                    builtin_test_function, coefficients, integer, nonempty, positive)
+from .rng import (DOMAIN_PATH, DOMAIN_SMALL_NOISE, DOMAIN_STRONG_ERROR, MAX_STREAMS, stream,
+                  streams)
 
 #: reference grid is finer than the smallest requested step by this factor
 DEFAULT_REF_FACTOR = 8
@@ -34,13 +35,16 @@ def check_steps(steps, path: str):
         raise ConfigurationError(f"{path} takes more than the {MAX_STEPS} steps a path may take")
 
 
-def noise_block(steps: int, m_particles: int, d_bar: int, path: str) -> tuple[int, int, int]:
+def noise_block(steps: int, m_particles: int, d_bar: int, path: str,
+                field: str = "m_particles") -> tuple[int, int, int]:
     """The shape (steps, M, d_bar) of the noise ``path`` draws in one call; a
-    ``ConfigurationError`` naming it when that holds more than ``MAX_NOISE_FLOATS`` floats."""
+    ``ConfigurationError`` blaming ``field`` unless M is an integer >= 1 and the
+    block holds at most ``MAX_NOISE_FLOATS`` floats. Every draw site calls it."""
+    m_particles = integer(m_particles, 1, field)
     if steps * m_particles * d_bar > MAX_NOISE_FLOATS:
         raise ConfigurationError(
             f"the noise block of {path}, {steps} x {m_particles} x {d_bar} floats, holds more "
-            f"than the {MAX_NOISE_FLOATS} floats a block may hold")
+            f"than the {MAX_NOISE_FLOATS} floats a block may hold", field)
     return steps, m_particles, d_bar
 
 
@@ -48,8 +52,7 @@ def step_count(horizon: float, h: float) -> int:
     """The number of steps of size h to the horizon; a ``ConfigurationError``
     unless h is a positive finite number that divides it in at most
     ``MAX_STEPS`` steps."""
-    if not (is_number(h) and h > 0):
-        raise ConfigurationError(f"step size must be a positive finite number, got {h!r}")
+    positive(h, None, "step size")
     check_steps(horizon / h, f"step size {h} on horizon {horizon}")
     steps = round(horizon / h)
     if steps < 1 or abs(h * steps - horizon) > 1e-12 * horizon:
@@ -150,9 +153,8 @@ def simulate_path(model: ModelSpec, h: float, m_particles: int, seed: int) -> Pa
 
     Deterministic in (model, h, m_particles, seed).
     """
-    steps = step_count(model.horizon, h)
-    if m_particles < 1:
-        raise ConfigurationError("m_particles must be >= 1")
+    with blame("h"):
+        steps = step_count(model.horizon, h)
     xi = stream(seed, DOMAIN_PATH, 0).standard_normal(
         noise_block(steps, m_particles, model.d_bar, "the path"))
     start = model.start(m_particles)
@@ -169,7 +171,8 @@ def ode_limit(model: ModelSpec, h: float) -> np.ndarray:
     (steps + 1, d).
     """
     flow = model.with_epsilon(0.0)
-    noise = np.zeros((step_count(model.horizon, h), 1, model.d_bar))
+    with blame("h"):
+        noise = np.zeros((step_count(model.horizon, h), 1, model.d_bar))
     path = _walk(flow, flow.start(1), h, noise)
     return np.stack([model.x0, *(cloud.positions[0] for cloud in path)])
 
@@ -194,22 +197,16 @@ def strong_error_grid(model: ModelSpec, h_list: list[float], m_particles: int, r
     """The preflight of ``strong_error_curve``: the noise block of its reference
     grid, ``ref_factor`` times the steps of the finest h, counted as an integer
     before any step is formed."""
-    if replications < 2:
-        raise ConfigurationError("strong_error_curve needs replications >= 2", "replications")
-    if not h_list:
-        raise ConfigurationError("h_list must not be empty", "h_list")
+    integer(replications, 2, "replications", MAX_STREAMS)
     with blame("h_list"):
-        for h in h_list:
+        for h in nonempty(h_list, "h_list"):
             step_count(model.horizon, h)
         # nested steps and an integer ref_factor make every h a multiple of h_ref
         check_nested_steps(h_list)
+    steps = integer(ref_factor, 2, "ref_factor") * step_count(model.horizon, min(h_list))
     with blame("ref_factor"):
-        if ref_factor % 1 != 0 or ref_factor < 2:
-            raise ConfigurationError(f"ref_factor must be an integer >= 2, got {ref_factor}")
-        steps = int(ref_factor) * step_count(model.horizon, min(h_list))
         check_steps(steps, "the reference grid")
-    with blame("m_particles"):
-        return noise_block(steps, m_particles, model.d_bar, "the reference grid")
+    return noise_block(steps, m_particles, model.d_bar, "the reference grid")
 
 
 def strong_error_curve(model: ModelSpec, h_list: list[float], m_particles: int,
@@ -241,12 +238,16 @@ def strong_error_curve(model: ModelSpec, h_list: list[float], m_particles: int,
     return [(h, acc[h] / replications) for h in h_list]
 
 
-def small_noise_grid(model: ModelSpec, h: float, m_particles: int) -> tuple[int, int, int]:
-    """The preflight of ``small_noise_curve``: the noise block of one replication."""
+def small_noise_grid(model: ModelSpec, epsilon_list: list[float], h: float, m_particles: int,
+                     replications: int) -> tuple[tuple[int, int, int], list[ModelSpec]]:
+    """The preflight of ``small_noise_curve``: the noise block of one replication
+    and the model at each noise scale."""
+    with blame("epsilon_list"):
+        models = [model.with_epsilon(eps) for eps in nonempty(epsilon_list, "epsilon_list")]
     with blame("h"):
         steps = step_count(model.horizon, h)
-    with blame("m_particles"):
-        return noise_block(steps, m_particles, model.d_bar, "a replication")
+    integer(replications, 1, "replications", MAX_STREAMS)
+    return noise_block(steps, m_particles, model.d_bar, "a replication"), models
 
 
 def small_noise_curve(model: ModelSpec, epsilon_list: list[float], h: float,
@@ -259,9 +260,8 @@ def small_noise_curve(model: ModelSpec, epsilon_list: list[float], h: float,
     block once, so for models whose deviation is linear in the noise the
     fitted slope is exact.
     """
-    shape = small_noise_grid(model, h, m_particles)
+    shape, models = small_noise_grid(model, epsilon_list, h, m_particles, replications)
     z_path = ode_limit(model, h)
-    models = [model.with_epsilon(eps) for eps in epsilon_list]
     totals = [0.0] * len(models)
     for gen in streams(seed, DOMAIN_SMALL_NOISE, 0, count=replications):
         xi = gen.standard_normal(shape)

@@ -17,7 +17,9 @@ class NumericError(ArithmeticError):
 
 class ConfigurationError(ValueError):
     """Invalid, missing, or inconsistent configuration input. ``field`` names the
-    argument at fault where it is known, as in every error of a ``*_grid`` preflight."""
+    argument at fault where it is known: every error an entry point raises on
+    an argument out of its range or of the wrong type sets it, whether its
+    preflight or a check the run reaches later (a seed, an mlmc level) raises it."""
 
     def __init__(self, message: str, field: str | None = None):
         super().__init__(message)
@@ -25,12 +27,14 @@ class ConfigurationError(ValueError):
 
 
 @contextmanager
-def blame(field: str):
-    """Tag a ``ConfigurationError`` raised in the block with ``field`` unless it names one."""
+def blame(field: str, *instead_of: str):
+    """Tag a ``ConfigurationError`` raised in the block with ``field`` unless it
+    names a field other than those of ``instead_of``."""
     try:
         yield
     except ConfigurationError as err:
-        err.field = err.field or field
+        if err.field is None or err.field in instead_of:
+            err.field = field
         raise
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, ShapeError, blame
 from .measure import ParticleCloud, sorted_mean
-from .model import ModelSpec, TestFunction, builtin_test_function
+from .model import ModelSpec, TestFunction, builtin_test_function, integer, nonempty, positive
 # em_step stays bound here: the benchmark's absent-layer check deletes it from this module
 from .em_engine import (MAX_STEPS, advance, check_steps, em_step,  # noqa: F401
                         noise_block, strong_error_curve, strong_error_grid, _last, _walk)
@@ -34,6 +34,7 @@ from .rng import (
     DOMAIN_LEVEL_PAIR,
     DOMAIN_LEVEL_ZERO,
     DOMAIN_PSI_VARIANCE,
+    MAX_STREAMS,
     stream,
     streams,
 )
@@ -60,11 +61,9 @@ class LevelConfig:
     level: int
 
     def __post_init__(self):
-        if self.refinement_n < 2:
-            raise ConfigurationError(f"refinement_n must be >= 2, got {self.refinement_n}",
-                                     "refinement_n")
-        if self.level < 0:
-            raise ConfigurationError(f"level must be >= 0, got {self.level}")
+        # stored as ints: a numpy integer's power wraps past 2**63
+        object.__setattr__(self, "refinement_n", integer(self.refinement_n, 2, "refinement_n"))
+        object.__setattr__(self, "level", integer(self.level, 0, "level"))
         # N^level > MAX_STEPS past MAX_STEPS.bit_length() levels: a huge level builds no power
         check_steps(self.refinement_n ** min(self.level, MAX_STEPS.bit_length()),
                     f"level {self.level} at refinement_n {self.refinement_n}")
@@ -198,6 +197,7 @@ def simulate_level_pair(model: ModelSpec, cfg: LevelConfig, m_particles: int,
     Level 0 has no coarse system (its term is zero), so there the two
     averages are the same one-step value.
     """
+    integer(sample_index, 0, "sample_index", MAX_STREAMS - 1)
     fine, coarse = next(_level_pairs(model, cfg, m_particles, seed, sample_index, 1))
     psi_f = test_fn.psi(fine[0])
     mean_fine = float(sorted_mean(psi_f))
@@ -220,17 +220,16 @@ def _level_samples(model: ModelSpec, cfg: LevelConfig, m_particles: int,
 
 
 def level_study_grid(model: ModelSpec, levels: list[int], refinement_n: int,
-                     m_particles: int) -> list[LevelConfig]:
+                     m_particles: int, replications: int) -> list[LevelConfig]:
     """The preflight of the coupled-level studies: each level's ``LevelConfig``,
     in order. It stops at the first bad level, so a long range is never read past it."""
     cfgs = []
-    for level in levels:
+    for level in nonempty(levels, "levels"):
+        integer(level, 1, "levels", name="a coupled-level study's level")
         with blame("levels"):
-            if level < 1:
-                raise ConfigurationError(f"a coupled-level study needs levels >= 1, got {level}")
             cfgs.append(LevelConfig(refinement_n, level))
-        with blame("m_particles"):
-            _sample_block(model, cfgs[-1], m_particles)
+        _sample_block(model, cfgs[-1], m_particles)
+    integer(replications, 1, "replications", MAX_STREAMS)
     return cfgs
 
 
@@ -242,7 +241,7 @@ def _level_rows(row: type, model: ModelSpec, levels: list[int], refinement_n: in
     return [row(level=cfg.level, h_coarse=model.horizon / cfg.coarse_steps, samples=replications,
                 rng_cost=replications * cost_per_sample(cfg, m_particles, model.d_bar),
                 **stat(cfg))
-            for cfg in level_study_grid(model, levels, refinement_n, m_particles)]
+            for cfg in level_study_grid(model, levels, refinement_n, m_particles, replications)]
 
 
 @dataclass
@@ -298,6 +297,19 @@ def second_moment_study(model: ModelSpec, levels: list[int], refinement_n: int,
                        stat)
 
 
+def mlmc_grid(model: ModelSpec, target_delta: float, refinement_n: int, m_particles: int,
+              pilot_samples: int, max_level: int):
+    """The preflight of ``mlmc_estimate``. Its samples decide how deep a run goes,
+    so each level past level 1, which every run reaches, is checked when the run
+    reaches it, and so is every level's noise block; ``model`` is not read."""
+    positive(target_delta, "target_delta")
+    with blame("refinement_n"):
+        LevelConfig(refinement_n, 1)
+    integer(m_particles, 1, "m_particles")
+    integer(pilot_samples, 2, "pilot_samples", MAX_STREAMS)
+    integer(max_level, 1, "max_level")
+
+
 def mlmc_estimate(model: ModelSpec, test_fn: TestFunction, target_delta: float,
                   refinement_n: int, m_particles: int,
                   pilot_samples: int = DEFAULT_PILOT_SAMPLES,
@@ -318,20 +330,16 @@ def mlmc_estimate(model: ModelSpec, test_fn: TestFunction, target_delta: float,
 
     Accuracy contract: MSE <= 1.5 delta^2. The allocation bounds the
     variance by delta^2 (Giles's 2 delta^-2 would give delta^2 / 2) and the
-    bias proxy bounds the squared bias by delta^2 / 2.
+    bias proxy bounds the squared bias by delta^2 / 2. An allocation past the
+    ``MAX_STREAMS`` samples of a level is a ``ConfigurationError`` on ``target_delta``.
     """
-    if target_delta <= 0:
-        raise ConfigurationError("target_delta must be positive")
-    if pilot_samples < 2:
-        raise ConfigurationError("pilot_samples must be >= 2")
-    if max_level < 1:
-        raise ConfigurationError("max_level must be >= 1")
-
+    mlmc_grid(model, target_delta, refinement_n, m_particles, pilot_samples, max_level)
     cfgs: list[LevelConfig] = []
     samples: list[np.ndarray] = []
 
     def pilot():
-        cfgs.append(LevelConfig(refinement_n, len(cfgs)))
+        with blame("max_level"):  # a level past MAX_STEPS is one max_level let the run reach
+            cfgs.append(LevelConfig(refinement_n, len(cfgs)))
         samples.append(_level_samples(model, cfgs[-1], m_particles, test_fn, seed,
                                       0, pilot_samples))
 
@@ -351,8 +359,14 @@ def mlmc_estimate(model: ModelSpec, test_fn: TestFunction, target_delta: float,
         allocation = [pilot_samples] * len(cfgs)
     else:
         weight = sum(math.sqrt(v * c) for v, c in zip(variances, costs))
-        allocation = [max(math.ceil(target_delta**-2 * math.sqrt(v / c) * weight), pilot_samples)
-                      for v, c in zip(variances, costs)]
+        try:
+            need = [target_delta**-2 * math.sqrt(v / c) * weight for v, c in zip(variances, costs)]
+        except OverflowError:  # delta^-2 is past the floats
+            need = [math.inf]
+        if max(need) > MAX_STREAMS:
+            raise ConfigurationError(f"target_delta {target_delta} needs more than the "
+                                     f"{MAX_STREAMS} samples a level may draw", "target_delta")
+        allocation = [max(math.ceil(k), pilot_samples) for k in need]
 
     for l, cfg in enumerate(cfgs):
         extra = allocation[l] - len(samples[l])
@@ -399,17 +413,23 @@ def _psi_system_variance(model: ModelSpec, shape: tuple[int, int, int], test_fn:
     return float(np.var(np.array(vals), ddof=1))
 
 
-def cost_compare_grid(model: ModelSpec, refinement_n: int, m_particles: int, pilot_samples: int):
+def cost_compare_grid(model: ModelSpec, delta_list: list[float], epsilon_list: list[float],
+                      refinement_n: int, m_particles: int, pilot_samples: int, max_level: int):
     """The preflight of ``cost_compare``: the noise block of its N^4-step variance
     pilot, checked after the calibration grid at h_cal = T N^-3, as the run draws
-    them. The mlmc levels are checked when the run reaches them."""
-    if pilot_samples < 2:
-        raise ConfigurationError("pilot_samples must be >= 2", "pilot_samples")
+    them, and the model at each noise scale. The mlmc levels are checked when the
+    run reaches them."""
     with blame("refinement_n"):
-        check_steps(refinement_n**4, f"the variance pilot at refinement_n {refinement_n}")
+        check_steps(integer(refinement_n, 2, "refinement_n")**4,
+                    f"the variance pilot at refinement_n {refinement_n}")
+    for delta in nonempty(delta_list, "delta_list"):
+        positive(delta, "delta_list", "a delta_list entry")
+    with blame("epsilon_list"):
+        models = [model.with_epsilon(eps) for eps in nonempty(epsilon_list, "epsilon_list")]
+    integer(pilot_samples, 2, "pilot_samples", MAX_STREAMS)
+    integer(max_level, 1, "max_level")
     strong_error_grid(model, [model.horizon / refinement_n**3], m_particles, pilot_samples)
-    with blame("m_particles"):
-        return noise_block(refinement_n**4, m_particles, model.d_bar, "the variance pilot")
+    return noise_block(refinement_n**4, m_particles, model.d_bar, "the variance pilot"), models
 
 
 def cost_compare(model: ModelSpec, test_fn: TestFunction, delta_list: list[float],
@@ -424,29 +444,35 @@ def cost_compare(model: ModelSpec, test_fn: TestFunction, delta_list: list[float
     error under delta / sqrt(2) (constant calibrated from a small coupled
     pilot sweep against a fine reference, fitted to C (h^2 + h eps^2)) and
     whose sample count is ceil(Var(Psi) / delta^2). Nothing beyond the
-    calibration pilots is simulated for the comparator.
+    calibration pilots is simulated for the comparator. A delta whose comparator
+    leaves the floats is a ``ConfigurationError`` on ``delta_list``.
     """
-    pilot = cost_compare_grid(model, refinement_n, m_particles, pilot_samples)
+    pilot, models = cost_compare_grid(model, delta_list, epsilon_list, refinement_n, m_particles,
+                                      pilot_samples, max_level)
     rows = []
-    for eps in epsilon_list:
-        m_eps = model.with_epsilon(eps)
+    for eps, m_eps in zip(epsilon_list, models):
         h_cal = model.horizon / refinement_n**3
         mse_cal = strong_error_curve(m_eps, [h_cal], m_particles, pilot_samples, seed,
                                      test_fn=test_fn)[0][1]
         c_fit = mse_cal / (h_cal**2 + h_cal * eps**2) if mse_cal > 0 else 0.0
         var_psi = _psi_system_variance(m_eps, pilot, test_fn, seed, max(pilot_samples, 8))
         for delta in delta_list:
-            if c_fit > 0:
-                # solve C h^2 + C eps^2 h = delta^2 / 2 for the largest usable h
-                h_star = (-(eps**2) + math.sqrt(eps**4 + 2.0 * delta**2 / c_fit)) / 2.0
-                h_star = min(h_star, model.horizon)
-                mc_steps = max(1, math.ceil(model.horizon / h_star))
-            else:
-                mc_steps = 1
-            mc_samples = max(1, math.ceil(var_psi / delta**2)) if var_psi > 0 else 1
+            try:
+                if c_fit > 0:
+                    # solve C h^2 + C eps^2 h = delta^2 / 2 for the largest usable h
+                    h_star = (-(eps**2) + math.sqrt(eps**4 + 2.0 * delta**2 / c_fit)) / 2.0
+                    h_star = min(h_star, model.horizon)
+                    mc_steps = max(1, math.ceil(model.horizon / h_star))
+                else:
+                    mc_steps = 1
+                mc_samples = max(1, math.ceil(var_psi / delta**2)) if var_psi > 0 else 1
+            except (OverflowError, ZeroDivisionError):
+                raise ConfigurationError(f"the plain-MC comparator at delta {delta} and epsilon "
+                                         f"{eps} leaves the floats", "delta_list") from None
             mc_cost = mc_samples * m_particles * model.d_bar * mc_steps
-            report = mlmc_estimate(m_eps, test_fn, delta, refinement_n, m_particles,
-                                   pilot_samples, max_level, seed)
+            with blame("delta_list", "target_delta"):
+                report = mlmc_estimate(m_eps, test_fn, delta, refinement_n, m_particles,
+                                       pilot_samples, max_level, seed)
             rows.append(CostCompareRow(
                 delta=delta,
                 epsilon=eps,
@@ -465,19 +491,19 @@ class ChaosRow:
     replications: int
 
 
-def chaos_grid(model: ModelSpec, m_list: list[int], reference_m: int, steps: int):
+def chaos_grid(model: ModelSpec, m_list: list[int], reference_m: int, replications: int,
+               steps: int, pathwise: bool):
     """The preflight of ``chaos_study``: the noise block of the reference system,
     the largest it draws, since every M is below ``reference_m``."""
-    if not m_list:
-        raise ConfigurationError("m_list must not be empty", "m_list")
-    if reference_m <= max(m_list):
-        raise ConfigurationError("reference_m must exceed every entry of m_list", "reference_m")
-    if steps < 1:
-        raise ConfigurationError(f"steps must be >= 1, got {steps}", "steps")
+    for m in nonempty(m_list, "m_list"):
+        integer(m, 1, "m_list", name="an m_list entry")
+    integer(reference_m, max(m_list) + 1, "reference_m")
+    integer(replications, 1, "replications", MAX_STREAMS)
     with blame("steps"):
-        check_steps(steps, f"a chaos grid of {steps} steps")
-    with blame("reference_m"):
-        return noise_block(steps, reference_m, model.d_bar, "the reference system")
+        check_steps(integer(steps, 1, "steps"), f"a chaos grid of {steps} steps")
+    if not isinstance(pathwise, bool):
+        raise ConfigurationError(f"pathwise must be a bool, got {pathwise!r}", "pathwise")
+    return noise_block(steps, reference_m, model.d_bar, "the reference system", "reference_m")
 
 
 def chaos_study(model: ModelSpec, m_list: list[int], reference_m: int, replications: int,
@@ -493,7 +519,7 @@ def chaos_study(model: ModelSpec, m_list: list[int], reference_m: int, replicati
     Each replication walks its reference system once, in lockstep with the
     small system of every M.
     """
-    shape = chaos_grid(model, m_list, reference_m, steps)
+    shape = chaos_grid(model, m_list, reference_m, replications, steps, pathwise)
     test_fn = test_fn or builtin_test_function("identity")
     h = model.horizon / steps
 

@@ -68,6 +68,32 @@ def is_number(val) -> bool:
         return False
 
 
+def integer(val, lo: int, field: str | None, hi: float = math.inf, name: str = "") -> int:
+    """``val`` as an int if it is an integer (an int or a numpy integer, never a
+    bool) in [lo, hi], else a ``ConfigurationError`` on ``field`` that calls it
+    ``name`` (``field`` by default). This and the two checks below are the
+    argument checks of every entry point's preflight."""
+    if isinstance(val, bool) or not isinstance(val, numbers.Integral) or not lo <= val <= hi:
+        bound = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
+        raise ConfigurationError(f"{name or field} must be an integer {bound}, got {val!r}", field)
+    return int(val)
+
+
+def positive(val, field: str | None, name: str = ""):
+    """``val`` if it is a positive finite number, else a ``ConfigurationError``."""
+    if not (is_number(val) and val > 0):
+        raise ConfigurationError(f"{name or field} must be a positive finite number, "
+                                 f"got {val!r}", field)
+    return val
+
+
+def nonempty(val, field: str):
+    """``val`` if it is a non-empty list, tuple or range, else a ``ConfigurationError``."""
+    if not (isinstance(val, (list, tuple, range)) and val):
+        raise ConfigurationError(f"{field} must be a non-empty list, got {val!r}", field)
+    return val
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Immutable description of one mean-field SDE.
@@ -98,11 +124,10 @@ class ModelSpec:
         if self.d < 1 or self.d_bar < 1:
             raise ConfigurationError("state and noise dimensions must be >= 1")
         # epsilon = 0 is admitted as the deterministic limit of the family
-        if not (0.0 <= self.epsilon <= 1.0):
-            raise ConfigurationError(f"epsilon must lie in [0, 1], got {self.epsilon}")
-        if not (is_number(self.horizon) and self.horizon > 0):
-            raise ConfigurationError(f"horizon must be a positive finite number, "
-                                     f"got {self.horizon!r}")
+        if not (is_number(self.epsilon) and 0 <= self.epsilon <= 1):
+            raise ConfigurationError(f"epsilon must lie in [0, 1], got {self.epsilon!r}")
+        object.__setattr__(self, "epsilon", float(self.epsilon))
+        positive(self.horizon, "horizon")
         if self.lipschitz_K < 0 or self.growth_beta < 0:
             raise ConfigurationError("regularity constants must be nonnegative")
         x0 = np.atleast_1d(np.asarray(self.x0, dtype=float)).copy()
@@ -118,7 +143,7 @@ class ModelSpec:
 
     def with_epsilon(self, epsilon: float) -> "ModelSpec":
         """Same dynamics at a different noise scale (for epsilon sweeps)."""
-        return replace(self, epsilon=float(epsilon))
+        return replace(self, epsilon=epsilon)
 
     def start(self, m: int) -> ParticleCloud:
         """The read-only cloud of m particles at x0 that every system starts from.

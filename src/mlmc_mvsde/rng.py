@@ -32,6 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError
+from .model import integer
 
 # stream domains; values are arbitrary but frozen (changing one changes
 # every downstream result for a given seed)
@@ -44,6 +45,8 @@ DOMAIN_CHAOS = 6
 DOMAIN_PSI_VARIANCE = 7
 
 _MASK32 = (1 << 32) - 1
+#: the streams of one family: its last key word, a sample or replication index, is below it
+MAX_STREAMS = 1 << 32
 
 # numpy's SeedSequence mixing constants (pool size 4)
 _POOL_SIZE = 4
@@ -79,14 +82,6 @@ def _mix(x, y):
     return result ^ result >> _XSHIFT
 
 
-def _word(value, bits: int, what: str) -> int:
-    """``value`` as an int, refused unless it is an integer in ``[0, 2**bits)``."""
-    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or not 0 <= value < 1 << bits):
-        raise ConfigurationError(f"{what} must be an integer in [0, 2**{bits}), got {value!r}")
-    return int(value)
-
-
 def keys(seed: int, *key: int, count: int) -> np.ndarray:
     """Philox keys, shape (count, 2), of the streams ``(seed, *key[:-1], key[-1] + j)``.
 
@@ -96,9 +91,9 @@ def keys(seed: int, *key: int, count: int) -> np.ndarray:
     """
     if not key:
         raise ConfigurationError("a stream needs at least one key word (its domain)")
-    seed = _word(seed, 64, "seed")
-    *prefix, first = (_word(w, 32, "key word") for w in key)
-    if not 0 <= count <= (1 << 32) - first:
+    seed = integer(seed, 0, "seed", 2**64 - 1)
+    *prefix, first = (integer(w, 0, "key word", _MASK32) for w in key)
+    if not 0 <= count <= MAX_STREAMS - first:
         raise ConfigurationError(f"{count} key words from {first} leave [0, 2**32)")
     hashmix = _hasher(_INIT_A, _MULT_A)
     pool = [hashmix(w) for w in (seed & _MASK32, seed >> 32, 0, 0)]

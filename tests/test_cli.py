@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from mlmc_mvsde import (ConfigurationError, builtin_model, chaos_study, cost_compare,
-                        coupled_variance_study, small_noise_curve, strong_error_curve)
+                        coupled_variance_study, mlmc_estimate, small_noise_curve,
+                        strong_error_curve)
 from mlmc_mvsde import cli_runner
 from mlmc_mvsde.cli_runner import (EXPERIMENTS, ReportBundle, _print_summary, main,
                                    load_config, validate_config)
@@ -67,7 +68,8 @@ def test_validate_flags_refinement_n(tmp_path, capsys):
     bad["grid"]["refinement_n"] = 1
     cfg = write_config(tmp_path, "bad.json", bad)
     assert main(["validate", str(cfg)]) == 2
-    assert "refinement_n must be >= 2" in capsys.readouterr().out
+    assert "grid.refinement_n: refinement_n must be an integer >= 2, got 1" in \
+        capsys.readouterr().out
 
 
 def test_validate_flags_non_nested_h_list(tmp_path, capsys):
@@ -357,7 +359,8 @@ def test_run_rejects_a_non_integer_field(tmp_path, capsys, exp, key, value):
     cfg["grid"][key] = value
     path = write_config(tmp_path, "bad.json", cfg)
     assert main(["run", str(path)]) == 2
-    assert f"grid.{key} must be an integer" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"grid.{key}: {key} must be an integer " in err and f"got {value!r}" in err
 
 
 @pytest.mark.parametrize("value", [2.5, "8", True, 0])
@@ -366,7 +369,8 @@ def test_run_rejects_a_non_integer_m_list_entry(tmp_path, capsys, value):
     cfg["grid"]["m_list"] = [2, value]
     path = write_config(tmp_path, "bad.json", cfg)
     assert main(["run", str(path)]) == 2
-    assert "grid.m_list must be a non-empty list of positive integers" in capsys.readouterr().err
+    assert (f"grid.m_list: an m_list entry must be an integer >= 1, got {value!r}"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("value", ["no", 0, 1, None])
@@ -375,7 +379,7 @@ def test_run_rejects_a_non_bool_pathwise(tmp_path, capsys, value):
     cfg["grid"]["pathwise"] = value
     path = write_config(tmp_path, "bad.json", cfg)
     assert main(["run", str(path)]) == 2
-    assert "grid.pathwise must be true or false" in capsys.readouterr().err
+    assert f"grid.pathwise: pathwise must be a bool, got {value!r}" in capsys.readouterr().err
 
 
 def test_validate_config_unknown_experiment():
@@ -441,6 +445,11 @@ REJECTED = [
     *[(exp, "grid", "m_particles", 10**9) for exp in ("strong-error", "coupled-variance",
                                                         "cost-compare")],
     ("chaos", "grid", "reference_m", 10**9),
+    # the library's preflights own these ranges now; targets.* names come from them too
+    *[("coupled-variance", "grid", "levels", levels) for levels in ([1], [2, 1], [0, 1])],
+    ("mlmc", "targets", "delta", 0),
+    ("mlmc", "grid", "m_particles", 0),
+    ("cost-compare", "targets", "delta_list", []),
 ]
 
 
@@ -473,6 +482,13 @@ PREFLIGHT_LIMITS = [
         v["m_particles"], v["replications"], IDENT, 0)),
     ("small-noise-deviation", "h", 0.3, lambda model, v: small_noise_curve(
         model, v["epsilon_list"], v["h"], v["m_particles"], v["replications"], 0)),
+    # validate passed a level-1 path past MAX_STEPS, which every mlmc run reaches
+    ("mlmc", "refinement_n", 2**24 + 1, lambda model, v: mlmc_estimate(
+        model, IDENT, v["delta"], v["refinement_n"], v["m_particles"], v["pilot_samples"],
+        v["max_level"])),
+    ("mlmc", "pilot_samples", 1, lambda model, v: mlmc_estimate(
+        model, IDENT, v["delta"], v["refinement_n"], v["m_particles"], v["pilot_samples"],
+        v["max_level"])),
 ]
 
 

@@ -332,7 +332,7 @@ def test_strong_error_needs_an_integer_ref_factor():
 
 def test_an_empty_h_list_is_refused_by_name():
     # min() of the empty list raised a bare ValueError
-    with pytest.raises(ConfigurationError, match="h_list must not be empty") as err:
+    with pytest.raises(ConfigurationError, match="h_list must be a non-empty list, got") as err:
         strong_error_curve(ou(0.1), [], 4, 2, 0)
     assert err.value.field == "h_list"
 

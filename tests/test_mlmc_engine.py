@@ -46,8 +46,9 @@ def test_level_config_geometry():
     with pytest.raises(ConfigurationError, match="level 0"):
         level0.coarse_steps
     # a fine path of up to MAX_STEPS steps, and none longer, even at a huge level
+    # or where a numpy integer's power wraps to 0
     assert LevelConfig(2, 24).fine_steps == LevelConfig(2**24, 1).fine_steps == MAX_STEPS
-    for n_ref, level in ((2, 25), (2, 10**12), (3, 16), (2**24 + 1, 1)):
+    for n_ref, level in ((2, 25), (2, 10**12), (3, 16), (2**24 + 1, 1), (np.int64(2**32), 2)):
         with pytest.raises(ConfigurationError, match=f"more than the {MAX_STEPS} steps"):
             LevelConfig(n_ref, level)
 
@@ -388,7 +389,7 @@ def test_chaos_rows_equal_single_m_runs(pathwise):
 def test_chaos_refuses_an_empty_m_list_by_name():
     # max() of the empty list raised a bare ValueError
     model = builtin_model("zero", {"x0": 1.0, "T": 1.0, "epsilon": 0.1})
-    with pytest.raises(ConfigurationError, match="m_list must not be empty") as err:
+    with pytest.raises(ConfigurationError, match="m_list must be a non-empty list, got") as err:
         chaos_study(model, [], 8, 2, seed=0)
     assert err.value.field == "m_list"
 
