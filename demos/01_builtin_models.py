@@ -1,14 +1,13 @@
 """Tour of the built-in mean-field models.
 
 Each model bundles a drift f(x, mu), a diffusion g(x, mu), a noise scale,
-and declared regularity constants. The measure argument is always a uniform
-cloud of particles; evaluating against a one-particle cloud recovers the
-classical (non-interacting) coefficients.
+and declared regularity constants. The measure is always the uniform cloud
+of a system's own particles: ``coefficients(model, states)`` evaluates every
+particle of an (M, d) state array against that array, and a one-particle
+system recovers the classical (non-interacting) coefficients.
 """
 
-import numpy as np
-
-from mlmc_mvsde import ParticleCloud, builtin_model, diffusion_eval, drift_eval
+from mlmc_mvsde import ParticleCloud, builtin_model, coefficients
 
 PARAMS = {
     "zero": {"x0": 1.0, "T": 1.0, "epsilon": 0.1},
@@ -19,14 +18,14 @@ PARAMS = {
 }
 
 cloud = ParticleCloud([-0.5, 0.25, 1.5, 2.75])
-x = np.array([1.0])
+fmt = lambda values: "[" + ", ".join(f"{v:+.4f}" for v in values) + "]"
 
-print(f"probe state x = {x[0]}, measure = cloud at {cloud.positions[:, 0].tolist()}\n")
+print(f"system of {cloud.m} particles at {cloud.positions[:, 0].tolist()}, "
+      f"each evaluated against the whole system\n")
 for name, params in PARAMS.items():
     model = builtin_model(name, params)
-    f = drift_eval(model, x, cloud)
-    g = diffusion_eval(model, x, cloud)
-    print(f"{name:>18}: f(x, mu) = {f[0]:+.4f}   g(x, mu) = {g[0, 0]:+.4f}   "
+    f, g = coefficients(model, cloud.positions)
+    print(f"{name:>18}: f = {fmt(f[:, 0])}   g = {fmt(g[:, 0, 0])}\n{'':>20}"
           f"eps = {model.epsilon}   K = {model.lipschitz_K:.3g}   beta = {model.growth_beta:.3g}")
 
 ou = builtin_model("meanfield_ou", PARAMS["meanfield_ou"])

@@ -12,8 +12,7 @@ __version__ = "0.1.0"
 from .errors import (CapabilityError, ConfigurationError, DegeneracyError, DivergenceError,
                      DomainError, NumericError, ShapeError)
 from .measure import ParticleCloud, moment_w2, w2_to_dirac, wasserstein2
-from .model import (ModelSpec, TestFunction, builtin_model, builtin_test_function, diffusion_eval,
-                    drift_eval)
+from .model import ModelSpec, TestFunction, builtin_model, builtin_test_function, coefficients
 from .em_engine import (PathRecord, em_step, ode_limit, simulate_path, small_noise_curve,
                         strong_error_curve)
 from .mlmc_engine import (LevelConfig, LevelStatistics, MlmcReport, chaos_study, cost_compare,
@@ -37,8 +36,7 @@ __all__ = [
     "TestFunction",
     "builtin_model",
     "builtin_test_function",
-    "drift_eval",
-    "diffusion_eval",
+    "coefficients",
     "PathRecord",
     "em_step",
     "simulate_path",

@@ -77,8 +77,6 @@ def em_step(model: ModelSpec, cloud: ParticleCloud, h: float, gaussians: np.ndar
     is ``sqrt(h) * gaussians``.
     """
     xi = np.asarray(gaussians, dtype=float)
-    if xi.ndim == 1:
-        xi = xi[:, None]
     return ParticleCloud._wrap(advance(model, cloud.positions, h, math.sqrt(h), xi))
 
 
@@ -101,8 +99,6 @@ def advance(model: ModelSpec, x: np.ndarray, h_drift: float, sqrt_dt: float,
     expected = x.shape[:-1] + (model.d_bar,)
     if xi.shape != expected:
         raise ShapeError(f"gaussians have shape {xi.shape}, expected {expected}")
-    if x.shape[-1] != model.d:
-        raise ShapeError(f"state dimension {x.shape[-1]} does not match model d={model.d}")
     scale = model.epsilon * sqrt_dt
     try:
         f, g, new, ok = _update(model, x, xi, h_drift, scale)

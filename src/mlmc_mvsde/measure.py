@@ -81,12 +81,11 @@ def sorted_mean(values: np.ndarray, axis: int = 0) -> np.ndarray:
 def particle_mean(values: np.ndarray) -> np.ndarray:
     """Componentwise mean over the particle axis -2, permutation invariant.
 
-    Shape (d,) for the (M, d) values of one system. A (..., M, d) stack of
-    systems keeps its particle axis with length 1, (..., 1, d), so that
-    ``particle_mean(mu) - x`` broadcasts per system.
+    Shape (..., 1, d) for (..., M, d) values: (1, d) for one system and
+    (K, 1, d) for a stack of K, so that ``particle_mean(mu) - x`` broadcasts
+    per system.
     """
-    mean = sorted_mean(values, axis=-2)
-    return mean if mean.ndim == 1 else mean[..., None, :]
+    return sorted_mean(values, axis=-2)[..., None, :]
 
 
 def moment_w2(mu: ParticleCloud) -> float:

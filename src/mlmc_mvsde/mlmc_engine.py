@@ -459,9 +459,11 @@ def cost_compare(model: ModelSpec, test_fn: TestFunction, delta_list: list[float
         for delta in delta_list:
             try:
                 if c_fit > 0:
-                    # solve C h^2 + C eps^2 h = delta^2 / 2 for the largest usable h
-                    h_star = (-(eps**2) + math.sqrt(eps**4 + 2.0 * delta**2 / c_fit)) / 2.0
-                    h_star = min(h_star, model.horizon)
+                    # the root of C h^2 + C eps^2 h = delta^2 / 2, rationalised so
+                    # that it does not cancel when q is small against eps^4
+                    q = 2.0 * delta**2 / c_fit
+                    h_star = model.horizon if q == math.inf else min(
+                        q / (2.0 * (eps**2 + math.sqrt(eps**4 + q))), model.horizon)
                     mc_steps = max(1, math.ceil(model.horizon / h_star))
                 else:
                     mc_steps = 1

@@ -15,8 +15,8 @@ coefficient as ``drift(x, x)`` on one system's (M, d) states or on a
 (..., M, d, d_bar) diffusions back, each system reduced over its own
 particle axis -2 (``particle_mean``). Builtins reduce in canonical sorted
 order, so their output is exactly invariant under particle relabeling.
-``drift_eval`` and ``diffusion_eval`` evaluate one (d,) state against a
-``ParticleCloud``.
+``coefficients(model, x)`` is the one evaluation of a model: it calls both
+callables on the states ``x`` and checks the shapes they return.
 
 Coefficient callables must be pure: every system starts from the same
 all-x0 cloud, and its coefficients there are evaluated once per (model, M)
@@ -177,43 +177,19 @@ class TestFunction:
     name: str = "custom"
 
 
-def drift_eval(model: ModelSpec, x: np.ndarray, mu: ParticleCloud) -> np.ndarray:
-    """Evaluate the drift at one state against an empirical measure."""
-    return _pointwise(model, model.drift, x, mu, (model.d,), "drift")
-
-
-def diffusion_eval(model: ModelSpec, x: np.ndarray, mu: ParticleCloud) -> np.ndarray:
-    """Evaluate the diffusion matrix at one state against an empirical measure."""
-    return _pointwise(model, model.diffusion, x, mu, (model.d, model.d_bar), "diffusion")
-
-
-def _pointwise(model: ModelSpec, fn: Callable, x, mu: ParticleCloud, shape: tuple,
-               label: str) -> np.ndarray:
-    """``fn`` at the (d,) state ``x`` against the states of ``mu``, with the
-    state, the measure's dimension and the output's shape and finiteness checked."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (model.d,):
-        raise ShapeError(f"state has shape {x.shape}, expected ({model.d},)")
-    if mu.d != model.d:
-        raise ShapeError(f"measure dimension {mu.d} does not match model d={model.d}")
-    out = np.asarray(fn(x, mu.positions), dtype=float)
-    if out.shape != shape:
-        raise ShapeError(f"{label} returned shape {out.shape}, expected {shape}")
-    _check_finite(out, label)
-    return out
-
-
 def coefficients(model: ModelSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Drift (..., M, d) and diffusion (..., M, d, d_bar) of every particle
     against its own system, for the (M, d) states ``x`` of one system or a
     (..., M, d) stack of them.
 
-    The model is called once on the whole stack and its outputs
-    shape-checked, under the caller's numpy error settings: ``advance``
-    re-runs it quietly where numpy raises. At the states of
-    ``model.start(M)`` themselves the pair evaluated when that cloud was
-    built is returned.
+    The states' shape is checked, the model is called once on the whole
+    stack and its outputs shape-checked, under the caller's numpy error
+    settings: ``advance`` re-runs it quietly where numpy raises. At the
+    states of ``model.start(M)`` themselves the pair evaluated when that
+    cloud was built is returned.
     """
+    if x.ndim < 2 or x.shape[-1] != model.d:
+        raise ShapeError(f"states have shape {x.shape}, expected (..., M, {model.d})")
     entry = model._start.get(x.shape[-2])
     if entry is not None and entry[0].positions is x:
         return entry[1], entry[2]

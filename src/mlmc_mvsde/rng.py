@@ -47,6 +47,8 @@ DOMAIN_PSI_VARIANCE = 7
 _MASK32 = (1 << 32) - 1
 #: the streams of one family: its last key word, a sample or replication index, is below it
 MAX_STREAMS = 1 << 32
+#: the keys ``streams`` derives in one pass
+_KEY_BLOCK = 4096
 
 # numpy's SeedSequence mixing constants (pool size 4)
 _POOL_SIZE = 4
@@ -82,6 +84,19 @@ def _mix(x, y):
     return result ^ result >> _XSHIFT
 
 
+def _key_range(seed: int, key: tuple, count: int) -> tuple[int, list[int], int]:
+    """The seed, the leading key words and the first last word of a range of
+    ``count`` streams, each checked: a ``ConfigurationError`` unless the seed
+    lies in [0, 2**64), every word in [0, 2**32) and the range below 2**32."""
+    if not key:
+        raise ConfigurationError("a stream needs at least one key word (its domain)")
+    seed = integer(seed, 0, "seed", 2**64 - 1)
+    *prefix, first = (integer(w, 0, "key word", _MASK32) for w in key)
+    if not 0 <= count <= MAX_STREAMS - first:
+        raise ConfigurationError(f"{count} key words from {first} leave [0, 2**32)")
+    return seed, prefix, first
+
+
 def keys(seed: int, *key: int, count: int) -> np.ndarray:
     """Philox keys, shape (count, 2), of the streams ``(seed, *key[:-1], key[-1] + j)``.
 
@@ -89,12 +104,7 @@ def keys(seed: int, *key: int, count: int) -> np.ndarray:
     for step, with the last key word an array over the range. With a spawn
     key, numpy pads a 64-bit seed to the pool as ``(low, high, 0, 0)``.
     """
-    if not key:
-        raise ConfigurationError("a stream needs at least one key word (its domain)")
-    seed = integer(seed, 0, "seed", 2**64 - 1)
-    *prefix, first = (integer(w, 0, "key word", _MASK32) for w in key)
-    if not 0 <= count <= MAX_STREAMS - first:
-        raise ConfigurationError(f"{count} key words from {first} leave [0, 2**32)")
+    seed, prefix, first = _key_range(seed, key, count)
     hashmix = _hasher(_INIT_A, _MULT_A)
     pool = [hashmix(w) for w in (seed & _MASK32, seed >> 32, 0, 0)]
     for src in range(_POOL_SIZE):
@@ -116,11 +126,25 @@ def stream(seed: int, *key: int) -> np.random.Generator:
 
 def streams(seed: int, *key: int, count: int):
     """Yield one ``stream`` generator reset to the start of each stream
-    ``(seed, *key[:-1], key[-1] + j)``, j < ``count``, in turn."""
+    ``(seed, *key[:-1], key[-1] + j)``, j < ``count``, in turn.
+
+    The whole range is checked at the call; its keys are derived
+    ``_KEY_BLOCK`` at a time as the streams are asked for, so memory does
+    not grow with ``count``.
+    """
+    return _reset_each(*_key_range(seed, key, count), count)
+
+
+def _reset_each(seed: int, prefix: list[int], first: int, count: int):
+    """The generator behind ``streams``, over a range ``_key_range`` has checked."""
     zeros = (0, 0, 0, 0)  # Philox's counter and buffer after a reset
-    gen = stream(seed, *key)
-    for k in keys(seed, *key, count=count):
-        gen.bit_generator.state = {"bit_generator": "Philox",
-                                   "state": {"counter": zeros, "key": k}, "buffer": zeros,
-                                   "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-        yield gen
+    gen = stream(seed, *prefix, first)
+    end = first + count
+    while first < end:
+        stop = min(end, first - first % _KEY_BLOCK + _KEY_BLOCK)  # blocks end on multiples
+        for k in keys(seed, *prefix, first, count=stop - first):
+            gen.bit_generator.state = {"bit_generator": "Philox",
+                                       "state": {"counter": zeros, "key": k}, "buffer": zeros,
+                                       "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+            yield gen
+        first = stop

@@ -21,7 +21,7 @@ from mlmc_mvsde import (
 )
 from mlmc_mvsde.em_engine import (DIVERGENCE_LIMIT, MAX_NOISE_FLOATS, MAX_STEPS, advance,
                                   check_nested_steps, step_count)
-from mlmc_mvsde.model import ModelSpec, drift_eval
+from mlmc_mvsde.model import ModelSpec
 
 from helpers import OU, builtin_args, euler_mean, ou
 
@@ -66,6 +66,9 @@ def test_em_step_shape_errors():
     cloud = ParticleCloud.at([1.0], 4)
     with pytest.raises(ShapeError):
         em_step(model, cloud, 0.1, np.zeros((3, 1)))
+    # a 1-D block is refused like any other wrong shape, not promoted to (M, 1)
+    with pytest.raises(ShapeError, match=r"gaussians have shape \(4,\), expected \(4, 1\)"):
+        em_step(model, cloud, 0.1, np.zeros(4))
 
 
 @pytest.mark.parametrize("name", ["meanfield_ou", "kuramoto", "measure_diffusion"])
@@ -227,11 +230,12 @@ def test_ode_limit_examples():
 
 
 def reference_ode_limit(model, h):
-    """The zero-noise Euler loop written out: z <- z + h f(z, delta_z)."""
+    """The zero-noise Euler loop written out: z <- z + h f(z, delta_z), with
+    the model's own drift callable at the one-particle system z."""
     z = np.array(model.x0, dtype=float)
     out = [z]
     for n in range(step_count(model.horizon, h)):
-        z = z + h * drift_eval(model, z, ParticleCloud.at(z, 1))
+        z = z + h * model.drift(z[None], z[None])[0]
         if not np.all(np.isfinite(z)) or np.max(np.abs(z)) > DIVERGENCE_LIMIT:
             raise DivergenceError("iterate left the finite trust region", step_index=n)
         out.append(z)

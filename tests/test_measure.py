@@ -16,7 +16,7 @@ from mlmc_mvsde import (
     w2_to_dirac,
     wasserstein2,
 )
-from mlmc_mvsde.measure import sorted_mean
+from mlmc_mvsde.measure import particle_mean, sorted_mean
 
 
 def brute_force_w2_1d(xs, ys):
@@ -165,3 +165,12 @@ def test_sorted_mean_rejects_an_out_of_range_axis(shape):
             reference_sorted_mean(arr, axis=axis)
         with pytest.raises(IndexError):
             sorted_mean(arr, axis=axis)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (5, 3), (2, 5, 3), (4, 2, 5, 1)])
+def test_particle_mean_keeps_a_unit_particle_axis(shape):
+    # one system's (M, d) values give (1, d), a (K, M, d) stack (K, 1, d)
+    values = np.random.default_rng(3).normal(size=shape)
+    got = particle_mean(values)
+    assert got.shape == shape[:-2] + (1, shape[-1])
+    assert np.array_equal(got[..., 0, :], sorted_mean(values, axis=-2))

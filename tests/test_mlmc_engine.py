@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from mlmc_mvsde import (
     simulate_level_pair,
     simulate_path,
 )
+from mlmc_mvsde import mlmc_engine
 from mlmc_mvsde.em_engine import MAX_STEPS
 from mlmc_mvsde.mlmc_engine import _coupled_pairs, coupled_coarse_interval, cost_per_sample
 from mlmc_mvsde.measure import sorted_mean
@@ -323,6 +325,33 @@ def test_cost_compare_refuses_a_variance_pilot_past_max_steps():
     # its plain-MC variance pilot walks N^4 steps: 65^4 > MAX_STEPS >= 64^4
     with pytest.raises(ConfigurationError, match="refinement_n 65"):
         cost_compare(ou(0.25), IDENT, [4e-3], [0.1], 65, 2)
+
+
+def exact_mc_steps(mse, h_cal, delta, eps, horizon):
+    """ceil(T / h*) in 60 digits, h* the positive root of C h^2 + C eps^2 h =
+    delta^2 / 2 with C = mse / (h_cal^2 + h_cal eps^2), from the exact floats."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        mse, h_cal, delta, eps, horizon = map(Decimal, (mse, h_cal, delta, eps, horizon))
+        q = 2 * delta**2 * (h_cal**2 + h_cal * eps**2) / mse
+        ratio = horizon * 2 * (eps**2 + (eps**4 + q).sqrt()) / q
+        return math.ceil(ratio), ratio % 1
+
+
+def test_cost_compare_comparator_step_does_not_cancel(monkeypatch):
+    def mc_steps(mse):
+        monkeypatch.setattr(mlmc_engine, "strong_error_curve",
+                            lambda model, h_list, *args, **kwargs: [(h_list[0], mse)])
+        row, = cost_compare(ou(0.25), IDENT, [0.1], [1.0], 2, 2, pilot_samples=2, max_level=2)
+        return row.mc_steps
+
+    # q = 2 delta^2 / C near 1e-12 eps^4 at N = 2 (h_cal = 1/8), where
+    # (sqrt(eps^4 + q) - eps^2) / 2 kept 4 digits and gave 4693694244264 steps
+    want, frac = exact_mc_steps(3.3e9, 1 / 8, 0.1, 1.0, 1.0)
+    assert 0.1 < frac < 0.9  # far from a tie that rounding could flip
+    assert mc_steps(3.3e9) == want == 4693333333335
+    # q overflows to inf: h* is the horizon, one step
+    assert mc_steps(1.40625e-311) == 1
 
 
 def test_cost_compare_monotone_in_epsilon():

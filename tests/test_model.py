@@ -11,12 +11,12 @@ from mlmc_mvsde import (
     ShapeError,
     builtin_model,
     builtin_test_function,
-    diffusion_eval,
-    drift_eval,
+    coefficients,
+    em_step,
     moment_w2,
     wasserstein2,
 )
-from mlmc_mvsde.model import coefficients
+from mlmc_mvsde.model import ModelSpec
 
 BASE = {"x0": 1.0, "T": 1.0, "epsilon": 0.1}
 
@@ -31,18 +31,28 @@ def all_builtins():
     ]
 
 
-def test_drift_eval_examples():
+def drift_at(model, x, mu):
+    """The model's own drift callable at the one (d,) state x against the cloud mu."""
+    return model.drift(x[None], mu.positions)[0]
+
+
+def diffusion_at(model, x, mu):
+    """The model's own diffusion callable at the one (d,) state x against the cloud mu."""
+    return model.diffusion(x[None], mu.positions)[0]
+
+
+def test_drift_examples():
     zero = builtin_model("zero", BASE)
     mu = ParticleCloud([0.3, -0.7])
-    assert np.array_equal(drift_eval(zero, np.array([2.0]), mu), [0.0])
+    assert np.array_equal(drift_at(zero, np.array([2.0]), mu), [0.0])
 
     ou = builtin_model("meanfield_ou", {**BASE, "a": 1.0, "b": 0.5, "sigma": 1.0})
     at_two = ParticleCloud.at([2.0], 8)
-    assert drift_eval(ou, np.array([2.0]), at_two) == pytest.approx([-2.0], abs=1e-15)
+    assert drift_at(ou, np.array([2.0]), at_two) == pytest.approx([-2.0], abs=1e-15)
 
     kura = builtin_model("kuramoto", BASE)
     mu = ParticleCloud([0.0, math.pi / 2])
-    assert drift_eval(kura, np.array([0.0]), mu) == pytest.approx([0.5], abs=1e-15)
+    assert drift_at(kura, np.array([0.0]), mu) == pytest.approx([0.5], abs=1e-15)
 
 
 def kuramoto_pairwise(kappa, x, pos):
@@ -59,7 +69,7 @@ def test_kuramoto_drift_matches_pairwise_sum():
             x = rng.uniform(-4.0, 4.0, size=(33, d))
             want = kuramoto_pairwise(1.7, x, pos)
             assert np.allclose(kura.drift(x, pos), want, rtol=0.0, atol=1e-12)
-            assert np.allclose(drift_eval(kura, x[0], ParticleCloud(pos)), want[0],
+            assert np.allclose(drift_at(kura, x[0], ParticleCloud(pos)), want[0],
                                rtol=0.0, atol=1e-12)
 
 
@@ -72,48 +82,51 @@ def test_kuramoto_drift_is_permutation_invariant():
     assert np.array_equal(kura.drift(x, pos), kura.drift(x, shuffled))
 
 
-def test_diffusion_eval_examples():
+def test_diffusion_examples():
     const = builtin_model("constant_drift", {**BASE, "c": 1.0, "sigma": 0.7})
     mu = ParticleCloud([0.0, 1.0])
-    assert np.allclose(diffusion_eval(const, np.array([5.0]), mu), [[0.7]])
+    assert np.allclose(diffusion_at(const, np.array([5.0]), mu), [[0.7]])
 
     md = builtin_model("measure_diffusion", {**BASE, "sigma": 1.0})
-    assert np.allclose(diffusion_eval(md, np.array([9.0]), ParticleCloud([1.0, 3.0])), [[3.0]])
+    assert np.allclose(diffusion_at(md, np.array([9.0]), ParticleCloud([1.0, 3.0])), [[3.0]])
 
     zero = builtin_model("zero", BASE)
-    assert np.array_equal(diffusion_eval(zero, np.array([1.0]), mu), [[0.0]])
+    assert np.array_equal(diffusion_at(zero, np.array([1.0]), mu), [[0.0]])
 
 
-def test_eval_shape_and_numeric_errors():
+def test_coefficients_refuse_a_wrong_state_or_output_shape():
     ou = builtin_model("meanfield_ou", {**BASE, "a": 1.0, "b": 0.5, "sigma": 1.0})
-    with pytest.raises(ShapeError):
-        drift_eval(ou, np.array([1.0, 2.0]), ParticleCloud([0.0]))
-    with pytest.raises(ShapeError):
-        drift_eval(ou, np.array([1.0]), ParticleCloud(np.zeros((3, 2))))
+    for states in (np.zeros((3, 2)), np.zeros(3)):
+        with pytest.raises(ShapeError, match=r"states have shape .*, expected \(\.\.\., M, 1\)"):
+            coefficients(ou, states)
 
-    from mlmc_mvsde.model import ModelSpec
+    def custom(drift, diffusion):
+        return ModelSpec(d=1, d_bar=1, drift=drift, diffusion=diffusion, epsilon=0.1,
+                         x0=np.array([0.0]), horizon=1.0, lipschitz_K=0.0, growth_beta=2.0)
 
-    bad = ModelSpec(
-        d=1, d_bar=1,
-        drift=lambda x, mu: np.array([float("nan")]),
-        diffusion=lambda x, mu: np.zeros((1, 1)),
-        epsilon=0.1, x0=np.array([0.0]), horizon=1.0,
-        lipschitz_K=0.0, growth_beta=2.0,
-    )
-    with pytest.raises(NumericError) as err:
-        drift_eval(bad, np.array([0.0]), ParticleCloud([0.0]))
-    assert "component" in str(err.value)
+    good_f = lambda x, mu: np.zeros_like(x)
+    good_g = lambda x, mu: np.zeros(x.shape[:-1] + (1, 1))
+    x = np.zeros((3, 1))
+    with pytest.raises(ShapeError, match=r"drift returned shape \(1,\), expected \(3, 1\)"):
+        coefficients(custom(lambda x, mu: np.array([0.0]), good_g), x)
+    with pytest.raises(ShapeError, match=r"diffusion returned shape \(3, 1\), expected"):
+        coefficients(custom(good_f, lambda x, mu: np.zeros((3, 1))), x)
+    with pytest.raises(ShapeError, match=r"diffusion returned shape \(1, 1\), expected"):
+        coefficients(custom(good_f, lambda x, mu: np.zeros((1, 1))), x[None])
+    with pytest.raises(NumericError, match="drift produced a non-finite value at component"):
+        em_step(custom(lambda x, mu: np.full(x.shape, np.nan), good_g), ParticleCloud([0.0]),
+                0.1, np.zeros((1, 1)))
 
 
 def test_builtin_model_examples():
     zero = builtin_model("zero", BASE)
     mu = ParticleCloud([1.0, -1.0])
-    assert np.array_equal(drift_eval(zero, np.array([3.0]), mu), [0.0])
-    assert np.array_equal(diffusion_eval(zero, np.array([3.0]), mu), [[0.0]])
+    assert np.array_equal(drift_at(zero, np.array([3.0]), mu), [0.0])
+    assert np.array_equal(diffusion_at(zero, np.array([3.0]), mu), [[0.0]])
 
     const = builtin_model("constant_drift", {"c": 2.0, "x0": 0.0, "T": 1.0, "epsilon": 0.5})
-    assert np.array_equal(drift_eval(const, np.array([9.0]), mu), [2.0])
-    assert np.array_equal(diffusion_eval(const, np.array([9.0]), mu), [[1.0]])
+    assert np.array_equal(drift_at(const, np.array([9.0]), mu), [2.0])
+    assert np.array_equal(diffusion_at(const, np.array([9.0]), mu), [[1.0]])
 
     ou = builtin_model("meanfield_ou", {"a": 1.0, "b": 0.5, "sigma": 1.0,
                                         "x0": 1.0, "T": 1.0, "epsilon": 0.25})
@@ -149,13 +162,13 @@ def test_unicode_parameter_aliases():
                                         "x0": 1.0, "T": 1.0, "epsilon": 0.25})
     mu = ParticleCloud([0.5, 1.5])
     x = np.array([0.3])
-    assert np.array_equal(diffusion_eval(m1, x, mu), diffusion_eval(m2, x, mu))
+    assert np.array_equal(diffusion_at(m1, x, mu), diffusion_at(m2, x, mu))
     assert m1.epsilon == m2.epsilon
     assert builtin_model("meanfield_ou", {"a": 1.0, "b": 0.5, "x0": 1.0, "T": 1.0,
                                           "eps": 0.25}).epsilon == m1.epsilon
     k1 = builtin_model("kuramoto", {"κ": 1.7, "x0": 1.0, "T": 1.0, "ε": 0.25})
     k2 = builtin_model("kuramoto", {"kappa": 1.7, "x0": 1.0, "T": 1.0, "epsilon": 0.25})
-    assert np.array_equal(drift_eval(k1, x, mu), drift_eval(k2, x, mu))
+    assert np.array_equal(drift_at(k1, x, mu), drift_at(k2, x, mu))
     # one parameter under two spellings is refused, whether or not they agree
     for key, twice in (("epsilon", {"epsilon": 0.25, "eps": 0.25}),
                        ("sigma", {"sigma": 2.0, "σ": 1.0})):
@@ -230,9 +243,9 @@ def test_coefficient_purity():
     rng = np.random.default_rng(2)
     x = rng.normal(size=1)
     mu = ParticleCloud(rng.normal(size=12))
-    first = drift_eval(ou, x, mu)
+    first = drift_at(ou, x, mu)
     for _ in range(5):
-        assert np.array_equal(drift_eval(ou, x, mu), first)
+        assert np.array_equal(drift_at(ou, x, mu), first)
 
 
 def test_vectorized_matches_pointwise():
@@ -244,8 +257,8 @@ def test_vectorized_matches_pointwise():
         f_stack = model.drift(stack, pos)
         g_stack = model.diffusion(stack, pos)
         for i in range(10):
-            assert np.array_equal(np.asarray(f_stack)[i], drift_eval(model, stack[i], mu))
-            assert np.array_equal(np.asarray(g_stack)[i], diffusion_eval(model, stack[i], mu))
+            assert np.array_equal(np.asarray(f_stack)[i], drift_at(model, stack[i], mu))
+            assert np.array_equal(np.asarray(g_stack)[i], diffusion_at(model, stack[i], mu))
 
 
 def _sample_pair(rng, d, max_m=64):
@@ -263,8 +276,8 @@ def test_declared_lipschitz_constant_holds_on_samples():
     for model in all_builtins():
         for _ in range(1000):
             x, y, mu, nu = _sample_pair(rng, model.d)
-            df = drift_eval(model, x, mu) - drift_eval(model, y, nu)
-            dg = diffusion_eval(model, x, mu) - diffusion_eval(model, y, nu)
+            df = drift_at(model, x, mu) - drift_at(model, y, nu)
+            dg = diffusion_at(model, x, mu) - diffusion_at(model, y, nu)
             gap = max(float(np.sum(df**2)), float(np.sum(dg**2)))
             bound = model.lipschitz_K * (
                 float(np.sum((x - y) ** 2)) + wasserstein2(mu, nu) ** 2
@@ -278,8 +291,8 @@ def test_declared_growth_constant_holds_on_samples():
     for model in all_builtins():
         for _ in range(1000):
             x, _, mu, _ = _sample_pair(rng, model.d)
-            f = drift_eval(model, x, mu)
-            g = diffusion_eval(model, x, mu)
+            f = drift_at(model, x, mu)
+            g = diffusion_at(model, x, mu)
             envelope = model.growth_beta * (1 + float(np.sum(x**2)) + moment_w2(mu) ** 2)
             assert float(np.sum(f**2)) <= slack * envelope
             assert float(np.sum(g**2)) <= slack * envelope

@@ -1,10 +1,28 @@
-"""The package's public names: every export resolves, once; and no module
-imports a name it does not use."""
+"""The package's public names: the exported set is the one listed here, every
+export resolves, once; and no module imports a name it does not use."""
 
 import ast
 from pathlib import Path
 
 import mlmc_mvsde
+
+#: the public API; adding or removing a name is a change to this set
+EXPORTS = {
+    "CapabilityError", "ConfigurationError", "DegeneracyError", "DivergenceError", "DomainError",
+    "NumericError", "ShapeError",
+    "ParticleCloud", "moment_w2", "w2_to_dirac", "wasserstein2",
+    "ModelSpec", "TestFunction", "builtin_model", "builtin_test_function", "coefficients",
+    "PathRecord", "em_step", "simulate_path", "ode_limit", "strong_error_curve",
+    "small_noise_curve",
+    "LevelConfig", "LevelStatistics", "MlmcReport", "simulate_level_pair",
+    "coupled_variance_study", "second_moment_study", "mlmc_estimate", "cost_compare",
+    "chaos_study",
+    "RateFit", "loglog_fit",
+}
+
+
+def test_the_exported_names_are_the_listed_set():
+    assert set(mlmc_mvsde.__all__) == EXPORTS
 
 
 def test_every_exported_name_resolves():

@@ -5,13 +5,15 @@ beginning whatever was drawn before and keeps its place when another
 opens, and a seed or key word outside the key space is refused instead of
 masked onto another stream."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlmc_mvsde import ConfigurationError
-from mlmc_mvsde.rng import keys, stream, streams
+from mlmc_mvsde.rng import _KEY_BLOCK, keys, stream, streams
 
 MASK32 = 2**32 - 1
 
@@ -78,10 +80,12 @@ def test_stream_needs_a_domain():
 
 def ranges(count: int):
     """First key words of ``count`` streams: a range that starts on or straddles
-    a multiple of 256, or one that ends at the last key word."""
-    # block >= 2 keeps first >= 0, block <= 2**24 - 2 first + count <= 2**32
-    return st.one_of(st.builds(lambda block, back: 256 * block - back,
-                               st.integers(2, 2**24 - 2), st.integers(0, count - 1)),
+    a multiple of 256 or of ``streams``' key block, or one that ends at the
+    last key word."""
+    # block >= 2 keeps first >= 0, and the largest block first + count <= 2**32
+    return st.one_of(*[st.builds(lambda block, back, size=size: size * block - back,
+                                 st.integers(2, 2**32 // size - 2), st.integers(0, count - 1))
+                       for size in (256, _KEY_BLOCK)],
                      st.just(2**32 - count))
 
 
@@ -107,6 +111,17 @@ def test_streams_draw_the_seed_sequence_streams_in_turn(seed, prefix, count, dat
 
 def test_streams_of_no_count_yield_nothing():
     assert list(streams(0, 4, 2, 7, count=0)) == []
+
+
+def test_streams_memory_does_not_grow_with_count():
+    # keying the whole range before the first yield peaked at about 100 MB
+    tracemalloc.start()
+    try:
+        next(streams(0, 4, 1, 0, count=10**6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 @pytest.mark.parametrize("seed, key", [
