@@ -67,9 +67,8 @@ _TOP = {"psi": (lambda v: None if v in BUILTIN_TEST_FUNCTIONS else
                            and all(f in _FORMATS for f in v),
                            f"must be a non-empty list of {' or '.join(map(repr, _FORMATS))}"),
                     list(_FORMATS))}
-#: the config name of each preflight field outside ``grid``
-_NAMES = {"target_delta": "targets.delta", "delta_list": "targets.delta_list",
-          "epsilon_list": "targets.epsilon_list"}
+#: the engine argument of each grid or targets key named otherwise
+_RENAMED = {"delta": "target_delta"}
 #: the structural keys besides the sections, as (section, key); "" is the top level
 _KEYS = {("", "experiment"), ("", "model"), ("model", "name"), ("model", "params")}
 
@@ -102,50 +101,41 @@ def _near_expected(expected, checks, bundle) -> list[str]:
             if abs(est - expected) > tol else [])
 
 
-def _grid(preflight: Callable, args: Callable) -> Callable:
-    """The check of an experiment's fields: its engine function's own ``preflight(model,
-    *args(values))``, which checks the range and type of every field it is given and
-    the limits of the run's grid. Its first problem, as the run meets it, reads
-    ``<section>.<key>: ...``, with the config name of the preflight's ``field``."""
-    def check(v, checks, model) -> list[str]:
-        try:
-            preflight(model, *args(v))
-        except ConfigurationError as err:
-            return [f"{_NAMES.get(err.field, f'grid.{err.field}')}: {err}"]
-        return []
-    return check
+def _tolerance(bound, checks) -> list[str]:
+    """``tolerance`` is a bound of at least 0 and needs ``expected``."""
+    problems = [] if "expected" in checks else ["assertions.tolerance needs assertions.expected"]
+    return problems + ([] if bound >= 0 else ["assertions.tolerance must be >= 0"])
 
 
-def _levels(v) -> range:
-    """The levels lo to hi of a ``[lo, hi]`` pair of integers."""
-    pair = v["levels"]
-    if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_int, pair))):
-        raise ConfigurationError(f"levels must be [lo, hi], two integers, got {pair!r}", "levels")
+#: the rule of an assertion value beyond being a number, by assertion key
+_VALUE_RULES = {"tolerance": _tolerance}
+
+
+def _levels(pair) -> range:
+    """The levels lo to hi of a ``[lo, hi]`` pair of integers with lo <= hi; a
+    range, so that a preflight reads it level by level and never builds it."""
+    if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_int, pair))
+            and pair[0] <= pair[1]):
+        raise ConfigurationError(
+            f"levels must be [lo, hi], two integers with lo <= hi, got {pair!r}", "levels")
     return range(pair[0], pair[1] + 1)
 
 
-#: the preflight of both coupled-level studies; it reads the range level by level
-_LEVEL_GRID = _grid(level_study_grid, lambda v: (_levels(v), v["refinement_n"], v["m_particles"],
-                                                 v["replications"]))
-_MLMC_GRID = _grid(mlmc_grid, lambda v: (v["delta"], v["refinement_n"], v["m_particles"],
-                                         v["pilot_samples"], v["max_level"]))
-
-
-def _mlmc_rules(v, checks, model) -> list[str]:
-    """The estimator's preflight; then ``tolerance`` is a bound of at least 0 and
-    needs ``expected``."""
-    if (problems := _MLMC_GRID(v, checks, model)) or "tolerance" not in checks:
-        return problems
-    problems = [] if "expected" in checks else ["assertions.tolerance needs assertions.expected"]
-    return problems + ([] if checks["tolerance"] >= 0 else ["assertions.tolerance must be >= 0"])
+def _args(exp: str, values: dict) -> dict:
+    """The keyword arguments of ``exp``'s preflight and engine function: its
+    grid and targets fields by key, with ``levels`` as a range and ``delta``
+    as ``target_delta``."""
+    keys = [name.rpartition(".")[2] for name in EXPERIMENTS[exp].fields]
+    args = {_RENAMED.get(key, key): values[key] for key in keys}
+    if "levels" in args:
+        args["levels"] = _levels(args["levels"])
+    return args
 
 
 def _safe_fit(name: str, points: list[tuple[float, float]]) -> list[dict]:
     """The log-log fit of the points with both coordinates positive, or no
     fit when fewer than two remain or the fit is degenerate."""
     points = [(x, y) for x, y in points if x > 0 and y > 0]
-    if len(points) < 2:
-        return []
     try:
         fit = loglog_fit(points)
     except (ValueError, ArithmeticError):
@@ -154,18 +144,16 @@ def _safe_fit(name: str, points: list[tuple[float, float]]) -> list[dict]:
              "r_squared": fit.r_squared, "points": [[float(x), float(y)] for x, y in points]}]
 
 
-def _coupled_variance(model, test_fn, v, seed):
-    rows = coupled_variance_study(model, list(_levels(v)), v["refinement_n"], v["m_particles"],
-                                  v["replications"], test_fn, seed)
+def _coupled_variance(model, test_fn, args, seed):
+    rows = coupled_variance_study(model, **args, test_fn=test_fn, seed=seed)
     return ([{**asdict(r), "ci_lo": r.var_diff - r.ci_halfwidth,
               "ci_hi": r.var_diff + r.ci_halfwidth} for r in rows],
             _safe_fit("var_diff_vs_h_coarse", [(r.h_coarse, r.var_diff) for r in rows]),
             [], {"max_var_diff": max(r.var_diff for r in rows)})
 
 
-def _second_moment(model, test_fn, v, seed):
-    rows = second_moment_study(model, list(_levels(v)), v["refinement_n"], v["m_particles"],
-                               v["replications"], seed)
+def _second_moment(model, test_fn, args, seed):
+    rows = second_moment_study(model, **args, seed=seed)
     moments = [r.second_moment for r in rows]
     ratios = [float(np.log2(a / b)) for a, b in zip(moments, moments[1:]) if a > 0 and b > 0]
     return (list(map(asdict, rows)),
@@ -173,103 +161,91 @@ def _second_moment(model, test_fn, v, seed):
             [], {"log2_ratios": ratios})
 
 
-def _strong_error(model, test_fn, v, seed):
-    curve = strong_error_curve(model, v["h_list"], v["m_particles"], v["replications"], seed,
-                               v["ref_factor"], test_fn)
-    return ([{"h": h, "mse": mse, "replications": v["replications"]} for h, mse in curve],
+def _strong_error(model, test_fn, args, seed):
+    curve = strong_error_curve(model, **args, seed=seed, test_fn=test_fn)
+    return ([{"h": h, "mse": mse, "replications": args["replications"]} for h, mse in curve],
             _safe_fit("mse_vs_h", curve), [], {})
 
 
-def _mlmc(model, test_fn, v, seed):
-    report = mlmc_estimate(model, test_fn, v["delta"], v["refinement_n"], v["m_particles"],
-                           v["pilot_samples"], v["max_level"], seed)
+def _mlmc(model, test_fn, args, seed):
+    report = mlmc_estimate(model, test_fn, **args, seed=seed)
     return (list(map(asdict, report.per_level)), [], list(report.flags),
             {"estimate": report.estimate, "total_cost": report.total_cost,
              "target_delta": report.target_delta, "allocation": report.allocation})
 
 
-def _cost_compare(model, test_fn, v, seed):
-    rows = cost_compare(model, test_fn, v["delta_list"], v["epsilon_list"], v["refinement_n"],
-                        v["m_particles"], v["pilot_samples"], v["max_level"], seed)
+def _cost_compare(model, test_fn, args, seed):
+    rows = cost_compare(model, test_fn, **args, seed=seed)
     fits = []
-    for eps in v["epsilon_list"]:
+    for eps in args["epsilon_list"]:
         fits += _safe_fit(f"mlmc_cost_vs_delta_eps_{eps}",
                           [(r.delta, float(r.mlmc_cost)) for r in rows if r.epsilon == eps])
     return list(map(asdict, rows)), fits, [], {}
 
 
-def _chaos(model, test_fn, v, seed):
-    rows = chaos_study(model, v["m_list"], v["reference_m"], v["replications"], seed, test_fn,
-                       v["steps"], v["pathwise"])
+def _chaos(model, test_fn, args, seed):
+    rows = chaos_study(model, **args, seed=seed, test_fn=test_fn)
     return (list(map(asdict, rows)),
             _safe_fit("mse_vs_m", [(float(r.m_particles), r.mse_vs_reference) for r in rows]),
             [], {})
 
 
-def _small_noise(model, test_fn, v, seed):
-    curve = small_noise_curve(model, v["epsilon_list"], v["h"], v["m_particles"],
-                              v["replications"], seed)
-    return ([{"epsilon": eps, "mean_sup_sq": dev, "replications": v["replications"]}
+def _small_noise(model, test_fn, args, seed):
+    curve = small_noise_curve(model, **args, seed=seed)
+    return ([{"epsilon": eps, "mean_sup_sq": dev, "replications": args["replications"]}
              for eps, dev in curve], _safe_fit("deviation_vs_epsilon", curve), [], {})
 
 
 class Experiment(NamedTuple):
-    #: ``"section.key"`` -> default or REQUIRED; ``check`` checks the values
+    #: ``"section.key"`` -> default or REQUIRED; the grid and targets fields are
+    #: the arguments of the experiment's preflight and engine function (``_args``)
     fields: dict
     #: assertion key -> ``rule(bound, checks, bundle)``, the failures of its
     #: ``bound`` on ``bundle``; ``checks`` is the whole assertion block
     assertions: dict
     #: the CSV header: the order in which each record's cells are written
     columns: tuple[str, ...]
-    #: ``run(model, test_fn, values, seed)`` -> (records, fits, flags, summary), with
-    #: ``values`` the fields by key and each record mapping every column to its cell
+    #: ``run(model, test_fn, args, seed)`` -> (records, fits, flags, summary), with
+    #: ``args`` from ``_args`` and each record mapping every column to its cell
     run: Callable
-    #: ``check(values, checks, model)`` -> the field problems of a config whose
-    #: top-level fields, assertion values and model each passed on their own
-    check: Callable
+    #: the engine function's own preflight, ``preflight(model, **args)``: it checks
+    #: the range and type of every argument and the limits of the run's grid
+    preflight: Callable
 
 
 EXPERIMENTS = {
     "strong-error": Experiment({
         "grid.h_list": REQUIRED, "grid.ref_factor": DEFAULT_REF_FACTOR,
         "grid.m_particles": REQUIRED, "grid.replications": REQUIRED}, _FIT,
-        ("h", "mse", "replications"), _strong_error,
-        _grid(strong_error_grid,
-              lambda v: (v["h_list"], v["m_particles"], v["replications"], v["ref_factor"]))),
+        ("h", "mse", "replications"), _strong_error, strong_error_grid),
     "coupled-variance": Experiment(
         _LEVEL_STUDY,
         {**_FIT, **_bounds(lambda b: [("max var_diff", b.summary["max_var_diff"])],
                            "max_var_diff")},
         ("level", "h_coarse", "var_diff", "ci_lo", "ci_hi", "rng_cost", "samples"),
-        _coupled_variance, _LEVEL_GRID),
+        _coupled_variance, level_study_grid),
     "second-moment": Experiment(
         _LEVEL_STUDY, {**_FIT, **_bounds(lambda b: [(f"log2 ratio[{i}]", r) for i, r in
                                                     enumerate(b.summary["log2_ratios"])],
                                          "ratio_min", "ratio_max")},
         ("level", "h_coarse", "second_moment", "rng_cost", "samples"), _second_moment,
-        _LEVEL_GRID),
+        level_study_grid),
     "mlmc": Experiment(
         {**_ESTIMATOR, "targets.delta": REQUIRED},
         {"expected": _near_expected, "tolerance": _none},  # expected reads tolerance
-        ("level", "samples", "mean_diff", "var_diff", "rng_cost"), _mlmc, _mlmc_rules),
+        ("level", "samples", "mean_diff", "var_diff", "rng_cost"), _mlmc, mlmc_grid),
     "cost-compare": Experiment({
         **_ESTIMATOR, "targets.delta_list": REQUIRED, "targets.epsilon_list": REQUIRED}, _FIT,
         ("delta", "epsilon", "mc_cost", "mlmc_cost", "mc_steps", "mlmc_levels"), _cost_compare,
-        _grid(cost_compare_grid,
-              lambda v: (v["delta_list"], v["epsilon_list"], v["refinement_n"],
-                         v["m_particles"], v["pilot_samples"], v["max_level"]))),
+        cost_compare_grid),
     "chaos": Experiment({
         "grid.m_list": REQUIRED, "grid.reference_m": REQUIRED, "grid.replications": REQUIRED,
         "grid.steps": DEFAULT_CHAOS_STEPS, "grid.pathwise": False},
-        _FIT, ("m_particles", "mse_vs_reference", "replications"), _chaos,
-        _grid(chaos_grid, lambda v: (v["m_list"], v["reference_m"], v["replications"],
-                                     v["steps"], v["pathwise"]))),
+        _FIT, ("m_particles", "mse_vs_reference", "replications"), _chaos, chaos_grid),
     "small-noise-deviation": Experiment({
         "grid.h": REQUIRED, "grid.m_particles": REQUIRED, "grid.replications": REQUIRED,
         "targets.epsilon_list": REQUIRED}, _FIT,
-        ("epsilon", "mean_sup_sq", "replications"), _small_noise,
-        _grid(small_noise_grid, lambda v: (v["epsilon_list"], v["h"], v["m_particles"],
-                                           v["replications"]))),
+        ("epsilon", "mean_sup_sq", "replications"), _small_noise, small_noise_grid),
 }
 
 
@@ -358,16 +334,25 @@ def validate_config(cfg: dict) -> list[str]:
             if (section, key) not in known:
                 diags.append(f"{name} is not one of {exp}'s {section or 'top-level'} keys "
                              f"{sorted(k for s, k in known if s == section)}")
-            elif section == "assertions" and not is_number(val):
-                diags.append(f"{name} must be a number")
+            elif section == "assertions":
+                diags += (_VALUE_RULES.get(key, _none)(val, entries) if is_number(val)
+                          else [f"{name} must be a number"])
 
     for name, key, val in fields:
         if val is REQUIRED:
             diags.append(f"missing required field '{name}' for {exp}")
         elif name in _TOP and (problem := _TOP[name][0](val)):
             diags.append(f"{name} {problem}")
-    return diags or spec.check({key: val for _, key, val in fields}, sections["assertions"],
-                               model)
+    if diags:
+        return diags
+    # the preflight's first problem, as the run meets it, under the config
+    # name of the field it blames
+    try:
+        spec.preflight(model, **_args(exp, {key: val for _, key, val in fields}))
+    except ConfigurationError as err:
+        names = {_RENAMED.get(key, key): name for name, key, _ in fields}
+        return [f"{names.get(err.field, f'grid.{err.field}')}: {err}"]
+    return []
 
 
 def run_experiment(cfg: dict) -> ReportBundle:
@@ -376,7 +361,8 @@ def run_experiment(cfg: dict) -> ReportBundle:
     values = _values(cfg)
     test_fn = builtin_test_function(values["psi"])
     t0 = time.perf_counter()
-    records, fits, flags, summary = spec.run(model, test_fn, values, values["seed"])
+    records, fits, flags, summary = spec.run(model, test_fn, _args(cfg["experiment"], values),
+                                             values["seed"])
     metadata = {"experiment": cfg["experiment"], "artifact_version": __version__,
                 "seed": values["seed"], "config": cfg, "wall_time_s": time.perf_counter() - t0}
     rows = [[record[col] for col in spec.columns] for record in records]

@@ -336,7 +336,6 @@ def builtin_model(name: str, params: Mapping) -> ModelSpec:
                             K, 0.0, abs(sigma) * math.sqrt(d))
         meta["exact_mean_at_horizon"] = _derived(
             name, "x0 exp(-a T)", lambda: [x * math.exp(-a * horizon) for x in x0.tolist()])
-        meta["mean_rate"] = a
 
     elif name == "kuramoto":
         kappa, sigma = p["kappa"], p["sigma"]

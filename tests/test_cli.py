@@ -5,13 +5,14 @@ import os
 import re
 import subprocess
 import sys
+from inspect import signature
 from pathlib import Path
 
 import pytest
 
 from mlmc_mvsde import (ConfigurationError, builtin_model, chaos_study, cost_compare,
-                        coupled_variance_study, mlmc_estimate, small_noise_curve,
-                        strong_error_curve)
+                        coupled_variance_study, mlmc_estimate, second_moment_study,
+                        small_noise_curve, strong_error_curve)
 from mlmc_mvsde import cli_runner
 from mlmc_mvsde.cli_runner import (EXPERIMENTS, ReportBundle, _print_summary, main,
                                    load_config, validate_config)
@@ -317,6 +318,8 @@ def test_validate_config_catches_model_param_errors():
 TYPED_BASES = {
     "coupled-variance": {"grid": {"refinement_n": 2, "levels": [1, 1], "m_particles": 2,
                                   "replications": 2}},
+    "second-moment": {"grid": {"refinement_n": 2, "levels": [1, 1], "m_particles": 2,
+                               "replications": 2}},
     "mlmc": {"grid": {"refinement_n": 2, "m_particles": 2, "pilot_samples": 2, "max_level": 2},
              "targets": {"delta": 0.5}},
     "strong-error": {"grid": {"h_list": [0.5], "ref_factor": 2, "m_particles": 2,
@@ -350,6 +353,22 @@ def typed_config(exp: str, out_dir: str) -> dict:
 def test_typed_bases_run(tmp_path, exp):
     path = write_config(tmp_path, "ok.json", typed_config(exp, str(tmp_path / "out")))
     assert main(["run", str(path)]) == 0
+
+
+#: the engine function each experiment's run calls
+ENGINES = {"strong-error": strong_error_curve, "coupled-variance": coupled_variance_study,
+           "second-moment": second_moment_study, "mlmc": mlmc_estimate,
+           "cost-compare": cost_compare, "chaos": chaos_study,
+           "small-noise-deviation": small_noise_curve}
+
+
+@pytest.mark.parametrize("exp", sorted(EXPERIMENTS))
+def test_every_field_binds_to_an_argument_of_the_preflight_and_the_engine(tmp_path, exp):
+    # a field added without its argument, or an argument renamed, fails here
+    cfg = typed_config(exp, str(tmp_path / "out"))
+    args = set(cli_runner._args(exp, cli_runner._values(cfg)))
+    assert args == set(signature(EXPERIMENTS[exp].preflight).parameters) - {"model"}
+    assert args <= set(signature(ENGINES[exp]).parameters)
 
 
 @pytest.mark.parametrize("value", [2.5, "8", True])
@@ -447,6 +466,8 @@ REJECTED = [
     ("chaos", "grid", "reference_m", 10**9),
     # the library's preflights own these ranges now; targets.* names come from them too
     *[("coupled-variance", "grid", "levels", levels) for levels in ([1], [2, 1], [0, 1])],
+    # a span of 10**18 levels, refused at the first level past MAX_STEPS, never built
+    ("coupled-variance", "grid", "levels", [1, 10**18]),
     ("mlmc", "targets", "delta", 0),
     ("mlmc", "grid", "m_particles", 0),
     ("cost-compare", "targets", "delta_list", []),
@@ -460,6 +481,15 @@ def test_validate_and_run_reject_the_same_config(tmp_path, capsys, exp, section,
     cfg = typed_config(exp, str(tmp_path / "out"))
     (cfg.setdefault(section, {}) if section else cfg)[key] = value
     assert_rejected(tmp_path, capsys, cfg, f"{section}.{key}" if section else key)
+
+
+@pytest.mark.parametrize("levels", [[2, 1], [3, 1]], ids=str)
+def test_a_reversed_level_pair_is_reported_as_written(tmp_path, capsys, levels):
+    # validate reported the empty range(3, 2) it had made of [3, 1]
+    cfg = typed_config("coupled-variance", str(tmp_path / "out"))
+    cfg["grid"]["levels"] = levels
+    assert_rejected(tmp_path, capsys, cfg, "grid.levels: levels must be [lo, hi], two integers "
+                    f"with lo <= hi, got {levels}")
 
 
 #: (experiment, grid key, value) past one limit of the experiment's grid
@@ -580,14 +610,14 @@ def test_validate_and_run_refuse_a_start_outside_the_trust_region(tmp_path, caps
 
 def assert_rejected(tmp_path, capsys, cfg, *names):
     """``validate`` and ``run`` both exit 2 on ``cfg`` with a message holding
-    every one of ``names``, and nothing is written."""
+    every one of ``names`` and no Python ``range``, and nothing is written."""
     path = write_config(tmp_path, "bad.json", cfg)
     assert main(["validate", str(path)]) == 2
     out = capsys.readouterr().out
-    assert all(name in out for name in names), out
+    assert all(name in out for name in names) and "range(" not in out, out
     assert main(["run", str(path)]) == 2
     err = capsys.readouterr().err
-    assert all(name in err for name in names), err
+    assert all(name in err for name in names) and "range(" not in err, err
     assert not (tmp_path / "out").exists()
 
 

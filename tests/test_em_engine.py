@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -252,6 +253,17 @@ def test_ode_limit_equals_the_zero_noise_euler_loop(args, horizon, steps):
     z = ode_limit(model, h)
     assert z.shape == (steps + 1, model.d)
     assert z.tobytes() == reference_ode_limit(model, h).tobytes()
+
+
+def test_ode_limit_holds_only_its_output():
+    # it held a (steps, 1, d_bar) zero block and every step's row before stacking
+    tracemalloc.start()
+    try:
+        z = ode_limit(ou(0.1), 2.0**-16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * z.nbytes, (peak, z.nbytes)
 
 
 def test_ode_limit_divergence_carries_the_step_index():
