@@ -3,8 +3,8 @@
 One JSON document describes one experiment; ``run`` executes it and writes
 ``<output_dir>/<experiment>.csv`` and/or ``.json``, ``validate`` reports
 schema and cross-field problems without simulating. Exit codes: 0 success,
-2 validation error or an output that cannot be written, 3 divergence or a
-non-finite coefficient, 4 failed assertion under ``--assert``.
+2 validation error or an output that cannot be written, 3 a failed step
+(``DivergenceError``), 4 failed assertion under ``--assert``.
 Float cells are serialized with 17 significant digits so identical runs
 produce byte-identical tables; the only volatile field (wall time) lives in
 the JSON metadata block.
@@ -23,9 +23,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .errors import ConfigurationError, DivergenceError, NumericError
-from .model import (BUILTIN_MODELS, BUILTIN_TEST_FUNCTIONS, REQUIRED, builtin_model,
-                    builtin_test_function, is_number)
+from .errors import ConfigurationError, DivergenceError
+from .model import REQUIRED, builtin_model, builtin_test_function, is_number
 from .em_engine import (DEFAULT_REF_FACTOR, small_noise_curve, small_noise_grid,
                         strong_error_curve, strong_error_grid)
 from .mlmc_engine import (DEFAULT_CHAOS_STEPS, DEFAULT_MAX_LEVEL, DEFAULT_PILOT_SAMPLES,
@@ -58,9 +57,7 @@ _ESTIMATOR = {"grid.refinement_n": REQUIRED, "grid.m_particles": REQUIRED,
 _FORMATS = ("csv", "json")
 #: the top-level fields every experiment shares, as (check, default); they are
 #: no engine function's arguments, so no preflight checks them
-_TOP = {"psi": (lambda v: None if v in BUILTIN_TEST_FUNCTIONS else
-                f"must be one of {BUILTIN_TEST_FUNCTIONS}, got {v!r}", "identity"),
-        "seed": (_check(lambda v: _is_int(v) and 0 <= v < 2**64,
+_TOP = {"seed": (_check(lambda v: _is_int(v) and 0 <= v < 2**64,
                         "must be an integer in [0, 2**64)"), REQUIRED),
         "output_dir": (_check(lambda v: isinstance(v, str), "must be a string"), "."),
         "formats": (_check(lambda v: isinstance(v, list) and bool(v)
@@ -211,6 +208,8 @@ class Experiment(NamedTuple):
     #: the engine function's own preflight, ``preflight(model, **args)``: it checks
     #: the range and type of every argument and the limits of the run's grid
     preflight: Callable
+    #: whether the engine function takes a test function, the top-level field ``psi``
+    psi: bool = True
 
 
 EXPERIMENTS = {
@@ -229,7 +228,7 @@ EXPERIMENTS = {
                                                     enumerate(b.summary["log2_ratios"])],
                                          "ratio_min", "ratio_max")},
         ("level", "h_coarse", "second_moment", "rng_cost", "samples"), _second_moment,
-        level_study_grid),
+        level_study_grid, psi=False),
     "mlmc": Experiment(
         {**_ESTIMATOR, "targets.delta": REQUIRED},
         {"expected": _near_expected, "tolerance": _none},  # expected reads tolerance
@@ -245,7 +244,7 @@ EXPERIMENTS = {
     "small-noise-deviation": Experiment({
         "grid.h": REQUIRED, "grid.m_particles": REQUIRED, "grid.replications": REQUIRED,
         "targets.epsilon_list": REQUIRED}, _FIT,
-        ("epsilon", "mean_sup_sq", "replications"), _small_noise, small_noise_grid),
+        ("epsilon", "mean_sup_sq", "replications"), _small_noise, small_noise_grid, psi=False),
 }
 
 
@@ -286,7 +285,8 @@ def _fields(exp: str, cfg: dict):
     """Yield (name, key, value) for each top-level field and each field of
     ``exp``; the value is the table's default where the config leaves it out."""
     top = {name: default for name, (_, default) in _TOP.items()}
-    for name, default in {**top, **EXPERIMENTS[exp].fields}.items():
+    psi = {"psi": "identity"} if EXPERIMENTS[exp].psi else {}
+    for name, default in {**psi, **top, **EXPERIMENTS[exp].fields}.items():
         section, _, key = name.rpartition(".")
         part = cfg.get(section) if section else cfg
         yield name, key, (part if isinstance(part, dict) else {}).get(key, default)
@@ -308,13 +308,11 @@ def validate_config(cfg: dict) -> list[str]:
     model_cfg = cfg["model"] if isinstance(cfg.get("model"), dict) else {}
     if not isinstance(model_cfg.get("params"), dict):
         diags.append("model must be an object with 'name' and 'params'")
-    elif model_cfg.get("name") not in BUILTIN_MODELS:
-        diags.append(f"model.name must be one of {BUILTIN_MODELS}, got {model_cfg.get('name')!r}")
     else:
         try:
-            model = builtin_model(model_cfg["name"], model_cfg["params"])
+            model = builtin_model(model_cfg.get("name"), model_cfg["params"])
         except (ValueError, TypeError, ArithmeticError) as err:
-            diags.append(f"model.params: {err}")
+            diags.append(f"model.{getattr(err, 'field', None) or 'params'}: {err}")
 
     sections = {}
     for section in ("grid", "targets", "assertions"):
@@ -341,6 +339,11 @@ def validate_config(cfg: dict) -> list[str]:
     for name, key, val in fields:
         if val is REQUIRED:
             diags.append(f"missing required field '{name}' for {exp}")
+        elif name == "psi":
+            try:
+                builtin_test_function(val)
+            except ConfigurationError as err:
+                diags.append(f"psi: {err}")
         elif name in _TOP and (problem := _TOP[name][0](val)):
             diags.append(f"{name} {problem}")
     if diags:
@@ -359,7 +362,7 @@ def run_experiment(cfg: dict) -> ReportBundle:
     spec = EXPERIMENTS[cfg["experiment"]]
     model = builtin_model(cfg["model"]["name"], cfg["model"].get("params", {}))
     values = _values(cfg)
-    test_fn = builtin_test_function(values["psi"])
+    test_fn = builtin_test_function(values["psi"]) if spec.psi else None
     t0 = time.perf_counter()
     records, fits, flags, summary = spec.run(model, test_fn, _args(cfg["experiment"], values),
                                              values["seed"])
@@ -444,9 +447,6 @@ def cmd_run(args) -> int:
         step = f" at step {err.step_index}" if err.step_index is not None else ""
         path = f" {err.path} path:" if err.path is not None else ""
         print(f"divergence{step}:{path} {err}", file=sys.stderr)
-        return EXIT_DIVERGENCE
-    except NumericError as err:  # a coefficient left the floats
-        print(f"divergence: {err}", file=sys.stderr)
         return EXIT_DIVERGENCE
 
     for fmt, write in zip(_FORMATS, (write_csv, write_json)):

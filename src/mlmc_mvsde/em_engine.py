@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, ShapeError, blame
 from .measure import ParticleCloud, sorted_mean
-from .model import (DIVERGENCE_LIMIT, ModelSpec, TestFunction, _check_finite,
-                    builtin_test_function, coefficients, integer, nonempty, positive)
+from .model import (DIVERGENCE_LIMIT, ModelSpec, TestFunction, builtin_test_function,
+                    coefficients, integer, nonempty, positive)
 from .rng import (DOMAIN_PATH, DOMAIN_SMALL_NOISE, DOMAIN_STRONG_ERROR, MAX_STREAMS, stream,
                   streams)
 
@@ -86,8 +86,8 @@ def advance(model: ModelSpec, x: np.ndarray, h_drift: float, sqrt_dt: float,
     """The checked explicit step ``x + f h_drift + epsilon sqrt_dt g xi``.
 
     Every fine and coarse update goes through here, so all of them get the
-    same shape checks, the drift-then-diffusion finiteness checks and the
-    divergence check, in that order. ``x`` holds the states of one (M, d)
+    same shape check, then the drift, diffusion and state checks, each a
+    ``DivergenceError`` when it fails. ``x`` holds the states of one (M, d)
     system or a (..., M, d) stack of independent ones, each moved against
     its own measure; ``xi`` is a float (..., M, d_bar) array of the same
     stacking. Returns the new states, a fresh array of the shape of ``x``.
@@ -110,8 +110,10 @@ def advance(model: ModelSpec, x: np.ndarray, h_drift: float, sqrt_dt: float,
     # always fails the scan: the coefficients need checking, drift first,
     # only when it fails.
     if not ok:
-        _check_finite(f, "drift")
-        _check_finite(g, "diffusion")
+        for label, arr in (("drift", f), ("diffusion", g)):
+            if len(bad := np.argwhere(~np.isfinite(arr))):
+                raise DivergenceError(f"{label} produced a non-finite value at component "
+                                      f"{tuple(bad[0].tolist())}")
         raise DivergenceError("particle state left the finite trust region")
     return new
 

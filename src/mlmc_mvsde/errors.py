@@ -12,7 +12,7 @@ class ShapeError(ValueError):
 
 
 class NumericError(ArithmeticError):
-    """A coefficient or statistic evaluated to a non-finite value."""
+    """A value left the floats; a failed step is its subclass ``DivergenceError``."""
 
 
 class ConfigurationError(ValueError):
@@ -51,10 +51,10 @@ class DomainError(ValueError):
     """Input lies outside the mathematical domain of the operation."""
 
 
-class DivergenceError(RuntimeError):
-    """A simulated state left the finite trust region.
+class DivergenceError(NumericError):
+    """A step failed: a coefficient turned non-finite or a state left the trust region.
 
-    ``step_index`` identifies the offending time step once known; it is
+    ``step_index`` identifies the failed time step once known; it is
     attached by the path drivers (``em_engine._walk`` and the stacked coarse
     loop of ``mlmc_engine._coupled_pairs``), the stepper itself raises with
     ``None``. ``path`` is ``"fine"`` or ``"coarse"`` for a level sample,

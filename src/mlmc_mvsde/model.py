@@ -203,13 +203,6 @@ def coefficients(model: ModelSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return f, g
 
 
-def _check_finite(arr: np.ndarray, label: str):
-    if not np.isfinite(arr).all():
-        bad = np.argwhere(~np.isfinite(arr))[0]
-        raise NumericError(
-            f"{label} produced a non-finite value at component {tuple(bad.tolist())}")
-
-
 def _derived(name: str, formula: str, value: Callable[[], float | list]) -> float | list:
     """``value()``, the constant (or list of them) that builtin ``name``
     derives from its parameters by ``formula``; one that overflows a float
@@ -302,7 +295,8 @@ def builtin_model(name: str, params: Mapping) -> ModelSpec:
       g(x,μ) = σ (1 + mean(μ)) on the diagonal.
     """
     if name not in BUILTIN_MODELS:
-        raise ConfigurationError(f"unknown model '{name}'; expected one of {BUILTIN_MODELS}")
+        raise ConfigurationError(f"unknown model '{name}'; expected one of {BUILTIN_MODELS}",
+                                 "name")
     p = _read_params(name, params)
     x0, horizon, epsilon = p["x0"], p["T"], p["epsilon"]
     d = x0.shape[0]
@@ -391,7 +385,7 @@ BUILTIN_TEST_FUNCTIONS = tuple(_TEST_FUNCTIONS)
 
 def builtin_test_function(name: str) -> TestFunction:
     """Named observables: 'identity' (first component) and 'cos'."""
-    if name not in _TEST_FUNCTIONS:
+    if name not in BUILTIN_TEST_FUNCTIONS:
         raise ConfigurationError(
             f"unknown test function '{name}'; expected one of {BUILTIN_TEST_FUNCTIONS}")
     return _TEST_FUNCTIONS[name]

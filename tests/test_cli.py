@@ -371,6 +371,14 @@ def test_every_field_binds_to_an_argument_of_the_preflight_and_the_engine(tmp_pa
     assert args <= set(signature(ENGINES[exp]).parameters)
 
 
+@pytest.mark.parametrize("exp", sorted(EXPERIMENTS))
+def test_psi_is_a_field_exactly_where_the_engine_takes_a_test_function(tmp_path, exp):
+    # second-moment and small-noise-deviation accepted psi and ran without it
+    cfg = typed_config(exp, str(tmp_path / "out"))
+    names = {name for name, _, _ in cli_runner._fields(exp, cfg)}
+    assert ("psi" in names) == ("test_fn" in signature(ENGINES[exp]).parameters)
+
+
 @pytest.mark.parametrize("value", [2.5, "8", True])
 @pytest.mark.parametrize("exp,key", TYPED_FIELDS)
 def test_run_rejects_a_non_integer_field(tmp_path, capsys, exp, key, value):
@@ -420,6 +428,10 @@ REJECTED = [
     ("mlmc", None, "model", "zero"),
     ("mlmc", "model", "name", "nope"),
     ("mlmc", None, "psi", "sin"),
+    ("mlmc", None, "psi", ["cos"]),
+    # their engine functions take no test function, so their runs ignored it
+    ("second-moment", None, "psi", "identity"),
+    ("small-noise-deviation", None, "psi", "cos"),
     ("mlmc", None, "seed", 1.5),
     *[("mlmc", None, section, [1]) for section in ("grid", "targets", "assertions")],
     ("chaos", "grid", "reference_m", 2),

@@ -1,6 +1,7 @@
 """Every per-system Euler path, and the stacked coarse paths of a level pair,
-report the step at which they diverged, and the CLI prints it
-(``simulate_path`` and ``ode_limit`` are covered in ``test_em_engine``)."""
+report the step at which they failed, a state past the trust region or a
+non-finite coefficient alike, and the CLI prints it (``simulate_path`` and
+``ode_limit`` are covered in ``test_em_engine``)."""
 
 import json
 
@@ -10,6 +11,8 @@ import pytest
 from mlmc_mvsde import (
     DivergenceError,
     LevelConfig,
+    ModelSpec,
+    NumericError,
     builtin_model,
     builtin_test_function,
     chaos_study,
@@ -17,7 +20,7 @@ from mlmc_mvsde import (
     small_noise_curve,
     strong_error_curve,
 )
-from mlmc_mvsde import em_engine, mlmc_engine
+from mlmc_mvsde import cli_runner, em_engine, mlmc_engine
 from mlmc_mvsde.cli_runner import main
 
 STEP = 5
@@ -51,13 +54,16 @@ class _SpikeAt:
         return out
 
 
-@pytest.fixture
-def spike(monkeypatch):
-    fake = _SpikeAt(STEP)
+def install(monkeypatch, fake):
     for module in (em_engine, mlmc_engine):
         monkeypatch.setattr(module, "stream", fake)
         monkeypatch.setattr(module, "streams", fake.streams)
     return fake
+
+
+@pytest.fixture
+def spike(monkeypatch):
+    return install(monkeypatch, _SpikeAt(STEP))
 
 
 def flat_model():
@@ -86,6 +92,64 @@ def test_divergence_carries_the_step_index(spike, name):
     assert err.value.step_index == STEP
     # only a level sample has two paths to tell apart
     assert err.value.path == ("fine" if name == "simulate_level_pair" else None)
+
+
+def test_a_failed_step_is_a_numeric_error():
+    assert issubclass(DivergenceError, NumericError)
+
+
+def nan_off_zero():
+    # zero drift at 0 and NaN anywhere else, unit noise: the state stays 0
+    # until a unit spike at step STEP moves it, so the drift of step STEP + 1
+    # is the first non-finite value
+    return ModelSpec(d=1, d_bar=1, drift=lambda x, mu: np.where(x == 0.0, 0.0, np.nan),
+                     diffusion=lambda x, mu: np.ones(x.shape[:-1] + (1, 1)), epsilon=1.0,
+                     x0=np.array([0.0]), horizon=1.0, lipschitz_K=0.0, growth_beta=1.0)
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_a_nan_drift_carries_the_step_index(monkeypatch, name):
+    # a non-finite coefficient raised a bare NumericError, with no step or path
+    install(monkeypatch, _SpikeAt(STEP, value=1.0))
+    with pytest.raises(DivergenceError, match="^drift produced a non-finite value") as err:
+        RUNS[name](nan_off_zero())
+    assert err.value.step_index == STEP + 1
+    assert err.value.path == ("fine" if name == "simulate_level_pair" else None)
+
+
+def coarse_nan_model():
+    # drift -3 x, NaN from |x| = 1.5 on, no noise, x0 = 1, T = 2: at level 2
+    # with N = 2 (h_fine = 1/2, h_coarse = 1) the fine factor -1/2 keeps
+    # |x| <= 1, while the coarse factor -2 takes x to -2 at coarse step 0, so
+    # the drift of coarse step 1 is NaN
+    return ModelSpec(d=1, d_bar=1,
+                     drift=lambda x, mu: np.where(np.abs(x) < 1.5, -3.0 * x, np.nan),
+                     diffusion=lambda x, mu: np.zeros(x.shape[:-1] + (1, 1)), epsilon=0.0,
+                     x0=np.array([1.0]), horizon=2.0, lipschitz_K=3.0, growth_beta=18.0)
+
+
+def test_a_nan_coarse_drift_carries_the_coarse_step_index():
+    with pytest.raises(DivergenceError, match="^drift ") as err:
+        simulate_level_pair(coarse_nan_model(), LevelConfig(refinement_n=2, level=2), 3,
+                            builtin_test_function("identity"), seed=0)
+    assert (err.value.step_index, err.value.path) == (1, "coarse")
+
+
+def test_cli_prints_the_step_and_path_of_a_nan_coarse_drift(monkeypatch, tmp_path, capsys):
+    # the CLI printed "divergence: drift ..." with no step and no path
+    monkeypatch.setattr(cli_runner, "builtin_model", lambda name, params: coarse_nan_model())
+    cfg = {
+        "experiment": "coupled-variance",
+        "model": {"name": "zero", "params": {}},
+        "grid": {"refinement_n": 2, "levels": [2, 2], "m_particles": 3, "replications": 2},
+        "seed": 0,
+        "output_dir": str(tmp_path / "out"),
+    }
+    path = tmp_path / "div.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path)]) == 3
+    assert capsys.readouterr().err == ("divergence at step 1: coarse path: drift produced a "
+                                       "non-finite value at component (0, 0, 0)\n")
 
 
 def test_cli_prints_the_divergence_step(spike, tmp_path, capsys):

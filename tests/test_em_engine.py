@@ -275,6 +275,20 @@ def test_ode_limit_divergence_carries_the_step_index():
         assert err.value.step_index == 2
 
 
+def test_a_nan_drift_carries_the_step_index():
+    # drift 1 below 0.6 and NaN from there: from x0 = 0 at h = 1/8 the
+    # iterate reaches 0.625 at step 5, where the drift is NaN
+    model = _custom(lambda x, mu: np.where(x < 0.6, 1.0, np.nan),
+                    lambda x, mu: np.zeros(x.shape[:-1] + (1, 1)))
+    for run in (ode_limit, lambda m, h: simulate_path(m, h, 3, seed=0)):
+        with pytest.raises(DivergenceError, match="^drift ") as err:
+            run(model, 1.0 / 8)
+        assert err.value.step_index == 5
+    with pytest.raises(DivergenceError) as err:
+        reference_ode_limit(model, 1.0 / 8)
+    assert err.value.step_index == 5
+
+
 def test_zero_noise_collapse_to_ode_exact():
     # with epsilon = 0 every particle path coincides with the deterministic
     # iterates bit for bit (particle count a power of two keeps means exact)

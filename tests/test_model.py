@@ -144,6 +144,17 @@ def test_builtin_model_errors():
     assert "'x0'" in str(err.value)
 
 
+@pytest.mark.parametrize("name", ["nope", None, ["zero"]], ids=str)
+def test_an_unknown_name_is_refused_by_name(name):
+    # the CLI kept its own copy of the model-name rule; an unhashable test
+    # function name raised a TypeError
+    with pytest.raises(ConfigurationError, match="^unknown model ") as err:
+        builtin_model(name, BASE)
+    assert err.value.field == "name"
+    with pytest.raises(ConfigurationError, match="^unknown test function "):
+        builtin_test_function(name)
+
+
 @pytest.mark.parametrize("name,params,unknown", [
     ("meanfield_ou", {"a": 1.0, "b": 0.5, "sigam": 2.0}, "sigam"),
     ("kuramoto", {"b": 0.5}, "b"),
