@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import platform
 import sys
 import time
 from dataclasses import asdict, dataclass, field
+from inspect import Parameter, signature
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -25,10 +27,8 @@ import numpy as np
 from . import __version__
 from .errors import ConfigurationError, DivergenceError
 from .model import REQUIRED, builtin_model, builtin_test_function, is_number
-from .em_engine import (DEFAULT_REF_FACTOR, small_noise_curve, small_noise_grid,
-                        strong_error_curve, strong_error_grid)
-from .mlmc_engine import (DEFAULT_CHAOS_STEPS, DEFAULT_MAX_LEVEL, DEFAULT_PILOT_SAMPLES,
-                          chaos_grid, chaos_study, cost_compare, cost_compare_grid,
+from .em_engine import small_noise_curve, small_noise_grid, strong_error_curve, strong_error_grid
+from .mlmc_engine import (chaos_grid, chaos_study, cost_compare, cost_compare_grid,
                           coupled_variance_study, level_study_grid, mlmc_estimate, mlmc_grid,
                           second_moment_study)
 from .stats import loglog_fit
@@ -48,11 +48,6 @@ def _check(ok: Callable, problem: str) -> Callable:
     return lambda val: None if ok(val) else problem
 
 
-#: the fields of both coupled-level studies and of both estimator experiments
-_LEVEL_STUDY = {"grid.refinement_n": REQUIRED, "grid.levels": REQUIRED,
-                "grid.m_particles": REQUIRED, "grid.replications": REQUIRED}
-_ESTIMATOR = {"grid.refinement_n": REQUIRED, "grid.m_particles": REQUIRED,
-              "grid.pilot_samples": DEFAULT_PILOT_SAMPLES, "grid.max_level": DEFAULT_MAX_LEVEL}
 #: the output formats, in the order ``cmd_run`` writes them
 _FORMATS = ("csv", "json")
 #: the top-level fields every experiment shares, as (check, default); they are
@@ -64,8 +59,9 @@ _TOP = {"seed": (_check(lambda v: _is_int(v) and 0 <= v < 2**64,
                            and all(f in _FORMATS for f in v),
                            f"must be a non-empty list of {' or '.join(map(repr, _FORMATS))}"),
                     list(_FORMATS))}
-#: the engine argument of each grid or targets key named otherwise
-_RENAMED = {"delta": "target_delta"}
+#: the targets key of each engine argument that is a target; every other
+#: argument is the grid key of its own name
+_TARGETS = {"target_delta": "delta", "delta_list": "delta_list", "epsilon_list": "epsilon_list"}
 #: the structural keys besides the sections, as (section, key); "" is the top level
 _KEYS = {("", "experiment"), ("", "model"), ("model", "name"), ("model", "params")}
 
@@ -118,12 +114,15 @@ def _levels(pair) -> range:
     return range(pair[0], pair[1] + 1)
 
 
+def _field(arg: str) -> str:
+    """The config name of an argument of a preflight and engine function."""
+    return f"targets.{_TARGETS[arg]}" if arg in _TARGETS else f"grid.{arg}"
+
+
 def _args(exp: str, values: dict) -> dict:
     """The keyword arguments of ``exp``'s preflight and engine function: its
-    grid and targets fields by key, with ``levels`` as a range and ``delta``
-    as ``target_delta``."""
-    keys = [name.rpartition(".")[2] for name in EXPERIMENTS[exp].fields]
-    args = {_RENAMED.get(key, key): values[key] for key in keys}
+    grid and targets fields by key, with ``levels`` as a range."""
+    args = {arg: values[_field(arg).rpartition(".")[2]] for arg in EXPERIMENTS[exp].args}
     if "levels" in args:
         args["levels"] = _levels(args["levels"])
     return args
@@ -141,16 +140,14 @@ def _safe_fit(name: str, points: list[tuple[float, float]]) -> list[dict]:
              "r_squared": fit.r_squared, "points": [[float(x), float(y)] for x, y in points]}]
 
 
-def _coupled_variance(model, test_fn, args, seed):
-    rows = coupled_variance_study(model, **args, test_fn=test_fn, seed=seed)
+def _coupled_variance(rows, args):
     return ([{**asdict(r), "ci_lo": r.var_diff - r.ci_halfwidth,
               "ci_hi": r.var_diff + r.ci_halfwidth} for r in rows],
             _safe_fit("var_diff_vs_h_coarse", [(r.h_coarse, r.var_diff) for r in rows]),
             [], {"max_var_diff": max(r.var_diff for r in rows)})
 
 
-def _second_moment(model, test_fn, args, seed):
-    rows = second_moment_study(model, **args, seed=seed)
+def _second_moment(rows, args):
     moments = [r.second_moment for r in rows]
     ratios = [float(np.log2(a / b)) for a, b in zip(moments, moments[1:]) if a > 0 and b > 0]
     return (list(map(asdict, rows)),
@@ -158,21 +155,18 @@ def _second_moment(model, test_fn, args, seed):
             [], {"log2_ratios": ratios})
 
 
-def _strong_error(model, test_fn, args, seed):
-    curve = strong_error_curve(model, **args, seed=seed, test_fn=test_fn)
+def _strong_error(curve, args):
     return ([{"h": h, "mse": mse, "replications": args["replications"]} for h, mse in curve],
             _safe_fit("mse_vs_h", curve), [], {})
 
 
-def _mlmc(model, test_fn, args, seed):
-    report = mlmc_estimate(model, test_fn, **args, seed=seed)
+def _mlmc(report, args):
     return (list(map(asdict, report.per_level)), [], list(report.flags),
             {"estimate": report.estimate, "total_cost": report.total_cost,
              "target_delta": report.target_delta, "allocation": report.allocation})
 
 
-def _cost_compare(model, test_fn, args, seed):
-    rows = cost_compare(model, test_fn, **args, seed=seed)
+def _cost_compare(rows, args):
     fits = []
     for eps in args["epsilon_list"]:
         fits += _safe_fit(f"mlmc_cost_vs_delta_eps_{eps}",
@@ -180,71 +174,72 @@ def _cost_compare(model, test_fn, args, seed):
     return list(map(asdict, rows)), fits, [], {}
 
 
-def _chaos(model, test_fn, args, seed):
-    rows = chaos_study(model, **args, seed=seed, test_fn=test_fn)
+def _chaos(rows, args):
     return (list(map(asdict, rows)),
             _safe_fit("mse_vs_m", [(float(r.m_particles), r.mse_vs_reference) for r in rows]),
             [], {})
 
 
-def _small_noise(model, test_fn, args, seed):
-    curve = small_noise_curve(model, **args, seed=seed)
+def _small_noise(curve, args):
     return ([{"epsilon": eps, "mean_sup_sq": dev, "replications": args["replications"]}
              for eps, dev in curve], _safe_fit("deviation_vs_epsilon", curve), [], {})
 
 
 class Experiment(NamedTuple):
-    #: ``"section.key"`` -> default or REQUIRED; the grid and targets fields are
-    #: the arguments of the experiment's preflight and engine function (``_args``)
-    fields: dict
+    #: the engine function, ``engine(model, **args, seed=seed)``, plus ``test_fn``
+    #: where it takes one (the top-level field ``psi``); it holds the fields' defaults
+    engine: Callable
+    #: the engine function's own preflight, ``preflight(model, **args)``: it checks
+    #: the range and type of every argument and the limits of the run's grid; its
+    #: arguments after ``model`` are the experiment's grid and targets fields
+    preflight: Callable
     #: assertion key -> ``rule(bound, checks, bundle)``, the failures of its
     #: ``bound`` on ``bundle``; ``checks`` is the whole assertion block
     assertions: dict
     #: the CSV header: the order in which each record's cells are written
     columns: tuple[str, ...]
-    #: ``run(model, test_fn, args, seed)`` -> (records, fits, flags, summary), with
-    #: ``args`` from ``_args`` and each record mapping every column to its cell
-    run: Callable
-    #: the engine function's own preflight, ``preflight(model, **args)``: it checks
-    #: the range and type of every argument and the limits of the run's grid
-    preflight: Callable
-    #: whether the engine function takes a test function, the top-level field ``psi``
-    psi: bool = True
+    #: ``tabulate(result, args)`` -> (records, fits, flags, summary), with ``args``
+    #: from ``_args`` and each record mapping every column to its cell
+    tabulate: Callable
+
+    @property
+    def args(self) -> list[str]:
+        """The arguments of the preflight after ``model``, one field each."""
+        return list(signature(self.preflight).parameters)[1:]
+
+    @property
+    def fields(self) -> dict:
+        """``"section.key"`` -> the engine function's default, or REQUIRED."""
+        params = signature(self.engine).parameters
+        return {_field(arg): REQUIRED if params[arg].default is Parameter.empty
+                else params[arg].default for arg in self.args}
 
 
 EXPERIMENTS = {
-    "strong-error": Experiment({
-        "grid.h_list": REQUIRED, "grid.ref_factor": DEFAULT_REF_FACTOR,
-        "grid.m_particles": REQUIRED, "grid.replications": REQUIRED}, _FIT,
-        ("h", "mse", "replications"), _strong_error, strong_error_grid),
+    "strong-error": Experiment(strong_error_curve, strong_error_grid, _FIT,
+                               ("h", "mse", "replications"), _strong_error),
     "coupled-variance": Experiment(
-        _LEVEL_STUDY,
+        coupled_variance_study, level_study_grid,
         {**_FIT, **_bounds(lambda b: [("max var_diff", b.summary["max_var_diff"])],
                            "max_var_diff")},
         ("level", "h_coarse", "var_diff", "ci_lo", "ci_hi", "rng_cost", "samples"),
-        _coupled_variance, level_study_grid),
+        _coupled_variance),
     "second-moment": Experiment(
-        _LEVEL_STUDY, {**_FIT, **_bounds(lambda b: [(f"log2 ratio[{i}]", r) for i, r in
-                                                    enumerate(b.summary["log2_ratios"])],
-                                         "ratio_min", "ratio_max")},
-        ("level", "h_coarse", "second_moment", "rng_cost", "samples"), _second_moment,
-        level_study_grid, psi=False),
+        second_moment_study, level_study_grid,
+        {**_FIT, **_bounds(lambda b: [(f"log2 ratio[{i}]", r) for i, r in
+                                      enumerate(b.summary["log2_ratios"])],
+                           "ratio_min", "ratio_max")},
+        ("level", "h_coarse", "second_moment", "rng_cost", "samples"), _second_moment),
     "mlmc": Experiment(
-        {**_ESTIMATOR, "targets.delta": REQUIRED},
+        mlmc_estimate, mlmc_grid,
         {"expected": _near_expected, "tolerance": _none},  # expected reads tolerance
-        ("level", "samples", "mean_diff", "var_diff", "rng_cost"), _mlmc, mlmc_grid),
-    "cost-compare": Experiment({
-        **_ESTIMATOR, "targets.delta_list": REQUIRED, "targets.epsilon_list": REQUIRED}, _FIT,
-        ("delta", "epsilon", "mc_cost", "mlmc_cost", "mc_steps", "mlmc_levels"), _cost_compare,
-        cost_compare_grid),
-    "chaos": Experiment({
-        "grid.m_list": REQUIRED, "grid.reference_m": REQUIRED, "grid.replications": REQUIRED,
-        "grid.steps": DEFAULT_CHAOS_STEPS, "grid.pathwise": False},
-        _FIT, ("m_particles", "mse_vs_reference", "replications"), _chaos, chaos_grid),
-    "small-noise-deviation": Experiment({
-        "grid.h": REQUIRED, "grid.m_particles": REQUIRED, "grid.replications": REQUIRED,
-        "targets.epsilon_list": REQUIRED}, _FIT,
-        ("epsilon", "mean_sup_sq", "replications"), _small_noise, small_noise_grid, psi=False),
+        ("level", "samples", "mean_diff", "var_diff", "rng_cost"), _mlmc),
+    "cost-compare": Experiment(cost_compare, cost_compare_grid, _FIT, (
+        "delta", "epsilon", "mc_cost", "mlmc_cost", "mc_steps", "mlmc_levels"), _cost_compare),
+    "chaos": Experiment(chaos_study, chaos_grid, _FIT,
+                        ("m_particles", "mse_vs_reference", "replications"), _chaos),
+    "small-noise-deviation": Experiment(small_noise_curve, small_noise_grid, _FIT,
+                                        ("epsilon", "mean_sup_sq", "replications"), _small_noise),
 }
 
 
@@ -283,9 +278,9 @@ def load_config(path: str | Path) -> dict:
 
 def _fields(exp: str, cfg: dict):
     """Yield (name, key, value) for each top-level field and each field of
-    ``exp``; the value is the table's default where the config leaves it out."""
+    ``exp``; the value is the field's default where the config leaves it out."""
     top = {name: default for name, (_, default) in _TOP.items()}
-    psi = {"psi": "identity"} if EXPERIMENTS[exp].psi else {}
+    psi = {"psi": "identity"} if "test_fn" in signature(EXPERIMENTS[exp].engine).parameters else {}
     for name, default in {**psi, **top, **EXPERIMENTS[exp].fields}.items():
         section, _, key = name.rpartition(".")
         part = cfg.get(section) if section else cfg
@@ -353,8 +348,7 @@ def validate_config(cfg: dict) -> list[str]:
     try:
         spec.preflight(model, **_args(exp, {key: val for _, key, val in fields}))
     except ConfigurationError as err:
-        names = {_RENAMED.get(key, key): name for name, key, _ in fields}
-        return [f"{names.get(err.field, f'grid.{err.field}')}: {err}"]
+        return [f"{_field(err.field)}: {err}"]
     return []
 
 
@@ -362,12 +356,15 @@ def run_experiment(cfg: dict) -> ReportBundle:
     spec = EXPERIMENTS[cfg["experiment"]]
     model = builtin_model(cfg["model"]["name"], cfg["model"].get("params", {}))
     values = _values(cfg)
-    test_fn = builtin_test_function(values["psi"]) if spec.psi else None
+    args = _args(cfg["experiment"], values)
+    psi = {"test_fn": builtin_test_function(values["psi"])} if "psi" in values else {}
     t0 = time.perf_counter()
-    records, fits, flags, summary = spec.run(model, test_fn, _args(cfg["experiment"], values),
-                                             values["seed"])
+    result = spec.engine(model, **args, **psi, seed=values["seed"])
+    records, fits, flags, summary = spec.tabulate(result, args)
+    # the versions that produced the bits, kept out of the CSV like the wall time
     metadata = {"experiment": cfg["experiment"], "artifact_version": __version__,
-                "seed": values["seed"], "config": cfg, "wall_time_s": time.perf_counter() - t0}
+                "seed": values["seed"], "config": cfg, "wall_time_s": time.perf_counter() - t0,
+                "numpy": np.__version__, "python": platform.python_version()}
     rows = [[record[col] for col in spec.columns] for record in records]
     return ReportBundle(metadata, list(spec.columns), rows, fits, flags, summary)
 

@@ -1,13 +1,16 @@
 import hashlib
+import importlib.util
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
-from inspect import signature
+from inspect import Parameter, signature
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mlmc_mvsde import (ConfigurationError, builtin_model, chaos_study, cost_compare,
@@ -16,22 +19,26 @@ from mlmc_mvsde import (ConfigurationError, builtin_model, chaos_study, cost_com
 from mlmc_mvsde import cli_runner
 from mlmc_mvsde.cli_runner import (EXPERIMENTS, ReportBundle, _print_summary, main,
                                    load_config, validate_config)
+from mlmc_mvsde.model import REQUIRED
 
 from helpers import IDENT
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
+
+def _benchmark_workloads():
+    """``perfbench/workloads.py``, loaded from its file: the benchmark's checksum
+    sweep refuses any CSV that differs from its table, so that table is the one copy."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", CONFIGS.parent / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 #: SHA-256 of the CSV each shipped config writes at its own seed
-SHIPPED_CSV_SHA256 = {
-    "chaos": "edeb9879054612816ec3425f4b57fcfae26bbb39016173e58e30d6e037b1c02e",
-    "cost_compare": "091486e7ec040283f1149ec178c364eb1aa1c5e808d62261a8ccec018c262d16",
-    "coupled_variance": "498f4b539d3767711f38cd2022a7234b6f5beaed5fdbaf146fd14ddcf0b16df4",
-    "mlmc": "0e319e2c24b900730a74f592ffad88db2de1b37490a952ca51f7466c4cbf9456",
-    "second_moment": "c85952be3c75ada33544bd983930d3dd7b4723cb104682f3a676ceb02929af41",
-    "small_noise": "91b1eeb2c03b365d7deacfb6ceeb4570273d5039630a49c6fa730bd8d28ccbda",
-    "strong_error": "7d207b2a75f2a4feb51f42d6a68eff4091b1667d739d4fa3de1d8a914844bbf7",
-}
+SHIPPED_CSV_SHA256 = _benchmark_workloads().SHIPPED_CSV_SHA256
 
 
 def write_config(tmp_path: Path, name: str, cfg: dict) -> Path:
@@ -372,6 +379,38 @@ def test_every_field_binds_to_an_argument_of_the_preflight_and_the_engine(tmp_pa
 
 
 @pytest.mark.parametrize("exp", sorted(EXPERIMENTS))
+def test_every_field_defaults_to_its_engine_argument_default(exp):
+    params = signature(ENGINES[exp]).parameters
+    for name, default in EXPERIMENTS[exp].fields.items():
+        key = name.rpartition(".")[2]
+        engine_default = params[{"delta": "target_delta"}.get(key, key)].default
+        assert default == (REQUIRED if engine_default is Parameter.empty else engine_default)
+
+
+#: the fields a config of each experiment must give; every other field has a default
+REQUIRED_FIELDS = {
+    "strong-error": ["grid.h_list", "grid.m_particles", "grid.replications"],
+    "coupled-variance": ["grid.refinement_n", "grid.levels", "grid.m_particles",
+                         "grid.replications"],
+    "second-moment": ["grid.refinement_n", "grid.levels", "grid.m_particles",
+                      "grid.replications"],
+    "mlmc": ["grid.refinement_n", "grid.m_particles", "targets.delta"],
+    "cost-compare": ["grid.refinement_n", "grid.m_particles", "targets.delta_list",
+                     "targets.epsilon_list"],
+    "chaos": ["grid.m_list", "grid.reference_m", "grid.replications"],
+    "small-noise-deviation": ["grid.h", "grid.m_particles", "grid.replications",
+                              "targets.epsilon_list"],
+}
+
+
+@pytest.mark.parametrize("exp", sorted(EXPERIMENTS))
+def test_a_config_without_its_required_fields_is_told_each_one(exp):
+    diags = validate_config({"experiment": exp, "model": ZERO})
+    assert sorted(diags) == sorted(f"missing required field '{name}' for {exp}"
+                                   for name in ["seed", *REQUIRED_FIELDS[exp]])
+
+
+@pytest.mark.parametrize("exp", sorted(EXPERIMENTS))
 def test_psi_is_a_field_exactly_where_the_engine_takes_a_test_function(tmp_path, exp):
     # second-moment and small-noise-deviation accepted psi and ran without it
     cfg = typed_config(exp, str(tmp_path / "out"))
@@ -418,7 +457,19 @@ def test_validate_config_unknown_experiment():
 def test_shipped_config_csv_is_bit_exact(tmp_path, name):
     assert main(["run", str(CONFIGS / f"{name}.json"), "--out", str(tmp_path)]) == 0
     (csv,) = tmp_path.glob("*.csv")
-    assert hashlib.sha256(csv.read_bytes()).hexdigest() == SHIPPED_CSV_SHA256[name]
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == SHIPPED_CSV_SHA256[name], (
+        f"{name}.csv differs from its recorded bits under numpy {np.__version__}, "
+        f"Python {platform.python_version()}")
+
+
+def test_the_json_metadata_records_the_numpy_and_python_versions(tmp_path):
+    path = write_config(tmp_path, "cv.json", zero_cv_config(str(tmp_path)))
+    assert main(["run", str(path)]) == 0
+    metadata = json.loads((tmp_path / "coupled-variance.json").read_text())["metadata"]
+    assert (metadata["numpy"], metadata["python"]) == (np.__version__,
+                                                       platform.python_version())
+    # like the wall time, they stay out of the CSV
+    assert np.__version__ not in (tmp_path / "coupled-variance.csv").read_text()
 
 
 #: (experiment, section, key, value) that ``validate`` crashed on or passed
@@ -736,7 +787,7 @@ def test_shipped_config_validates_clean(path):
 def test_readme_documents_every_experiment_field_and_assertion():
     # the schema table has 4 cells per experiment, the CSV columns table 2
     readme = (CONFIGS.parent / "README.md").read_text()
-    documented, columns = {}, {}
+    documented, columns, defaults = {}, {}, {}
     for line in readme.splitlines():
         cells = line.split("|")[1:-1]
         if not (cells and (exp := cells[0].strip().strip("`")) in EXPERIMENTS):
@@ -745,8 +796,13 @@ def test_readme_documents_every_experiment_field_and_assertion():
             names = [set(re.findall(r"`(\w+)`", cell)) for cell in cells[1:]]
             documented[exp] = ({f"grid.{key}" for key in names[0]}
                                | {f"targets.{key}" for key in names[1]}, names[2])
+            # a `key` (default X) cell documents X, read as JSON
+            defaults[exp] = {f"{section}.{key}": json.loads(x) if x else REQUIRED
+                             for section, cell in zip(("grid", "targets"), cells[1:3])
+                             for key, x in re.findall(r"`(\w+)`(?: \(default ([^)]*)\))?", cell)}
         elif len(cells) == 2:
             columns[exp] = tuple(cells[1].strip().strip("`").split(", "))
     assert documented == {exp: (set(spec.fields), set(spec.assertions))
                           for exp, spec in EXPERIMENTS.items()}
     assert columns == {exp: spec.columns for exp, spec in EXPERIMENTS.items()}
+    assert defaults == {exp: spec.fields for exp, spec in EXPERIMENTS.items()}
