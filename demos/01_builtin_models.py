@@ -7,7 +7,9 @@ particle of an (M, d) state array against that array, and a one-particle
 system recovers the classical (non-interacting) coefficients.
 """
 
-from mlmc_mvsde import ParticleCloud, builtin_model, coefficients
+import numpy as np
+
+from mlmc_mvsde import builtin_model, coefficients
 
 PARAMS = {
     "zero": {"x0": 1.0, "T": 1.0, "epsilon": 0.1},
@@ -17,14 +19,14 @@ PARAMS = {
     "measure_diffusion": {"a": 1.0, "sigma": 1.0, "x0": 1.0, "T": 1.0, "epsilon": 0.2},
 }
 
-cloud = ParticleCloud([-0.5, 0.25, 1.5, 2.75])
+states = np.array([[-0.5], [0.25], [1.5], [2.75]])
 fmt = lambda values: "[" + ", ".join(f"{v:+.4f}" for v in values) + "]"
 
-print(f"system of {cloud.m} particles at {cloud.positions[:, 0].tolist()}, "
+print(f"system of {len(states)} particles at {states[:, 0].tolist()}, "
       f"each evaluated against the whole system\n")
 for name, params in PARAMS.items():
     model = builtin_model(name, params)
-    f, g = coefficients(model, cloud.positions)
+    f, g = coefficients(model, states)
     print(f"{name:>18}: f = {fmt(f[:, 0])}   g = {fmt(g[:, 0, 0])}\n{'':>20}"
           f"eps = {model.epsilon}   K = {model.lipschitz_K:.3g}   beta = {model.growth_beta:.3g}")
 

@@ -23,8 +23,8 @@ h = 2.0**-6
 rec = simulate_path(model, h, m_particles=64, seed=7)
 z = ode_limit(model, h)
 print("time    particle mean   zero-noise flow")
-for n in range(0, len(rec.clouds), 16):
-    mean = rec.clouds[n].positions.mean()
+for n in range(0, len(rec.states), 16):
+    mean = rec.states[n].mean()
     print(f"{rec.times[n]:.3f}   {mean:+.6f}       {z[n, 0]:+.6f}")
 print(f"\nrng draws consumed: {rec.rng_draws} (= M * dbar * steps)")
 
@@ -44,7 +44,7 @@ try:
 
     fig, ax = plt.subplots(figsize=(7, 4))
     for i in range(8):
-        ax.plot(rec.times, [c.positions[i, 0] for c in rec.clouds], lw=0.7, alpha=0.6)
+        ax.plot(rec.times, rec.states[:, i, 0], lw=0.7, alpha=0.6)
     ax.plot(rec.times, z[:, 0], "k--", lw=2, label="zero-noise flow")
     ax.set_xlabel("t"), ax.set_ylabel("state"), ax.legend()
     fig.tight_layout()

@@ -1,7 +1,7 @@
 """Single-level particle-system simulation and its deterministic limit.
 
 One explicit step advances every particle against the empirical measure of
-the *input* cloud (the measure is frozen before any particle moves), adding
+the *input* states (the measure is frozen before any particle moves), adding
 ``drift * h + epsilon * diffusion @ (sqrt(h) * xi)`` per particle. Driving
 noise is always supplied by the caller as standard-normal arrays so that
 fine and coarse discretizations of the same path can share increments.
@@ -63,10 +63,10 @@ def step_count(horizon: float, h: float) -> int:
 
 @dataclass
 class PathRecord:
-    """Grid times, stored clouds, and the exact count of scalar draws."""
+    """Grid times, the (steps + 1, M, d) states at them, and the scalar draw count."""
 
     times: np.ndarray
-    clouds: list[ParticleCloud]
+    states: np.ndarray
     rng_draws: int
 
 
@@ -77,8 +77,9 @@ def em_step(model: ModelSpec, cloud: ParticleCloud, h: float, gaussians: np.ndar
     ``d_bar`` components per particle; the Brownian increment over the step
     is ``sqrt(h) * gaussians``.
     """
-    xi = np.asarray(gaussians, dtype=float)
-    return ParticleCloud._wrap(advance(model, cloud.positions, h, math.sqrt(h), xi))
+    new = advance(model, cloud.positions, h, math.sqrt(h), np.asarray(gaussians, dtype=float))
+    new.setflags(write=False)
+    return ParticleCloud._wrap(new)
 
 
 def advance(model: ModelSpec, x: np.ndarray, h_drift: float, sqrt_dt: float,
@@ -126,29 +127,31 @@ def _update(model, x, xi, h_drift, scale):
     return f, g, new, np.abs(new).max() <= DIVERGENCE_LIMIT
 
 
-def _walk(model: ModelSpec, cloud: ParticleCloud, h: float, blocks):
-    """Yield the cloud after each ``em_step`` of size h, one per noise block.
+def _walk(model: ModelSpec, x: np.ndarray, h: float, blocks):
+    """Yield the read-only (M, d) states after each ``em_step`` of size h
+    from ``x``, one step per noise block.
 
     Every per-system Euler path is this loop. A ``DivergenceError`` is
     re-raised with the index of the step that raised it.
     """
+    cloud = ParticleCloud._wrap(x)
     for n, xi in enumerate(blocks):
         try:
             cloud = em_step(model, cloud, h, xi)
         except DivergenceError as err:
             raise DivergenceError(str(err), step_index=n) from None
-        yield cloud
+        yield cloud.positions
 
 
-def _last(clouds):
-    """The final cloud of a ``_walk``, holding only one at a time."""
-    for cloud in clouds:
+def _last(states):
+    """The final states of a ``_walk``, holding only one at a time."""
+    for x in states:
         pass
-    return cloud
+    return x
 
 
 def simulate_path(model: ModelSpec, h: float, m_particles: int, seed: int) -> PathRecord:
-    """Simulate one particle system from the all-x0 cloud to the model's horizon.
+    """Simulate one particle system from the all-x0 states to the model's horizon.
 
     Deterministic in (model, h, m_particles, seed).
     """
@@ -157,7 +160,11 @@ def simulate_path(model: ModelSpec, h: float, m_particles: int, seed: int) -> Pa
     xi = stream(seed, DOMAIN_PATH, 0).standard_normal(
         noise_block(steps, m_particles, model.d_bar, "the path"))
     start = model.start(m_particles)
-    return PathRecord(times=h * np.arange(steps + 1), clouds=[start, *_walk(model, start, h, xi)],
+    states = np.empty((steps + 1,) + start.shape)
+    states[0] = start
+    for row, x in zip(states[1:], _walk(model, start, h, xi)):
+        row[:] = x
+    return PathRecord(times=h * np.arange(steps + 1), states=states,
                       rng_draws=m_particles * model.d_bar * steps)
 
 
@@ -175,9 +182,9 @@ def ode_limit(model: ModelSpec, h: float) -> np.ndarray:
     out = np.empty((steps + 1, model.d))
     out[0] = model.x0
     # one zero noise row serves every step, so only the output is held
-    for row, cloud in zip(out[1:], _walk(flow, flow.start(1), h,
-                                         itertools.repeat(np.zeros((1, model.d_bar)), steps))):
-        row[:] = cloud.positions[0]
+    for row, x in zip(out[1:], _walk(flow, flow.start(1), h,
+                                     itertools.repeat(np.zeros((1, model.d_bar)), steps))):
+        row[:] = x[0]
     return out
 
 
@@ -231,13 +238,13 @@ def strong_error_curve(model: ModelSpec, h_list: list[float], m_particles: int,
     acc = {h: 0.0 for h in h_list}
     for gen in streams(seed, DOMAIN_STRONG_ERROR, 0, count=replications):
         xi_ref = gen.standard_normal(shape)
-        psi_ref = psi(_last(_walk(model, start, h_ref, xi_ref)).positions)
+        psi_ref = psi(_last(_walk(model, start, h_ref, xi_ref)))
         for h in h_list:
             # the step-h path takes the scaled sums of r reference increments
             r = round(h / h_ref)
             blocks = (xi_ref.reshape(-1, r, m_particles, model.d_bar).sum(axis=1)
                       * (1.0 / np.sqrt(r)))
-            gap = psi(_last(_walk(model, start, h, blocks)).positions) - psi_ref
+            gap = psi(_last(_walk(model, start, h, blocks))) - psi_ref
             acc[h] += float(sorted_mean(gap**2))
     return [(h, acc[h] / replications) for h in h_list]
 
@@ -271,9 +278,8 @@ def small_noise_curve(model: ModelSpec, epsilon_list: list[float], h: float,
         xi = gen.standard_normal(shape)
         for i, model_eps in enumerate(models):
             sup = np.zeros(m_particles)
-            for cloud, z in zip(_walk(model_eps, model_eps.start(m_particles), h, xi),
-                                z_path[1:]):
-                dev = np.sum((cloud.positions - z) ** 2, axis=1)
+            for x, z in zip(_walk(model_eps, model_eps.start(m_particles), h, xi), z_path[1:]):
+                dev = np.sum((x - z) ** 2, axis=1)
                 np.maximum(sup, dev, out=sup)
             totals[i] += float(sorted_mean(sup))
     return [(eps, total / replications) for eps, total in zip(epsilon_list, totals)]

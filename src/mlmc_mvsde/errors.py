@@ -55,10 +55,10 @@ class DivergenceError(NumericError):
     """A step failed: a coefficient turned non-finite or a state left the trust region.
 
     ``step_index`` identifies the failed time step once known; it is
-    attached by the path drivers (``em_engine._walk`` and the stacked coarse
-    loop of ``mlmc_engine._coupled_pairs``), the stepper itself raises with
-    ``None``. ``path`` is ``"fine"`` or ``"coarse"`` for a level sample,
-    whose two paths count steps of different sizes, and ``None`` elsewhere.
+    attached by the path drivers (``em_engine._walk`` and the level-pair
+    drivers of ``mlmc_engine``), the stepper itself raises with ``None``.
+    ``path`` is ``"fine"`` or ``"coarse"`` for a level pair, whose two
+    paths count steps of different sizes, and ``None`` elsewhere.
     """
 
     def __init__(self, message: str, step_index: int | None = None, path: str | None = None):

@@ -17,13 +17,14 @@ sample costs M * d_bar * N^l (one step of size T at level 0).
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, ShapeError, blame
-from .measure import ParticleCloud, sorted_mean
+from .measure import sorted_mean
 from .model import ModelSpec, TestFunction, builtin_test_function, integer, nonempty, positive
 # em_step stays bound here: the benchmark's absent-layer check deletes it from this module
 from .em_engine import (MAX_STEPS, advance, check_steps, em_step,  # noqa: F401
@@ -108,26 +109,40 @@ def _sample_block(model: ModelSpec, cfg: LevelConfig, m_particles: int) -> tuple
     return noise_block(cfg.fine_steps, m_particles, model.d_bar, f"a level-{cfg.level} sample")
 
 
-def coupled_coarse_interval(model: ModelSpec, fine: ParticleCloud, coarse: ParticleCloud,
+@contextmanager
+def _on_path(path: str, step_index: int | None = None):
+    """Label a ``DivergenceError`` of the block with ``path`` and, if given, ``step_index``."""
+    try:
+        yield
+    except DivergenceError as err:
+        step = err.step_index if step_index is None else step_index
+        raise DivergenceError(str(err), step, path) from None
+
+
+def coupled_coarse_interval(model: ModelSpec, fine: np.ndarray, coarse: np.ndarray,
                             cfg: LevelConfig,
-                            gaussians: np.ndarray) -> tuple[ParticleCloud, ParticleCloud]:
-    """Advance a fine and a coarse system across one coarse interval.
+                            gaussians: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Advance the (M, d) states of a fine and a coarse system across one coarse interval.
 
     ``gaussians`` holds the N standard-normal sub-step blocks, shape
     (N, M, d_bar). The fine system consumes them one by one; the coarse
     system consumes their sum, scaled by sqrt(h_fine), in a single step
     with drift and diffusion frozen at the interval start. Both start from
-    ``model.start(M)`` on the first interval; returns the new (fine, coarse).
-    Level 0, which has no coarse path, is a ``ConfigurationError``.
+    ``model.start(M)`` on the first interval; returns the new read-only
+    (fine, coarse). A ``DivergenceError`` names its path and the fine
+    sub-step, or step 0 of the coarse path. Level 0 is a ``ConfigurationError``.
     """
     h_fine, h_coarse = model.horizon / cfg.fine_steps, model.horizon / cfg.coarse_steps
     xi = np.asarray(gaussians, dtype=float)
-    expected = (cfg.refinement_n, fine.m, model.d_bar)
+    expected = (cfg.refinement_n, fine.shape[-2], model.d_bar)
     if xi.shape != expected:
         raise ShapeError(f"gaussians have shape {xi.shape}, expected {expected}")
-    fine = _last(_walk(model, fine, h_fine, xi))
-    coarse = advance(model, coarse.positions, h_coarse, math.sqrt(h_fine), xi.sum(axis=0))
-    return fine, ParticleCloud._wrap(coarse)
+    with _on_path("fine"):
+        fine = _last(_walk(model, fine, h_fine, xi))
+    with _on_path("coarse", 0):
+        coarse = advance(model, coarse, h_coarse, math.sqrt(h_fine), xi.sum(axis=0))
+    coarse.setflags(write=False)
+    return fine, coarse
 
 
 def _coupled_pairs(model: ModelSpec, cfg: LevelConfig,
@@ -146,22 +161,17 @@ def _coupled_pairs(model: ModelSpec, cfg: LevelConfig,
     h_fine = model.horizon / cfg.fine_steps
     start = model.start(m)
     fine = np.empty((k, m, model.d))
-    try:
+    with _on_path("fine"):
         for j in range(k):
-            blocks = xi[j].reshape(-1, m, model.d_bar)
-            fine[j] = _last(_walk(model, start, h_fine, blocks)).positions
-    except DivergenceError as err:
-        raise DivergenceError(str(err), err.step_index, "fine") from None
+            fine[j] = _last(_walk(model, start, h_fine, xi[j].reshape(-1, m, model.d_bar)))
     if cfg.level == 0:
         return fine, None
-    coarse = np.broadcast_to(start.positions, (k, m, model.d))
+    coarse = np.broadcast_to(start, (k, m, model.d))
     increments = xi.reshape(k, cfg.coarse_steps, cfg.refinement_n, m, model.d_bar).sum(axis=2)
     h_coarse, sqrt_h = model.horizon / cfg.coarse_steps, math.sqrt(h_fine)
     for n in range(cfg.coarse_steps):
-        try:
+        with _on_path("coarse", n):
             coarse = advance(model, coarse, h_coarse, sqrt_h, increments[:, n])
-        except DivergenceError as err:
-            raise DivergenceError(str(err), n, "coarse") from None
     return fine, coarse
 
 
@@ -214,7 +224,7 @@ def _level_samples(model: ModelSpec, cfg: LevelConfig, m_particles: int,
     extending a sample set never reshuffles earlier samples.
     """
     chunks = [sorted_mean(test_fn.psi(fine) if coarse is None
-                          else test_fn.psi(fine) - test_fn.psi(coarse), axis=-1)
+                          else test_fn.psi(fine) - test_fn.psi(coarse))
               for fine, coarse in _level_pairs(model, cfg, m_particles, seed, first, count)]
     return np.concatenate(chunks) if chunks else np.empty(0)
 
@@ -289,7 +299,7 @@ def second_moment_study(model: ModelSpec, levels: list[int], refinement_n: int,
     """Mean squared fine-coarse state gap |Y_fine(T) - Y_coarse(T)|^2 per level."""
     def stat(cfg: LevelConfig) -> dict:
         vals = np.concatenate([
-            sorted_mean(np.sum((fine - coarse) ** 2, axis=-1), axis=-1)
+            sorted_mean(np.sum((fine - coarse) ** 2, axis=-1))
             for fine, coarse in _level_pairs(model, cfg, m_particles, seed, 0, replications)])
         return {"second_moment": float(vals.mean())}
 
@@ -408,8 +418,7 @@ def _psi_system_variance(model: ModelSpec, shape: tuple[int, int, int], test_fn:
     vals = []
     for gen in streams(seed, DOMAIN_PSI_VARIANCE, 0, count=replications):
         xi = gen.standard_normal(shape)
-        cloud = _last(_walk(model, start, h, xi))
-        vals.append(float(sorted_mean(test_fn.psi(cloud.positions))))
+        vals.append(float(sorted_mean(test_fn.psi(_last(_walk(model, start, h, xi))))))
     return float(np.var(np.array(vals), ddof=1))
 
 
@@ -539,12 +548,12 @@ def chaos_study(model: ModelSpec, m_list: list[int], reference_m: int, replicati
         for ref, *smalls in zip(_walk(model, model.start(reference_m), h, xi_ref), *paths):
             if pathwise:
                 for sup, small in zip(sups, smalls):
-                    gap = np.sum((small.positions - ref.positions[:len(sup)]) ** 2, axis=1)
+                    gap = np.sum((small - ref[:len(sup)]) ** 2, axis=1)
                     np.maximum(sup, gap, out=sup)
         if pathwise:
             return [float(sorted_mean(sup)) for sup in sups]
-        b = float(sorted_mean(test_fn.psi(ref.positions)))
-        return [(float(sorted_mean(test_fn.psi(small.positions))) - b) ** 2 for small in smalls]
+        b = float(sorted_mean(test_fn.psi(ref)))
+        return [(float(sorted_mean(test_fn.psi(small))) - b) ** 2 for small in smalls]
 
     vals = ordered_map(one, range(replications))
     return [ChaosRow(m_particles=m, mse_vs_reference=float(np.mean([v[i] for v in vals])),

@@ -19,7 +19,7 @@ order, so their output is exactly invariant under particle relabeling.
 callables on the states ``x`` and checks the shapes they return.
 
 Coefficient callables must be pure: every system starts from the same
-all-x0 cloud, and its coefficients there are evaluated once per (model, M)
+all-x0 states, and its coefficients there are evaluated once per (model, M)
 and reused (``ModelSpec.start``).
 """
 
@@ -33,7 +33,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import ConfigurationError, NumericError, ShapeError
-from .measure import ParticleCloud, particle_mean
+from .measure import particle_mean
 
 #: ``drift(x, mu)``: one (d,) drift per (d,) state of ``x`` against the measure
 #: ``mu``, an (M, d) state array or a (K, M, d) stack matching ``x``
@@ -116,7 +116,7 @@ class ModelSpec:
     growth_beta: float
     name: str = "custom"
     meta: dict = field(default_factory=dict)
-    # M -> (start cloud, its drift, its diffusion); fresh and empty in every
+    # M -> (start states, their drift, their diffusion); fresh and empty in every
     # copy made by ``replace`` or ``with_epsilon``
     _start: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -145,22 +145,22 @@ class ModelSpec:
         """Same dynamics at a different noise scale (for epsilon sweeps)."""
         return replace(self, epsilon=epsilon)
 
-    def start(self, m: int) -> ParticleCloud:
-        """The read-only cloud of m particles at x0 that every system starts from.
+    def start(self, m: int) -> np.ndarray:
+        """The read-only (m, d) states at x0 that every system starts from.
 
-        Built once per M, together with its drift and diffusion, which
-        ``coefficients`` returns whenever it is given this cloud's very
-        ``positions`` array. They are evaluated quietly: a non-finite one
-        fails the first step's checks, which name it.
+        Built once per M, together with their drift and diffusion, which
+        ``coefficients`` returns whenever it is given this very array. They
+        are evaluated quietly: a non-finite one fails the first step's
+        checks, which name it.
         """
         entry = self._start.get(m)
         if entry is None:
-            cloud = ParticleCloud.at(self.x0, m)
+            x = np.tile(self.x0, (m, 1))
             with np.errstate(all="ignore"):
-                f, g = (a.view() for a in coefficients(self, cloud.positions))
-            f.setflags(write=False)
-            g.setflags(write=False)
-            entry = self._start.setdefault(m, (cloud, f, g))
+                f, g = (a.view() for a in coefficients(self, x))
+            for a in (x, f, g):
+                a.setflags(write=False)
+            entry = self._start.setdefault(m, (x, f, g))
         return entry[0]
 
 
@@ -169,7 +169,7 @@ class TestFunction:
     """Scalar observable Psi with a declared first-derivative bound.
 
     ``psi`` maps (..., d) state stacks to (...) values so it can be applied
-    to a whole cloud at once.
+    to a whole system at once.
     """
 
     psi: Callable[[np.ndarray], np.ndarray]
@@ -186,12 +186,12 @@ def coefficients(model: ModelSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
     stack and its outputs shape-checked, under the caller's numpy error
     settings: ``advance`` re-runs it quietly where numpy raises. At the
     states of ``model.start(M)`` themselves the pair evaluated when that
-    cloud was built is returned.
+    array was built is returned.
     """
     if x.ndim < 2 or x.shape[-1] != model.d:
         raise ShapeError(f"states have shape {x.shape}, expected (..., M, {model.d})")
     entry = model._start.get(x.shape[-2])
-    if entry is not None and entry[0].positions is x:
+    if entry is not None and entry[0] is x:
         return entry[1], entry[2]
     f = np.asarray(model.drift(x, x), dtype=float)
     if f.shape != x.shape:

@@ -7,9 +7,11 @@ sigma (1 + sin(x)/2), because under the reference model's constant diffusion
 Euler-Maruyama coincides with Milstein and its error has no linear-in-h term.
 
 The reference model is linear with constant diffusion, so the expected
-coupled fine/coarse gap has a closed form (``coupled_gap_second_moment``).
-Criteria 02 and 05 check the simulated gap against it; the oracle itself is
-checked against the exact zero-noise Euler gap.
+coupled fine/coarse gap has a closed form (``coupled_gap_second_moment``),
+and so do the mean and variance of one level sample
+(``coupled_difference_moments``). Criteria 02 and 05 check the simulated gap
+against the first, criteria 03 and 04 each level row against the second;
+both oracles are checked against the exact zero-noise Euler gap.
 
 Each test prints one line with the measured quantities; run with
 ``pytest -s`` to see them on passing criteria too.
@@ -23,15 +25,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.stats import chi2
+from scipy.stats import chi2, norm
 
 from mlmc_mvsde import (
-    ParticleCloud,
+    LevelConfig,
     coupled_variance_study,
     loglog_fit,
     mlmc_estimate,
     moment_w2,
     second_moment_study,
+    simulate_level_pair,
     small_noise_curve,
     strong_error_curve,
     w2_to_dirac,
@@ -39,7 +42,11 @@ from mlmc_mvsde import (
 )
 from mlmc_mvsde.cli_runner import main as cli_main
 
-from helpers import IDENT, OU, ou
+from helpers import IDENT, OU, euler_mean, ou
+
+#: the probability that one level row of a correct run falls outside one of
+#: its exact-moment bands
+BAND_P = 1e-4
 
 
 def ou_sin_diffusion(eps):
@@ -64,20 +71,65 @@ def coupled_gap_second_moment(eps, h_fine, refinement, coarse_steps, m_particles
     the gap is x0^2 D_a^2 + eps^2 sigma^2 h_fine (S_a / M + (1 - 1/M) S_{a+b}).
     """
     a, b, sigma, x0 = OU["a"], OU["b"], OU["sigma"], OU["x0"]
+    d_mean, s_mean = gap_terms(a, h_fine, refinement, coarse_steps)
+    _, s_dev = gap_terms(a + b, h_fine, refinement, coarse_steps)
+    noise = s_mean / m_particles + (1.0 - 1.0 / m_particles) * s_dev
+    return x0**2 * d_mean**2 + (eps * sigma) ** 2 * h_fine * noise
+
+
+def gap_terms(rate, h_fine, refinement, coarse_steps):
+    """The terms (D_r, S_r) of ``coupled_gap_second_moment`` at the rate r."""
     h_coarse = refinement * h_fine
     fine_steps = refinement * coarse_steps
     k = np.arange(fine_steps)
+    fine = (1.0 - rate * h_fine) ** (fine_steps - 1 - k)
+    coarse = (1.0 - rate * h_coarse) ** (coarse_steps - 1 - k // refinement)
+    drift_gap = (1.0 - rate * h_fine) ** fine_steps - (1.0 - rate * h_coarse) ** coarse_steps
+    return drift_gap, float(np.sum((fine - coarse) ** 2))
 
-    def gap(rate):
-        fine = (1.0 - rate * h_fine) ** (fine_steps - 1 - k)
-        coarse = (1.0 - rate * h_coarse) ** (coarse_steps - 1 - k // refinement)
-        drift_gap = (1.0 - rate * h_fine) ** fine_steps - (1.0 - rate * h_coarse) ** coarse_steps
-        return drift_gap, float(np.sum((fine - coarse) ** 2))
 
-    d_mean, s_mean = gap(a)
-    _, s_dev = gap(a + b)
-    noise = s_mean / m_particles + (1.0 - 1.0 / m_particles) * s_dev
-    return x0**2 * d_mean**2 + (eps * sigma) ** 2 * h_fine * noise
+def coupled_difference_moments(eps, h_fine, refinement, coarse_steps, m_particles):
+    """Exact mean and variance of one level sample of the reference model
+    under the identity observable: the system mean of the fine-coarse gap.
+
+    The system mean moves at rate a, driven by averaged noise of variance
+    1/M, so a level sample with ``coarse_steps`` >= 1 has mean x0 D_a and
+    variance eps^2 sigma^2 h_fine S_a / M (the terms of
+    ``coupled_gap_second_moment``). ``coarse_steps = 0`` is level 0, one
+    step of h_fine = T and no coarse path: mean x0 (1 - a T), variance
+    eps^2 sigma^2 T / M. Either sample is exactly Gaussian.
+    """
+    a, sigma, x0 = OU["a"], OU["sigma"], OU["x0"]
+    noise = (eps * sigma) ** 2 / m_particles
+    if coarse_steps == 0:
+        return x0 * (1.0 - a * h_fine), noise * h_fine
+    d_mean, s_mean = gap_terms(a, h_fine, refinement, coarse_steps)
+    return x0 * d_mean, noise * h_fine * s_mean
+
+
+def level_row_bands(eps, rows, m_particles):
+    """Each ``coupled_variance_study`` row at refinement 2 against its exact
+    moments: the ratio var_diff / V_l, the z-score of mean_diff, and whether
+    both lie in their bands. A level sample is Gaussian, so (R - 1) var_diff
+    / V_l is chi-squared with R - 1 degrees of freedom and mean_diff is normal
+    with variance V_l / R; each band misses a correct row with probability
+    ``BAND_P``."""
+    z_max = norm.ppf(1.0 - BAND_P / 2)
+    out = []
+    for r in rows:
+        mean, var = coupled_difference_moments(eps, r.h_coarse / 2, 2,
+                                               round(OU["T"] / r.h_coarse), m_particles)
+        dof = r.samples - 1
+        lo, hi = chi2.ppf([BAND_P / 2, 1.0 - BAND_P / 2], dof) / dof
+        ratio = r.var_diff / var
+        z = (r.mean_diff - mean) / math.sqrt(var / r.samples)
+        out.append((ratio, z, bool(lo <= ratio <= hi and abs(z) <= z_max)))
+    return out
+
+
+def band_detail(bands):
+    return (f"var_diff / V_l={[f'{ratio:.3f}' for ratio, _, _ in bands]}, "
+            f"mean_diff z={[f'{z:+.2f}' for _, z, _ in bands]}")
 
 
 def level_gap(eps, row, m_particles):
@@ -114,6 +166,25 @@ def test_gap_oracle_is_exact_at_zero_noise():
     hs = [2.0**-k for k in range(6, 10)]
     for h, mse in strong_error_curve(ou(0.0), hs, 2, 2, seed=0, ref_factor=8):
         assert mse == pytest.approx(strong_error_gap(0.0, h, min(hs) / 8, 2), rel=1e-10)
+
+
+def test_difference_oracle_is_exact_at_zero_noise():
+    # at eps = 0 each level sample is the deterministic Euler gap of the
+    # system mean, with no spread; on T = 1/2 the level-0 mean is not 0
+    a, x0, horizon = OU["a"], OU["x0"], 0.5
+    model = replace(ou(0.0), horizon=horizon)
+    for level in range(6):
+        h_fine = horizon / 2**level
+        mean, var = coupled_difference_moments(0.0, h_fine, 2, 2**level // 2, 4)
+        fine = euler_mean(a, x0, h_fine, 2**level)
+        euler_gap = fine - (euler_mean(a, x0, 2 * h_fine, 2 ** (level - 1)) if level else 0.0)
+        assert mean == pytest.approx(euler_gap, rel=1e-12, abs=1e-15) and var == 0.0
+        sample = simulate_level_pair(model, LevelConfig(2, level), 4, IDENT, seed=0)[0]
+        assert sample == pytest.approx(mean, rel=1e-12, abs=1e-15)
+    rows = coupled_variance_study(model, [1, 2, 3, 4, 5], 2, 4, 3, IDENT, seed=0)
+    for r in rows:
+        mean, _ = coupled_difference_moments(0.0, r.h_coarse / 2, 2, round(horizon / r.h_coarse), 4)
+        assert r.mean_diff == pytest.approx(mean, rel=1e-12)
 
 
 def test_c02_coupled_second_moment_ratios():
@@ -155,22 +226,31 @@ def test_c03_coupled_variance_rate_in_h():
     plain = loglog_fit(pts)
     fit = loglog_fit(pts[1:])  # the coarsest pair (level 1) is pre-asymptotic
     ok = 1.0 <= fit.slope <= 2.3 and fit.r_squared >= 0.9
+    bands = level_row_bands(0.1, rows, 128)
+    exact = all(ok_row for _, _, ok_row in bands)
     report("03 coupled variance vs h",
            f"slope={fit.slope:.3f} r2={fit.r_squared:.4f} "
-           f"(plain fit slope={plain.slope:.3f}), {time.time()-t0:.1f}s", ok)
+           f"(plain fit slope={plain.slope:.3f}), {band_detail(bands)}, "
+           f"{time.time()-t0:.1f}s", ok and exact)
     assert ok, f"slope {fit.slope} / r2 {fit.r_squared} outside [1.0, 2.3] / >= 0.9"
+    assert exact, f"level rows outside their exact-moment bands: {band_detail(bands)}"
 
 
 def test_c04_coupled_variance_rate_in_epsilon():
     t0 = time.time()
     pts = []
+    bands = []
     for eps in (0.4, 0.2, 0.1, 0.05):
         rows = coupled_variance_study(ou(eps), [3], 2, 128, 500, IDENT, seed=0)
         pts.append((eps, rows[0].var_diff))
+        bands += level_row_bands(eps, rows, 128)
     fit = loglog_fit(pts)
     ok = 1.7 <= fit.slope <= 4.3
-    report("04 coupled variance vs epsilon", f"slope={fit.slope:.3f}, {time.time()-t0:.1f}s", ok)
+    exact = all(ok_row for _, _, ok_row in bands)
+    report("04 coupled variance vs epsilon",
+           f"slope={fit.slope:.3f}, {band_detail(bands)}, {time.time()-t0:.1f}s", ok and exact)
     assert ok, f"slope {fit.slope} outside [1.7, 4.3]"
+    assert exact, f"level rows outside their exact-moment bands: {band_detail(bands)}"
 
 
 def test_c05_strong_error_rates():
@@ -269,7 +349,7 @@ def test_c09_wasserstein_brute_force_oracle():
         m = int(rng.integers(1, 7))
         xs = rng.normal(size=m) * rng.uniform(0.5, 3.0)
         ys = rng.normal(size=m) * rng.uniform(0.5, 3.0)
-        got = wasserstein2(ParticleCloud(xs), ParticleCloud(ys))
+        got = wasserstein2(xs, ys)
         best = math.inf
         for perm in itertools.permutations(range(m)):
             cost = np.mean([(xs[i] - ys[j]) ** 2 for i, j in enumerate(perm)])
@@ -287,7 +367,7 @@ def test_c10_dirac_identity():
     for _ in range(1000):
         m = int(rng.integers(1, 30))
         d = int(rng.integers(1, 4))
-        mu = ParticleCloud(rng.normal(size=(m, d)) * rng.uniform(0.1, 5.0))
+        mu = rng.normal(size=(m, d)) * rng.uniform(0.1, 5.0)
         worst = max(worst, abs(w2_to_dirac(mu, np.zeros(d)) - moment_w2(mu)))
     ok = worst <= 1e-15
     report("10 point-mass identity", f"max gap={worst:.2e}, {time.time()-t0:.1f}s", ok)

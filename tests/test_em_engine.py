@@ -57,14 +57,14 @@ def test_em_step_constant_drift_shift():
 
 def test_em_step_ou_recursion():
     model = ou(0.0)
-    cloud = ParticleCloud.at([1.0], 4)
+    cloud = ParticleCloud(np.ones((4, 1)))
     out = em_step(model, cloud, 0.1, np.zeros((4, 1)))
     assert np.allclose(out.positions, 0.9)
 
 
 def test_em_step_shape_errors():
     model = ou(0.1)
-    cloud = ParticleCloud.at([1.0], 4)
+    cloud = ParticleCloud(np.ones((4, 1)))
     with pytest.raises(ShapeError):
         em_step(model, cloud, 0.1, np.zeros((3, 1)))
     # a 1-D block is refused like any other wrong shape, not promoted to (M, 1)
@@ -142,7 +142,7 @@ def test_em_step_errors_under_raising_errstate():
         with pytest.raises(NumericError, match="^drift "):
             em_step(_custom(nan_f, finite_g), ParticleCloud([1e308, 1.0, 0.0]), 1.0, xi)
         with pytest.raises(NumericError, match=r"^drift .* \(0, 0\)$"):
-            em_step(overflow, overflow.start(4), 0.5, np.zeros((4, 1)))
+            advance(overflow, overflow.start(4), 0.5, math.sqrt(0.5), np.zeros((4, 1)))
     # an underflow is no divergence: same bits as under the default settings
     tiny = _custom(lambda x, mu: np.full(x.shape, 1e-300),
                    lambda x, mu: np.zeros(x.shape[:-1] + (1, 1)))
@@ -161,7 +161,7 @@ def test_em_step_errors_under_warnings_as_errors():
     model = builtin_model("measure_diffusion", {"a": -1e150, "sigma": 1.0, "x0": 1e12,
                                                 "T": 1e300, "epsilon": 0.1})
     with pytest.raises(DivergenceError):
-        em_step(model, model.start(4), 1e300, np.zeros((4, 1)))
+        advance(model, model.start(4), 1e300, math.sqrt(1e300), np.zeros((4, 1)))
     with pytest.raises(DivergenceError) as err:
         simulate_path(model, 1e300, 4, 0)
     assert err.value.step_index == 0
@@ -170,12 +170,12 @@ def test_em_step_errors_under_warnings_as_errors():
     model = _custom(lambda x, mu: (x + 1e300) * 1e300,
                     lambda x, mu: np.ones(x.shape[:-1] + (1, 1)))
     with pytest.raises(NumericError, match=r"^drift .* \(0, 0\)$"):
-        em_step(model, model.start(4), 0.5, np.zeros((4, 1)))
+        advance(model, model.start(4), 0.5, math.sqrt(0.5), np.zeros((4, 1)))
 
 
 def test_em_step_output_is_fresh_and_read_only():
     for model in (ou(0.4), builtin_model("zero", {"x0": 1.0, "T": 1.0, "epsilon": 0.1})):
-        cloud = ParticleCloud.at([1.0], 5)
+        cloud = ParticleCloud(np.ones((5, 1)))
         xi = np.random.default_rng(3).normal(size=(5, 1))
         out = em_step(model, cloud, 0.125, xi)
         assert not out.positions.flags.writeable
@@ -187,14 +187,14 @@ def test_simulate_path_zero_model():
     model = builtin_model("zero", {"x0": 1.5, "T": 1.0, "epsilon": 0.1})
     rec = simulate_path(model, 1.0 / 16, 8, seed=3)
     assert rec.rng_draws == 8 * 1 * 16
-    for cloud in rec.clouds:
-        assert np.all(cloud.positions == 1.5)
+    assert rec.states.shape == (17, 8, 1)
+    assert np.all(rec.states == 1.5)
 
 
 def test_simulate_path_constant_drift_exact():
     model = builtin_model("constant_drift", {"c": 2.0, "x0": 1.0, "T": 1.0, "epsilon": 0.0})
     rec = simulate_path(model, 0.5, 4, seed=0)
-    assert np.all(rec.clouds[-1].positions == 3.0)
+    assert np.all(rec.states[-1] == 3.0)
 
 
 def test_simulate_path_is_deterministic_over_the_full_grid():
@@ -203,15 +203,14 @@ def test_simulate_path_is_deterministic_over_the_full_grid():
     a = simulate_path(model, h, 16, seed=42)
     b = simulate_path(model, h, 16, seed=42)
     assert a.rng_draws == b.rng_draws == 16 * 32
-    assert len(a.clouds) == 33 and np.array_equal(a.times, h * np.arange(33))
-    for ca, cb in zip(a.clouds, b.clouds):
-        assert np.array_equal(ca.positions, cb.positions)
+    assert len(a.states) == 33 and np.array_equal(a.times, h * np.arange(33))
+    assert a.states.tobytes() == b.states.tobytes()
 
 
 def test_simulate_path_terminal_mean_clt_band():
     model = ou(0.1)
     rec = simulate_path(model, 2.0**-6, 256, seed=9)
-    xs = rec.clouds[-1].positions[:, 0]
+    xs = rec.states[-1, :, 0]
     band = 3 * xs.std(ddof=1) / math.sqrt(256)
     assert abs(xs.mean() - math.exp(-1.0)) <= band + 5e-3  # CLT band plus step bias
 
@@ -295,8 +294,8 @@ def test_zero_noise_collapse_to_ode_exact():
     model = ou(0.0)
     rec = simulate_path(model, 1.0 / 32, 64, seed=5)
     z = ode_limit(model, 1.0 / 32)
-    for n, cloud in enumerate(rec.clouds):
-        assert np.array_equal(cloud.positions, np.tile(z[n], (64, 1)))
+    for n, states in enumerate(rec.states):
+        assert np.array_equal(states, np.tile(z[n], (64, 1)))
 
 
 def test_divergence_error_carries_step_index():

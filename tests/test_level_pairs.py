@@ -19,6 +19,7 @@ from mlmc_mvsde import (
     LevelConfig,
     ModelSpec,
     NumericError,
+    ParticleCloud,
     builtin_model,
     builtin_test_function,
     em_step,
@@ -41,8 +42,8 @@ def looped(model, cfg, xi):
         fine_m = coarse_m = model.start(xi.shape[3])
         for block in blocks:
             fine_m, coarse_m = coupled_coarse_interval(model, fine_m, coarse_m, cfg, block)
-        fine.append(fine_m.positions)
-        coarse.append(coarse_m.positions)
+        fine.append(fine_m)
+        coarse.append(coarse_m)
     return np.stack(fine), np.stack(coarse)
 
 
@@ -80,7 +81,7 @@ def test_level0_samples_equal_one_step_per_sample(args, psi, m, count, seed, sta
     want = []
     for index in range(start, start + count):
         xi = stream(seed, DOMAIN_LEVEL_ZERO, 0, index).standard_normal((m, model.d_bar))
-        cloud = em_step(model, model.start(m), model.horizon, xi)
+        cloud = em_step(model, ParticleCloud(model.start(m)), model.horizon, xi)
         want.append(sorted_mean(test_fn.psi(cloud.positions)))
     cuts = sorted(data.draw(st.lists(st.integers(start, start + count), max_size=3)))
     bounds = [start, *cuts, start + count]

@@ -57,7 +57,7 @@ def test_level_config_geometry():
 
 def test_coupled_state_initialization():
     start = ou(0.1).start(6)
-    assert np.all(start.positions == 1.0)
+    assert np.all(start == 1.0)
 
 
 def test_coupled_interval_constant_drift_zero_noise():
@@ -66,8 +66,8 @@ def test_coupled_interval_constant_drift_zero_noise():
     start = model.start(4)
     xi = np.random.default_rng(0).normal(size=(2, 4, 1))
     fine, coarse = coupled_coarse_interval(model, start, start, cfg, xi)
-    assert np.all(fine.positions == 2.0)
-    assert np.all(coarse.positions == 2.0)
+    assert np.all(fine == 2.0)
+    assert np.all(coarse == 2.0)
 
 
 def test_coupled_interval_ou_deterministic_oracle():
@@ -76,8 +76,8 @@ def test_coupled_interval_ou_deterministic_oracle():
     cfg = LevelConfig(refinement_n=2, level=1)
     start = model.start(4)
     fine, coarse = coupled_coarse_interval(model, start, start, cfg, np.zeros((2, 4, 1)))
-    assert np.all(fine.positions == 0.25)
-    assert np.all(coarse.positions == 0.0)
+    assert np.all(fine == 0.25)
+    assert np.all(coarse == 0.0)
 
 
 def test_coupled_interval_refuses_level_zero():
@@ -123,9 +123,35 @@ def test_coarse_step_non_finite_drift_is_named():
     cfg = LevelConfig(refinement_n=2, level=2)
     start = model.start(3)
     fine, coarse = coupled_coarse_interval(model, start, start, cfg, np.zeros((2, 3, 1)))
-    assert np.all(fine.positions == 1.0) and np.all(coarse.positions == -3.0)
+    assert np.all(fine == 1.0) and np.all(coarse == -3.0)
     with pytest.raises(NumericError, match="drift"):
         coupled_coarse_interval(model, fine, coarse, cfg, np.zeros((2, 3, 1)))
+
+
+def test_coupled_interval_failures_name_their_path_and_step():
+    # -3x, NaN from |x| = 1.5, at h_fine = 1/2 and h_coarse = 1
+    model = ModelSpec(
+        d=1, d_bar=1,
+        drift=lambda x, mu: np.where(np.abs(x) < 1.5, -3.0 * x, np.nan),
+        diffusion=lambda x, mu: np.ones(x.shape[:-1] + (1, 1)),
+        epsilon=1.0, x0=np.array([1.0]), horizon=2.0,
+        lipschitz_K=9.0, growth_beta=18.0,
+    )
+    cfg = LevelConfig(refinement_n=2, level=2)
+    start = model.start(3)
+    zeros = np.zeros((2, 3, 1))
+    fine, coarse = coupled_coarse_interval(model, start, start, cfg, zeros)
+    assert np.all(fine == 0.25) and np.all(coarse == -2.0)
+    # a kick on the first sub-step takes the fine state from 1 to about 2
+    kick = zeros.copy()
+    kick[0] = 2.5 / math.sqrt(0.5)
+    cases = [((fine, coarse, zeros), "coarse", 0),  # the coarse drift at -2
+             ((coarse, coarse, zeros), "fine", 0),  # the fine drift at -2
+             ((start, start, kick), "fine", 1)]  # the fine drift at about 2
+    for (fine_x, coarse_x, xi), path, step in cases:
+        with pytest.raises(DivergenceError, match="^drift ") as err:
+            coupled_coarse_interval(model, fine_x, coarse_x, cfg, xi)
+        assert (err.value.path, err.value.step_index) == (path, step)
 
 
 def test_coupled_interval_outputs_are_fresh_read_only():
@@ -133,10 +159,14 @@ def test_coupled_interval_outputs_are_fresh_read_only():
     cfg = LevelConfig(refinement_n=2, level=1)
     start = model.start(4)
     xi = np.random.default_rng(0).normal(size=(2, 4, 1))
-    for cloud in coupled_coarse_interval(model, start, start, cfg, xi):
-        assert not cloud.positions.flags.writeable
-        for source in (start.positions, xi):
-            assert not np.shares_memory(cloud.positions, source)
+    for states in coupled_coarse_interval(model, start, start, cfg, xi):
+        assert not states.flags.writeable
+        for source in (start, xi):
+            assert not np.shares_memory(states, source)
+    # the caller's own states are read, not frozen
+    mine = np.ones((4, 1))
+    coupled_coarse_interval(model, mine, mine.copy(), cfg, xi)
+    assert mine.flags.writeable
 
 
 def test_simulate_level_pair_deterministic_oracle():
@@ -231,7 +261,7 @@ def test_telescoping_identity():
 
     fine = np.array([
         sorted_mean(IDENT.psi(simulate_path(model, 0.25, m,
-                                            seed=7_000_000 + k).clouds[-1].positions))
+                                            seed=7_000_000 + k).states[-1]))
         for k in range(n_samples)
     ])
     joint_se = math.sqrt(sum(v / n_samples for v in level_vars) + fine.var(ddof=1) / n_samples)

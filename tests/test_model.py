@@ -32,26 +32,28 @@ def all_builtins():
 
 
 def drift_at(model, x, mu):
-    """The model's own drift callable at the one (d,) state x against the cloud mu."""
-    return model.drift(x[None], mu.positions)[0]
+    """The model's own drift callable at the one (d,) state x against the (M, d)
+    states mu, a flat list being M states in one dimension."""
+    return model.drift(x[None], np.reshape(mu, (len(mu), -1)))[0]
 
 
 def diffusion_at(model, x, mu):
-    """The model's own diffusion callable at the one (d,) state x against the cloud mu."""
-    return model.diffusion(x[None], mu.positions)[0]
+    """The model's own diffusion callable at the one (d,) state x against the
+    states mu, as ``drift_at`` reads them."""
+    return model.diffusion(x[None], np.reshape(mu, (len(mu), -1)))[0]
 
 
 def test_drift_examples():
     zero = builtin_model("zero", BASE)
-    mu = ParticleCloud([0.3, -0.7])
+    mu = [0.3, -0.7]
     assert np.array_equal(drift_at(zero, np.array([2.0]), mu), [0.0])
 
     ou = builtin_model("meanfield_ou", {**BASE, "a": 1.0, "b": 0.5, "sigma": 1.0})
-    at_two = ParticleCloud.at([2.0], 8)
+    at_two = np.full((8, 1), 2.0)
     assert drift_at(ou, np.array([2.0]), at_two) == pytest.approx([-2.0], abs=1e-15)
 
     kura = builtin_model("kuramoto", BASE)
-    mu = ParticleCloud([0.0, math.pi / 2])
+    mu = [0.0, math.pi / 2]
     assert drift_at(kura, np.array([0.0]), mu) == pytest.approx([0.5], abs=1e-15)
 
 
@@ -69,7 +71,7 @@ def test_kuramoto_drift_matches_pairwise_sum():
             x = rng.uniform(-4.0, 4.0, size=(33, d))
             want = kuramoto_pairwise(1.7, x, pos)
             assert np.allclose(kura.drift(x, pos), want, rtol=0.0, atol=1e-12)
-            assert np.allclose(drift_at(kura, x[0], ParticleCloud(pos)), want[0],
+            assert np.allclose(drift_at(kura, x[0], pos), want[0],
                                rtol=0.0, atol=1e-12)
 
 
@@ -84,11 +86,11 @@ def test_kuramoto_drift_is_permutation_invariant():
 
 def test_diffusion_examples():
     const = builtin_model("constant_drift", {**BASE, "c": 1.0, "sigma": 0.7})
-    mu = ParticleCloud([0.0, 1.0])
+    mu = [0.0, 1.0]
     assert np.allclose(diffusion_at(const, np.array([5.0]), mu), [[0.7]])
 
     md = builtin_model("measure_diffusion", {**BASE, "sigma": 1.0})
-    assert np.allclose(diffusion_at(md, np.array([9.0]), ParticleCloud([1.0, 3.0])), [[3.0]])
+    assert np.allclose(diffusion_at(md, np.array([9.0]), [1.0, 3.0]), [[3.0]])
 
     zero = builtin_model("zero", BASE)
     assert np.array_equal(diffusion_at(zero, np.array([1.0]), mu), [[0.0]])
@@ -120,7 +122,7 @@ def test_coefficients_refuse_a_wrong_state_or_output_shape():
 
 def test_builtin_model_examples():
     zero = builtin_model("zero", BASE)
-    mu = ParticleCloud([1.0, -1.0])
+    mu = [1.0, -1.0]
     assert np.array_equal(drift_at(zero, np.array([3.0]), mu), [0.0])
     assert np.array_equal(diffusion_at(zero, np.array([3.0]), mu), [[0.0]])
 
@@ -171,7 +173,7 @@ def test_unicode_parameter_aliases():
                                         "x0": 1.0, "T": 1.0, "ε": 0.25})
     m2 = builtin_model("meanfield_ou", {"a": 1.0, "b": 0.5, "sigma": 2.0,
                                         "x0": 1.0, "T": 1.0, "epsilon": 0.25})
-    mu = ParticleCloud([0.5, 1.5])
+    mu = [0.5, 1.5]
     x = np.array([0.3])
     assert np.array_equal(diffusion_at(m1, x, mu), diffusion_at(m2, x, mu))
     assert m1.epsilon == m2.epsilon
@@ -253,7 +255,7 @@ def test_coefficient_purity():
     ou = builtin_model("meanfield_ou", {**BASE, "a": 1.0, "b": 0.5, "sigma": 1.0})
     rng = np.random.default_rng(2)
     x = rng.normal(size=1)
-    mu = ParticleCloud(rng.normal(size=12))
+    mu = rng.normal(size=12)
     first = drift_at(ou, x, mu)
     for _ in range(5):
         assert np.array_equal(drift_at(ou, x, mu), first)
@@ -263,21 +265,20 @@ def test_vectorized_matches_pointwise():
     rng = np.random.default_rng(4)
     for model in all_builtins():
         pos = rng.normal(size=(16, model.d))
-        mu = ParticleCloud(pos)
         stack = rng.normal(size=(10, model.d))
         f_stack = model.drift(stack, pos)
         g_stack = model.diffusion(stack, pos)
         for i in range(10):
-            assert np.array_equal(np.asarray(f_stack)[i], drift_at(model, stack[i], mu))
-            assert np.array_equal(np.asarray(g_stack)[i], diffusion_at(model, stack[i], mu))
+            assert np.array_equal(np.asarray(f_stack)[i], drift_at(model, stack[i], pos))
+            assert np.array_equal(np.asarray(g_stack)[i], diffusion_at(model, stack[i], pos))
 
 
 def _sample_pair(rng, d, max_m=64):
     m = int(rng.integers(1, max_m + 1))
     x = rng.uniform(-10, 10, size=d)
     y = rng.uniform(-10, 10, size=d)
-    mu = ParticleCloud(rng.uniform(-10, 10, size=(m, d)))
-    nu = ParticleCloud(rng.uniform(-10, 10, size=(m, d)))
+    mu = rng.uniform(-10, 10, size=(m, d))
+    nu = rng.uniform(-10, 10, size=(m, d))
     return x, y, mu, nu
 
 

@@ -1,4 +1,4 @@
-"""Properties of ``ModelSpec.start``: reusing the start cloud's coefficients
+"""Properties of ``ModelSpec.start``: reusing the start states' coefficients
 changes no bits, and no model ever sees another model's start state."""
 
 from dataclasses import fields, replace
@@ -11,10 +11,9 @@ from hypothesis import strategies as st
 from mlmc_mvsde import (
     LevelConfig,
     ModelSpec,
-    ParticleCloud,
     builtin_model,
-    em_step,
 )
+from mlmc_mvsde.em_engine import advance
 from mlmc_mvsde.mlmc_engine import _level_samples
 from mlmc_mvsde.model import coefficients
 
@@ -22,11 +21,11 @@ from helpers import IDENT, builtin_args
 
 
 class _Uncached(ModelSpec):
-    """A model that hands out a new all-x0 cloud each time: every step is
+    """A model that hands out new all-x0 states each time: every step is
     evaluated, as before the start state was built once."""
 
     def start(self, m):
-        return ParticleCloud.at(self.x0, m)
+        return np.tile(self.x0, (m, 1))
 
 
 def uncached(model):
@@ -69,16 +68,20 @@ def test_copies_never_reuse_start_coefficients(args, m, eps, seed):
     model = builtin_model(*args)
     start = model.start(m)
     xi = np.random.default_rng(seed).standard_normal((m, model.d_bar))
-    before = em_step(model, start, 0.25, xi).positions
+
+    def step(model, x):
+        return advance(model, x, 0.25, 0.5, xi)
+
+    before = step(model, start)
     shifted = replace(model, drift=lambda x, mu: model.drift(x, mu) + 1.0)
     for other in (model.with_epsilon(eps), shifted):
         other_start = other.start(m)
         assert other_start is not start
-        # the same step from a cloud that is not the start cloud is evaluated afresh
-        expected = em_step(other, ParticleCloud.at(other.x0, m), 0.25, xi).positions
-        assert em_step(other, other_start, 0.25, xi).positions.tobytes() == expected.tobytes()
+        # the same step from states that are not the start array is evaluated afresh
+        expected = step(other, np.tile(other.x0, (m, 1)))
+        assert step(other, other_start).tobytes() == expected.tobytes()
     assert model.start(m) is start
-    assert em_step(model, start, 0.25, xi).positions.tobytes() == before.tobytes()
+    assert step(model, start).tobytes() == before.tobytes()
 
 
 @settings(max_examples=25, deadline=None)
@@ -87,11 +90,10 @@ def test_start_is_read_only_and_built_once(args, m):
     model = builtin_model(*args)
     start = model.start(m)
     assert model.start(m) is start
-    assert start.positions.shape == (m, model.d)
-    assert np.all(start.positions == model.x0)
+    assert type(start) is np.ndarray and start.shape == (m, model.d)
+    assert np.all(start == model.x0)
     with pytest.raises(ValueError):
-        start.positions[0, 0] = 1.0
-    for coef in coefficients(model, start.positions):
+        start[0, 0] = 1.0
+    for coef in coefficients(model, start):
         assert not coef.flags.writeable
-    assert coefficients(model, start.positions)[0] is \
-        coefficients(model, model.start(m).positions)[0]
+    assert coefficients(model, start)[0] is coefficients(model, model.start(m))[0]
