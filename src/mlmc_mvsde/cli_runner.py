@@ -18,7 +18,7 @@ import platform
 import sys
 import time
 from dataclasses import asdict, dataclass, field
-from inspect import Parameter, signature
+from inspect import signature
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -211,8 +211,7 @@ class Experiment(NamedTuple):
     def fields(self) -> dict:
         """``"section.key"`` -> the engine function's default, or REQUIRED."""
         params = signature(self.engine).parameters
-        return {_field(arg): REQUIRED if params[arg].default is Parameter.empty
-                else params[arg].default for arg in self.args}
+        return {_field(arg): params[arg].default for arg in self.args}
 
 
 EXPERIMENTS = {

@@ -78,7 +78,7 @@ def particle_mean(values: np.ndarray) -> np.ndarray:
     (K, 1, d) for a stack of K, so that ``particle_mean(mu) - x`` broadcasts
     per system.
     """
-    return sorted_mean(np.swapaxes(values, -1, -2))[..., None, :]
+    return sorted_mean(values.swapaxes(-1, -2))[..., None, :]
 
 
 def moment_w2(mu: np.ndarray) -> float:

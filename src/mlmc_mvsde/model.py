@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field, replace
+from inspect import Parameter, signature
 from typing import Callable, Mapping
 
 import numpy as np
@@ -41,18 +42,9 @@ DriftFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 #: ``diffusion(x, mu)``: the same arguments -> one (d, d_bar) matrix per state
 DiffusionFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
-#: stands in for the default of a parameter the caller must set
-REQUIRED = object()
-_COMMON = {"x0": REQUIRED, "T": REQUIRED, "epsilon": REQUIRED}
-#: each builtin's parameters -> default, or REQUIRED where there is none
-_MODEL_PARAMS = {
-    "zero": _COMMON,
-    "constant_drift": {**_COMMON, "c": REQUIRED, "sigma": 1.0},
-    "meanfield_ou": {**_COMMON, "a": REQUIRED, "b": REQUIRED, "sigma": 1.0},
-    "kuramoto": {**_COMMON, "kappa": 1.0, "sigma": 1.0},
-    "measure_diffusion": {**_COMMON, "a": 1.0, "sigma": REQUIRED},
-}
-BUILTIN_MODELS = tuple(_MODEL_PARAMS)
+#: the default of a parameter the caller must set, as ``inspect.signature``
+#: reports it for a builder's keyword-only parameter or an engine argument
+REQUIRED = Parameter.empty
 #: any state beyond this magnitude aborts the run; a model's x0 lies within it
 DIVERGENCE_LIMIT = 1e12
 #: the other spellings of a parameter
@@ -236,10 +228,91 @@ def _constant_diffusion(matrix: np.ndarray) -> DiffusionFn:
     return diffusion
 
 
+def _zero(x0, T):
+    """f = 0, g = 0."""
+    d = x0.shape[0]
+    return (lambda x, mu: np.zeros_like(x)), _constant_diffusion(np.zeros((d, d))), 0.0, 2.0, {}
+
+
+def _constant_drift(x0, T, *, c, sigma=1.0):
+    """f = c, g = σ."""
+    d = x0.shape[0]
+    cvec = np.full(d, c)
+    beta = _growth_beta("constant_drift", "2 max(1, c^2 d, sigma^2 d)",
+                        0.0, abs(c) * math.sqrt(d), abs(sigma) * math.sqrt(d))
+    return (lambda x, mu: np.broadcast_to(cvec, x.shape),
+            _constant_diffusion(sigma * np.eye(d)), 0.0, beta, {})
+
+
+def _meanfield_ou(x0, T, *, a, b, sigma=1.0):
+    """f(x,μ) = -a x + b (mean(μ) - x), g = σ. The particle mean started from a
+    point obeys m(t) = x0 exp(-a t); the exact mean at the horizon is recorded
+    in ``meta['exact_mean_at_horizon']``."""
+    name, d = "meanfield_ou", x0.shape[0]
+
+    def drift(x, mu, _a=a, _b=b):
+        return -_a * x + _b * (particle_mean(mu) - x)
+
+    K = max(_derived(name, "(a + b)^2 + b^2", lambda: (a + b) ** 2 + b**2),
+            _derived(name, "sigma^2", lambda: sigma**2))
+    beta = _growth_beta(name, "2 max(1, (a + b)^2 + b^2, sigma^2 d)",
+                        K, 0.0, abs(sigma) * math.sqrt(d))
+    mean = _derived(name, "x0 exp(-a T)", lambda: [x * math.exp(-a * T) for x in x0.tolist()])
+    return drift, _constant_diffusion(sigma * np.eye(d)), K, beta, {"exact_mean_at_horizon": mean}
+
+
+def _kuramoto(x0, T, *, kappa=1.0, sigma=1.0):
+    """f(x,μ) = κ mean_j sin(x_j - x) componentwise, g = σ, evaluated in O(M)
+    as κ (S cos x - C sin x) with S, C the means of sin x_j and cos x_j. The
+    only builtin whose coefficients satisfy the declared bounds globally, not
+    just on the validation region."""
+    name = "kuramoto"
+
+    def drift(x, mu, _k=kappa):
+        # sin(x_j - x) = sin x_j cos x - cos x_j sin x; the steppers pass
+        # the system's own states as x, whose sines and cosines serve twice
+        sin_x, cos_x = np.sin(x), np.cos(x)
+        sin_p, cos_p = (sin_x, cos_x) if mu is x else (np.sin(mu), np.cos(mu))
+        return _k * (particle_mean(sin_p) * cos_x - particle_mean(cos_p) * sin_x)
+
+    K = max(_derived(name, "2 kappa^2", lambda: 2.0 * kappa**2),
+            _derived(name, "sigma^2", lambda: sigma**2))
+    beta = _growth_beta(name, "2 max(1, kappa^2, sigma^2)", 0.0, kappa, sigma)
+    return drift, _constant_diffusion(sigma * np.eye(x0.shape[0])), K, beta, {}
+
+
+def _measure_diffusion(x0, T, *, a=1.0, sigma):
+    """f = -a x, g(x,μ) = σ (1 + mean(μ)) on the diagonal."""
+    name, d = "measure_diffusion", x0.shape[0]
+
+    def drift(x, mu, _a=a):
+        return -_a * x
+
+    def diffusion(x, mu, _s=sigma):
+        mat = _s * np.eye(d) * (1.0 + particle_mean(mu))[..., None]
+        return np.broadcast_to(mat, x.shape[:-1] + mat.shape[-2:])
+
+    K = max(_derived(name, "a^2", lambda: a**2),
+            _derived(name, "2 sigma^2", lambda: 2.0 * sigma**2))
+    beta = _growth_beta(name, "2 max(1, a^2, 2 sigma^2, sigma^2 d)",
+                        K, 0.0, abs(sigma) * math.sqrt(d))
+    return drift, diffusion, K, beta, {}
+
+
+#: each builtin's builder ``(x0, T, **coefficients) -> (drift, diffusion,
+#: lipschitz_K, growth_beta, meta)``; its keyword-only parameters, with their
+#: defaults, are the model's parameters besides ``x0``, ``T`` and ``epsilon``
+_BUILDERS = {"zero": _zero, "constant_drift": _constant_drift, "meanfield_ou": _meanfield_ou,
+             "kuramoto": _kuramoto, "measure_diffusion": _measure_diffusion}
+BUILTIN_MODELS = tuple(_BUILDERS)
+
+
 def _read_params(name: str, params: Mapping) -> dict:
     """Builtin ``name``'s parameters by key, read as floats (``x0`` as a float
-    vector) where ``params`` spells them once, else their table defaults."""
-    table = _MODEL_PARAMS[name]
+    vector) where ``params`` spells them once, else their builder's defaults."""
+    table = {"x0": REQUIRED, "T": REQUIRED, "epsilon": REQUIRED}
+    table.update((key, p.default) for key, p in signature(_BUILDERS[name]).parameters.items()
+                 if p.kind is Parameter.KEYWORD_ONLY)
     if unknown := [s for s in params if _ALIASES.get(s, s) not in table]:
         raise ConfigurationError(f"unknown {name} parameters {unknown}")
     spelt = {}
@@ -272,108 +345,25 @@ def builtin_model(name: str, params: Mapping) -> ModelSpec:
     ``x0`` may also be a non-empty list, tuple or 1-D array of them; its
     length is the dimension. ``σ``, ``ε`` or ``eps``, and ``κ`` spell
     ``sigma``, ``epsilon`` and ``kappa``. Every model needs ``x0``, ``T`` and
-    ``epsilon``; its other parameters and their defaults are listed below. A
-    missing parameter without a default, one the model does not read, one
-    given under two spellings or one of the wrong type is a
-    ``ConfigurationError`` that names it, and so is a finite parameter
-    whose derived constants overflow a float (the message names the model
-    and the formula). So is an ``x0`` outside the trust region that the
+    ``epsilon``; its other parameters and their defaults are the keyword-only
+    parameters of its builder in ``_BUILDERS`` (``_zero``, ``_constant_drift``,
+    ``_meanfield_ou``, ``_kuramoto``, ``_measure_diffusion``), whose docstrings
+    state its coefficients. A missing parameter without a default, one the
+    model does not read, one given under two spellings or one of the wrong
+    type is a ``ConfigurationError`` that names it, and so is a finite
+    parameter whose derived constants overflow a float (the message names the
+    model and the formula). So is an ``x0`` outside the trust region that the
     steppers check, ``|x0| <= 1e12`` (``DIVERGENCE_LIMIT``) per component.
-
-    - ``zero`` (no others): f = 0, g = 0.
-    - ``constant_drift`` (``c``, ``sigma`` = 1): f = c, g = σ.
-    - ``meanfield_ou`` (``a``, ``b``, ``sigma`` = 1): f(x,μ) = -a x + b (mean(μ) - x),
-      g = σ. The particle mean started from a point obeys m(t) = x0 exp(-a t);
-      the exact mean at the horizon is recorded in
-      ``meta['exact_mean_at_horizon']``.
-    - ``kuramoto`` (``kappa`` = 1, ``sigma`` = 1): f(x,μ) = κ mean_j sin(x_j - x)
-      componentwise, g = σ, evaluated in O(M) as κ (S cos x - C sin x) with
-      S, C the means of sin x_j and cos x_j. The only builtin whose
-      coefficients satisfy the declared bounds globally, not just on the
-      validation region.
-    - ``measure_diffusion`` (``a`` = 1, ``sigma``): f = -a x,
-      g(x,μ) = σ (1 + mean(μ)) on the diagonal.
     """
     if name not in BUILTIN_MODELS:
         raise ConfigurationError(f"unknown model '{name}'; expected one of {BUILTIN_MODELS}",
                                  "name")
     p = _read_params(name, params)
-    x0, horizon, epsilon = p["x0"], p["T"], p["epsilon"]
-    d = x0.shape[0]
-    d_bar = d
-    meta: dict = {}
-
-    if name == "zero":
-        drift = lambda x, mu: np.zeros_like(x)
-        diffusion = _constant_diffusion(np.zeros((d, d_bar)))
-        K, beta = 0.0, 2.0
-
-    elif name == "constant_drift":
-        c, sigma = p["c"], p["sigma"]
-        cvec = np.full(d, c)
-        drift = lambda x, mu: np.broadcast_to(cvec, x.shape)
-        diffusion = _constant_diffusion(sigma * np.eye(d, d_bar))
-        K = 0.0
-        beta = _growth_beta(name, "2 max(1, c^2 d, sigma^2 d)",
-                            K, abs(c) * math.sqrt(d), abs(sigma) * math.sqrt(d))
-
-    elif name == "meanfield_ou":
-        a, b, sigma = p["a"], p["b"], p["sigma"]
-
-        def drift(x, mu, _a=a, _b=b):
-            return -_a * x + _b * (particle_mean(mu) - x)
-
-        diffusion = _constant_diffusion(sigma * np.eye(d, d_bar))
-        K = max(_derived(name, "(a + b)^2 + b^2", lambda: (a + b) ** 2 + b**2),
-                _derived(name, "sigma^2", lambda: sigma**2))
-        beta = _growth_beta(name, "2 max(1, (a + b)^2 + b^2, sigma^2 d)",
-                            K, 0.0, abs(sigma) * math.sqrt(d))
-        meta["exact_mean_at_horizon"] = _derived(
-            name, "x0 exp(-a T)", lambda: [x * math.exp(-a * horizon) for x in x0.tolist()])
-
-    elif name == "kuramoto":
-        kappa, sigma = p["kappa"], p["sigma"]
-
-        def drift(x, mu, _k=kappa):
-            # sin(x_j - x) = sin x_j cos x - cos x_j sin x; the steppers pass
-            # the system's own states as x, whose sines and cosines serve twice
-            sin_x, cos_x = np.sin(x), np.cos(x)
-            sin_p, cos_p = (sin_x, cos_x) if mu is x else (np.sin(mu), np.cos(mu))
-            return _k * (particle_mean(sin_p) * cos_x - particle_mean(cos_p) * sin_x)
-
-        diffusion = _constant_diffusion(sigma * np.eye(d, d_bar))
-        K = max(_derived(name, "2 kappa^2", lambda: 2.0 * kappa**2),
-                _derived(name, "sigma^2", lambda: sigma**2))
-        beta = _growth_beta(name, "2 max(1, kappa^2, sigma^2)", 0.0, kappa, sigma)
-
-    else:  # measure_diffusion
-        a, sigma = p["a"], p["sigma"]
-
-        def drift(x, mu, _a=a):
-            return -_a * x
-
-        def diffusion(x, mu, _s=sigma):
-            mat = _s * np.eye(d, d_bar) * (1.0 + particle_mean(mu))[..., None]
-            return np.broadcast_to(mat, x.shape[:-1] + mat.shape[-2:])
-
-        K = max(_derived(name, "a^2", lambda: a**2),
-                _derived(name, "2 sigma^2", lambda: 2.0 * sigma**2))
-        beta = _growth_beta(name, "2 max(1, a^2, 2 sigma^2, sigma^2 d)",
-                            K, 0.0, abs(sigma) * math.sqrt(d))
-
-    return ModelSpec(
-        d=d,
-        d_bar=d_bar,
-        drift=drift,
-        diffusion=diffusion,
-        epsilon=epsilon,
-        x0=x0,
-        horizon=horizon,
-        lipschitz_K=K,
-        growth_beta=beta,
-        name=name,
-        meta=meta,
-    )
+    x0, horizon, epsilon = p.pop("x0"), p.pop("T"), p.pop("epsilon")
+    drift, diffusion, K, beta, meta = _BUILDERS[name](x0, horizon, **p)
+    return ModelSpec(d=x0.shape[0], d_bar=x0.shape[0], drift=drift, diffusion=diffusion,
+                     epsilon=epsilon, x0=x0, horizon=horizon, lipschitz_K=K,
+                     growth_beta=beta, name=name, meta=meta)
 
 
 #: the named observables, each of the first state component

@@ -18,11 +18,12 @@ class RateFit:
 
 
 def loglog_fit(points: Sequence[tuple[float, float]]) -> RateFit:
-    """Ordinary least squares on (log x, log y)."""
+    """Ordinary least squares on (log x, log y) of points with positive finite
+    coordinates."""
     pts = [(float(x), float(y)) for x, y in points]
     for x, y in pts:
-        if x <= 0 or y <= 0:
-            raise DomainError(f"loglog_fit requires positive coordinates, got ({x}, {y})")
+        if not (0 < x < np.inf and 0 < y < np.inf):
+            raise DomainError(f"loglog_fit requires positive finite coordinates, got ({x}, {y})")
     xs = np.array([p[0] for p in pts])
     ys = np.array([p[1] for p in pts])
     if len(set(xs.tolist())) < 2:

@@ -302,14 +302,30 @@ def test_c07_mlmc_correctness():
     delta = 2e-3
     truth = math.exp(-1.0)
     hits = 0
-    errs = []
+    errs, z_sq, bias_sq = [], [], []
     for seed in range(20):
         rep = mlmc_estimate(ou(0.25), IDENT, delta, 2, 64, pilot_samples=32,
                             max_level=8, seed=seed)
         err = abs(rep.estimate - truth)
         errs.append(err)
         hits += err <= 3 * delta
+        # the MSE split: the estimate centred on the exact Euler mean at its
+        # final level L, scaled by the exact variance sum_l V_l / K_l of its
+        # own allocation (level 0 is one step of T with no coarse path)
+        steps = 2 ** (len(rep.allocation) - 1)
+        euler = euler_mean(OU["a"], OU["x0"], OU["T"] / steps, steps)
+        var = sum(coupled_difference_moments(0.25, OU["T"] / 2**l, 2, 2**l // 2, 64)[1] / k
+                  for l, k in enumerate(rep.allocation))
+        z_sq.append((rep.estimate - euler) ** 2 / var)
+        bias_sq.append((euler - truth) ** 2 / delta**2)
     ok = hits >= 17
+    # L and K_l are chosen from pilot samples the estimate reuses, so each z
+    # is only close to standard normal; the band misses a correct suite with
+    # probability about BAND_P
+    chi_lo, chi_hi = chi2.ppf([BAND_P / 2, 1.0 - BAND_P / 2], len(z_sq))
+    chi_sq = float(np.sum(z_sq))
+    # the squared-bias half is reported, not asserted
+    over = sum(b > 0.5 for b in bias_sq)
     # the estimator's contract is MSE <= 1.5 delta^2 (variance delta^2 from the
     # allocation, squared bias delta^2 / 2 from the bias proxy); 20 squared
     # errors exceed 1.5 delta^2 chi2_{0.999, 20} only with probability 1e-3
@@ -317,10 +333,15 @@ def test_c07_mlmc_correctness():
     bound = 1.5 * delta**2 * chi2.ppf(0.999, len(errs)) / len(errs)
     rmse, rmse_max = math.sqrt(mse) / delta, math.sqrt(bound) / delta
     report("07 mlmc correctness", f"hits={hits}/20, max|err|={max(errs):.2e}, "
-           f"RMSE={rmse:.2f} delta (bound {rmse_max:.2f}), {time.time()-t0:.1f}s",
-           ok and mse <= bound)
+           f"RMSE={rmse:.2f} delta (bound {rmse_max:.2f}), sum z^2={chi_sq:.1f} in "
+           f"[{chi_lo:.2f}, {chi_hi:.1f}], bias^2 > delta^2/2 in {over}/20 "
+           f"(mean {np.mean(bias_sq):.2f} delta^2), {time.time()-t0:.1f}s",
+           ok and mse <= bound and chi_lo <= chi_sq <= chi_hi)
     assert ok, f"only {hits}/20 runs within 3 delta of the exact mean"
     assert mse <= bound, f"RMSE {rmse:.2f} delta exceeds {rmse_max:.2f} delta"
+    assert chi_lo <= chi_sq <= chi_hi, (
+        f"sum z^2 {chi_sq:.1f} of the estimates about their exact Euler means "
+        f"outside [{chi_lo:.2f}, {chi_hi:.1f}]")
 
 
 def test_c08_cost_scaling():

@@ -1,5 +1,8 @@
 import math
+import re
 from dataclasses import replace
+from inspect import Parameter, signature
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from mlmc_mvsde import (
     moment_w2,
     wasserstein2,
 )
-from mlmc_mvsde.model import ModelSpec
+from mlmc_mvsde.model import _BUILDERS, BUILTIN_MODELS, REQUIRED, ModelSpec
 
 BASE = {"x0": 1.0, "T": 1.0, "epsilon": 0.1}
 
@@ -238,6 +241,23 @@ def test_a_default_spelt_out_builds_the_same_model(name, given, defaults):
     x = np.random.default_rng(5).normal(size=(8, 1))
     for want, got in zip(coefficients(bare, x), coefficients(full, x)):
         assert np.array_equal(want, got)
+
+
+def test_readme_model_table_matches_the_builders():
+    # a row of the README's model table lists x0, T, epsilon and then its
+    # builder's keyword-only parameters, each `name` = default where it has one
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    documented = {}
+    for line in readme.splitlines():
+        cells = line.split("|")[1:-1]
+        if len(cells) == 2 and (name := cells[0].strip().strip("`")) in BUILTIN_MODELS:
+            documented[name] = [(key, float(x) if x else REQUIRED)
+                                for key, x in re.findall(r"`(\w+)`(?: = ([^,\s]+))?", cells[1])]
+    assert documented == {
+        name: [(key, REQUIRED) for key in ("x0", "T", "epsilon")]
+        + [(key, p.default) for key, p in signature(builder).parameters.items()
+           if p.kind is Parameter.KEYWORD_ONLY]
+        for name, builder in _BUILDERS.items()}
 
 
 def test_epsilon_range():

@@ -39,6 +39,11 @@ def test_loglog_fit_scaling_invariance():
 def test_loglog_fit_errors():
     with pytest.raises(DomainError):
         loglog_fit([(1.0, 1.0), (2.0, -1.0)])
+    # NaN gave a nan slope with r^2 = 1, and an infinite x a LinAlgError
+    for bad in (math.nan, math.inf, -math.inf):
+        for point in ((bad, 1.0), (1.0, bad)):
+            with pytest.raises(DomainError, match="positive finite coordinates"):
+                loglog_fit([point, (2.0, 1.0)])
     with pytest.raises(DegeneracyError):
         loglog_fit([(2.0, 1.0), (2.0, 3.0)])
 
