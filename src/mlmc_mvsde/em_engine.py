@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -176,7 +176,7 @@ def ode_limit(model: ModelSpec, h: float) -> np.ndarray:
     sitting there, and no randomness is consumed. Returns an array of shape
     (steps + 1, d).
     """
-    flow = model.with_epsilon(0.0)
+    flow = replace(model, epsilon=0.0)
     with blame("h"):
         steps = step_count(model.horizon, h)
     out = np.empty((steps + 1, model.d))
@@ -254,7 +254,7 @@ def small_noise_grid(model: ModelSpec, epsilon_list: list[float], h: float, m_pa
     """The preflight of ``small_noise_curve``: the noise block of one replication
     and the model at each noise scale."""
     with blame("epsilon_list"):
-        models = [model.with_epsilon(eps) for eps in nonempty(epsilon_list, "epsilon_list")]
+        models = [replace(model, epsilon=eps) for eps in nonempty(epsilon_list, "epsilon_list")]
     with blame("h"):
         steps = step_count(model.horizon, h)
     integer(replications, 1, "replications", MAX_STREAMS)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -434,7 +434,7 @@ def cost_compare_grid(model: ModelSpec, delta_list: list[float], epsilon_list: l
     for delta in nonempty(delta_list, "delta_list"):
         positive(delta, "delta_list", "a delta_list entry")
     with blame("epsilon_list"):
-        models = [model.with_epsilon(eps) for eps in nonempty(epsilon_list, "epsilon_list")]
+        models = [replace(model, epsilon=eps) for eps in nonempty(epsilon_list, "epsilon_list")]
     integer(pilot_samples, 2, "pilot_samples", MAX_STREAMS)
     integer(max_level, 1, "max_level")
     strong_error_grid(model, [model.horizon / refinement_n**3], m_particles, pilot_samples)
@@ -512,7 +512,7 @@ def chaos_grid(model: ModelSpec, m_list: list[int], reference_m: int, replicatio
     integer(replications, 1, "replications", MAX_STREAMS)
     with blame("steps"):
         check_steps(integer(steps, 1, "steps"), f"a chaos grid of {steps} steps")
-    if not isinstance(pathwise, bool):
+    if not isinstance(pathwise, (bool, np.bool_)):
         raise ConfigurationError(f"pathwise must be a bool, got {pathwise!r}", "pathwise")
     return noise_block(steps, reference_m, model.d_bar, "the reference system", "reference_m")
 

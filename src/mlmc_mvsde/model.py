@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from inspect import Parameter, signature
 from typing import Callable, Mapping
 
@@ -94,10 +94,10 @@ class ModelSpec:
     Lipschitz bound |f(x,mu)-f(y,nu)|^2 <= K (|x-y|^2 + W2(mu,nu)^2) and the
     growth bound |f(x,mu)|^2 <= beta (1 + |x|^2 + W2(mu)^2), both of which
     hold for the builtins on the sampled validation region (linear drifts
-    satisfy them only there, not globally).
+    satisfy them only there, not globally). The state dimension ``d`` is
+    derived, as ``len(x0)``; ``dataclasses.replace`` copies a model.
     """
 
-    d: int
     d_bar: int
     drift: DriftFn
     diffusion: DiffusionFn
@@ -106,25 +106,25 @@ class ModelSpec:
     horizon: float
     lipschitz_K: float
     growth_beta: float
-    name: str = "custom"
     meta: dict = field(default_factory=dict)
-    # M -> (start states, their drift, their diffusion); fresh and empty in every
-    # copy made by ``replace`` or ``with_epsilon``
+    d: int = field(init=False)
+    # M -> (start states, their drift, their diffusion); empty in every new copy
     _start: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.d < 1 or self.d_bar < 1:
-            raise ConfigurationError("state and noise dimensions must be >= 1")
+        object.__setattr__(self, "d_bar", integer(self.d_bar, 1, "d_bar"))
         # epsilon = 0 is admitted as the deterministic limit of the family
         if not (is_number(self.epsilon) and 0 <= self.epsilon <= 1):
             raise ConfigurationError(f"epsilon must lie in [0, 1], got {self.epsilon!r}")
         object.__setattr__(self, "epsilon", float(self.epsilon))
         positive(self.horizon, "horizon")
-        if self.lipschitz_K < 0 or self.growth_beta < 0:
-            raise ConfigurationError("regularity constants must be nonnegative")
+        for key, val in (("lipschitz_K", self.lipschitz_K), ("growth_beta", self.growth_beta)):
+            if not (is_number(val) and val >= 0):
+                raise ConfigurationError(f"{key} must be a nonnegative finite number, got {val!r}",
+                                         key)
         x0 = np.atleast_1d(np.asarray(self.x0, dtype=float)).copy()
-        if x0.shape != (self.d,):
-            raise ShapeError(f"x0 has shape {x0.shape}, expected ({self.d},)")
+        if x0.ndim != 1 or not x0.size:
+            raise ShapeError(f"x0 must be a non-empty vector, got shape {x0.shape}")
         if not np.all(np.isfinite(x0)):
             raise NumericError("x0 must be finite")
         if np.abs(x0).max() > DIVERGENCE_LIMIT:
@@ -132,10 +132,7 @@ class ModelSpec:
                                      f"{DIVERGENCE_LIMIT:g}, got {x0.tolist()}")
         x0.setflags(write=False)
         object.__setattr__(self, "x0", x0)
-
-    def with_epsilon(self, epsilon: float) -> "ModelSpec":
-        """Same dynamics at a different noise scale (for epsilon sweeps)."""
-        return replace(self, epsilon=epsilon)
+        object.__setattr__(self, "d", x0.shape[0])
 
     def start(self, m: int) -> np.ndarray:
         """The read-only (m, d) states at x0 that every system starts from.
@@ -361,9 +358,8 @@ def builtin_model(name: str, params: Mapping) -> ModelSpec:
     p = _read_params(name, params)
     x0, horizon, epsilon = p.pop("x0"), p.pop("T"), p.pop("epsilon")
     drift, diffusion, K, beta, meta = _BUILDERS[name](x0, horizon, **p)
-    return ModelSpec(d=x0.shape[0], d_bar=x0.shape[0], drift=drift, diffusion=diffusion,
-                     epsilon=epsilon, x0=x0, horizon=horizon, lipschitz_K=K,
-                     growth_beta=beta, name=name, meta=meta)
+    return ModelSpec(d_bar=x0.shape[0], drift=drift, diffusion=diffusion, epsilon=epsilon,
+                     x0=x0, horizon=horizon, lipschitz_K=K, growth_beta=beta, meta=meta)
 
 
 #: the named observables, each of the first state component

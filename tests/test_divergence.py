@@ -102,7 +102,7 @@ def nan_off_zero():
     # zero drift at 0 and NaN anywhere else, unit noise: the state stays 0
     # until a unit spike at step STEP moves it, so the drift of step STEP + 1
     # is the first non-finite value
-    return ModelSpec(d=1, d_bar=1, drift=lambda x, mu: np.where(x == 0.0, 0.0, np.nan),
+    return ModelSpec(d_bar=1, drift=lambda x, mu: np.where(x == 0.0, 0.0, np.nan),
                      diffusion=lambda x, mu: np.ones(x.shape[:-1] + (1, 1)), epsilon=1.0,
                      x0=np.array([0.0]), horizon=1.0, lipschitz_K=0.0, growth_beta=1.0)
 
@@ -122,7 +122,7 @@ def coarse_nan_model():
     # with N = 2 (h_fine = 1/2, h_coarse = 1) the fine factor -1/2 keeps
     # |x| <= 1, while the coarse factor -2 takes x to -2 at coarse step 0, so
     # the drift of coarse step 1 is NaN
-    return ModelSpec(d=1, d_bar=1,
+    return ModelSpec(d_bar=1,
                      drift=lambda x, mu: np.where(np.abs(x) < 1.5, -3.0 * x, np.nan),
                      diffusion=lambda x, mu: np.zeros(x.shape[:-1] + (1, 1)), epsilon=0.0,
                      x0=np.array([1.0]), horizon=2.0, lipschitz_K=3.0, growth_beta=18.0)

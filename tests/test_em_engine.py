@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -104,7 +105,7 @@ def test_em_step_exchangeability_exact():
 
 
 def _custom(drift, diffusion):
-    return ModelSpec(d=1, d_bar=1, drift=drift, diffusion=diffusion, epsilon=0.5,
+    return ModelSpec(d_bar=1, drift=drift, diffusion=diffusion, epsilon=0.5,
                      x0=np.array([0.0]), horizon=1.0, lipschitz_K=1.0, growth_beta=2.0)
 
 
@@ -300,7 +301,7 @@ def test_zero_noise_collapse_to_ode_exact():
 
 def test_divergence_error_carries_step_index():
     model = ModelSpec(
-        d=1, d_bar=1,
+        d_bar=1,
         drift=lambda x, mu: 1e13 * np.ones_like(x),
         diffusion=lambda x, mu: np.broadcast_to(np.ones((1, 1)), x.shape[:-1] + (1, 1)),
         epsilon=0.1, x0=np.array([0.0]), horizon=1.0,
@@ -392,7 +393,7 @@ def test_one_step_interpolation_gap_rates():
     m = 512
 
     def measured(eps, h, reps=200):
-        model = model_base.with_epsilon(eps)
+        model = replace(model_base, epsilon=eps)
         x = np.ones((m, 1))
         f = np.asarray(model.drift(x, x))
         g = np.asarray(model.diffusion(x, x))
@@ -429,7 +430,7 @@ def test_strong_error_small_steps_with_state_dependent_diffusion():
     def diffusion(x, mu):
         return (1.0 + 0.5 * np.sin(x))[..., None]
 
-    model = ModelSpec(d=1, d_bar=1, drift=drift, diffusion=diffusion, epsilon=0.5,
+    model = ModelSpec(d_bar=1, drift=drift, diffusion=diffusion, epsilon=0.5,
                       x0=np.array([1.0]), horizon=1.0, lipschitz_K=5.0, growth_beta=10.0)
     hs = [2.0**-k for k in range(6, 10)]
     curve = strong_error_curve(model, hs, 32, 40, seed=8, ref_factor=8)

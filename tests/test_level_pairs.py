@@ -157,7 +157,7 @@ class _Blocks:
 
 
 def _linear_model(drift):
-    return ModelSpec(d=1, d_bar=1, drift=drift,
+    return ModelSpec(d_bar=1, drift=drift,
                      diffusion=lambda x, mu: np.ones(x.shape[:-1] + (1, 1)),
                      epsilon=1.0, x0=np.array([0.0]), horizon=1.0,
                      lipschitz_K=16.0, growth_beta=32.0)
@@ -198,7 +198,7 @@ def test_coefficients_take_the_state_array_as_their_measure():
             return out(x)
         return coefficient
 
-    model = ModelSpec(d=2, d_bar=1, drift=recorded(lambda x: -0.5 * x),
+    model = ModelSpec(d_bar=1, drift=recorded(lambda x: -0.5 * x),
                       diffusion=recorded(lambda x: np.ones(x.shape + (1,))),
                       epsilon=0.5, x0=np.array([1.0, -1.0]), horizon=1.0,
                       lipschitz_K=1.0, growth_beta=2.0)

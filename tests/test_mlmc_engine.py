@@ -114,7 +114,7 @@ def test_coarse_step_non_finite_drift_is_named():
     # finite on |x| < 2 only: after one interval the fine state is back at 1,
     # the coarse state at -3, so only the coarse drift turns NaN
     model = ModelSpec(
-        d=1, d_bar=1,
+        d_bar=1,
         drift=lambda x, mu: np.where(np.abs(x) < 2.0, -4.0 * x, np.nan),
         diffusion=lambda x, mu: np.zeros(x.shape[:-1] + (1, 1)),
         epsilon=0.0, x0=np.array([1.0]), horizon=2.0,
@@ -131,7 +131,7 @@ def test_coarse_step_non_finite_drift_is_named():
 def test_coupled_interval_failures_name_their_path_and_step():
     # -3x, NaN from |x| = 1.5, at h_fine = 1/2 and h_coarse = 1
     model = ModelSpec(
-        d=1, d_bar=1,
+        d_bar=1,
         drift=lambda x, mu: np.where(np.abs(x) < 1.5, -3.0 * x, np.nan),
         diffusion=lambda x, mu: np.ones(x.shape[:-1] + (1, 1)),
         epsilon=1.0, x0=np.array([1.0]), horizon=2.0,
@@ -436,11 +436,12 @@ def test_chaos_pathwise_mode_decays():
     assert vals[0] > vals[-1]
 
 
-@pytest.mark.parametrize("pathwise", [False, True])
+@pytest.mark.parametrize("pathwise", [False, True, np.False_, np.True_], ids=repr)
 def test_chaos_rows_equal_single_m_runs(pathwise):
-    # one reference walk serves every M: each row is the run of its M alone
+    # one reference walk serves every M: each row is the run of its M alone;
+    # a numpy bool is admitted as the bool it equals (it was refused)
     rows = chaos_study(ou(0.25), [3, 8, 3], 16, 4, seed=2, steps=8, pathwise=pathwise)
-    alone = [chaos_study(ou(0.25), [m], 16, 4, seed=2, steps=8, pathwise=pathwise)[0]
+    alone = [chaos_study(ou(0.25), [m], 16, 4, seed=2, steps=8, pathwise=bool(pathwise))[0]
              for m in (3, 8, 3)]
     assert rows == alone
 

@@ -1,6 +1,6 @@
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from inspect import Parameter, signature
 from pathlib import Path
 
@@ -106,7 +106,7 @@ def test_coefficients_refuse_a_wrong_state_or_output_shape():
             coefficients(ou, states)
 
     def custom(drift, diffusion):
-        return ModelSpec(d=1, d_bar=1, drift=drift, diffusion=diffusion, epsilon=0.1,
+        return ModelSpec(d_bar=1, drift=drift, diffusion=diffusion, epsilon=0.1,
                          x0=np.array([0.0]), horizon=1.0, lipschitz_K=0.0, growth_beta=2.0)
 
     good_f = lambda x, mu: np.zeros_like(x)
@@ -269,6 +269,44 @@ def test_epsilon_range():
     for horizon in (math.inf, math.nan, 0.0, -1.0, "1"):
         with pytest.raises(ConfigurationError, match="horizon must be a positive finite number"):
             replace(builtin_model("zero", BASE), horizon=horizon)
+
+
+def _spec(**changes):
+    """A one-dimensional custom model with ``changes`` to its arguments."""
+    return ModelSpec(**{"d_bar": 1, "drift": lambda x, mu: -x,
+                        "diffusion": lambda x, mu: np.ones(x.shape + (1,)), "epsilon": 0.5,
+                        "x0": np.array([1.0]), "horizon": 1.0, "lipschitz_K": 1.0,
+                        "growth_beta": 2.0, **changes})
+
+
+@pytest.mark.parametrize("changes, error, field", [
+    *[({"d_bar": val}, ConfigurationError, "d_bar") for val in (1.5, 2.0, True, 0)],
+    *[({key: val}, ConfigurationError, key) for key in ("lipschitz_K", "growth_beta")
+      for val in (math.nan, math.inf, -math.inf, -1.0)],
+    *[({"x0": np.zeros(shape)}, ShapeError, None) for shape in ((1, 2), (0,))],
+    # the dimension is len(x0) and a model has no name
+    *[({key: 1}, TypeError, None) for key in ("d", "name")],
+])
+def test_model_spec_refuses_what_it_cannot_step(changes, error, field):
+    with pytest.raises(error) as err:
+        _spec(**changes)
+    assert getattr(err.value, "field", None) == field
+    # the copies made by dataclasses.replace are checked the same way
+    if error is not TypeError:
+        with pytest.raises(error):
+            replace(_spec(), **changes)
+
+
+def test_model_spec_derives_its_dimension_and_reads_d_bar_as_an_int():
+    model = _spec(d_bar=np.int64(1))
+    assert type(model.d_bar) is int and model.d_bar == 1 and model.d == 1
+    assert _spec(x0=0.5).d == 1  # a scalar x0 is a 1-vector
+    plane = replace(model, x0=np.array([1.0, -1.0]),
+                    drift=lambda x, mu: -x, diffusion=lambda x, mu: np.ones(x.shape + (1,)))
+    assert plane.d == 2 and plane.start(3).shape == (3, 2)
+    assert [f.name for f in fields(ModelSpec) if f.init] == [
+        "d_bar", "drift", "diffusion", "epsilon", "x0", "horizon", "lipschitz_K",
+        "growth_beta", "meta"]
 
 
 def test_coefficient_purity():

@@ -74,7 +74,7 @@ def test_copies_never_reuse_start_coefficients(args, m, eps, seed):
 
     before = step(model, start)
     shifted = replace(model, drift=lambda x, mu: model.drift(x, mu) + 1.0)
-    for other in (model.with_epsilon(eps), shifted):
+    for other in (replace(model, epsilon=eps), shifted):
         other_start = other.start(m)
         assert other_start is not start
         # the same step from states that are not the start array is evaluated afresh
